@@ -13,8 +13,9 @@ from dataclasses import dataclass, fields
 from typing import IO, Iterable
 
 from .errors import PanelFormatError
-from .panel import LOAD_POLICIES, PRICE_CONVENTIONS
 
+LOAD_POLICIES = ("strict", "drop-incomplete", "zero-fill")
+PRICE_CONVENTIONS = ("close_to_close", "bin_open")
 RUN_MODES = ("synth", "returns", "prices")
 FIT_WINDOWS = ("first_half", "first_two_hours")
 THREADS_ENV_VAR = "SEASONALITY_THREADS"

@@ -15,28 +15,52 @@ Two tabular inputs are supported:
   converted to returns by :func:`returns_from_prices`.
 
 Lines starting with ``#`` are treated as comments in both formats.
+
+Return tables move as columns (:class:`ReturnColumns`), not as one tuple
+per row.  Tables are read in chunks of about :data:`CHUNK_BYTES` of whole
+lines.  Each chunk is split at once, its bins and returns become int64 and
+float64 arrays, and its dates and symbols become codes through one
+dictionary each, kept across chunks, so dates and symbols are parsed once
+per distinct text.  A chunk holding a quote, carriage return or NUL is read
+by :mod:`csv` instead, so quoting and line endings behave exactly as
+``csv.reader`` reads them.  When a chunk fails a bulk check, its rows are
+checked one at a time, which reports the first bad row and its line number.
+:func:`load_panel` places every row in one linear (stock, day, bin) index:
+one ``bincount`` finds duplicates and gaps, the load policies are masks over
+the count cube, and one scatter fills the array.
+:func:`write_return_records` formats the columns in blocks of
+:data:`WRITE_BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
+import itertools
+import math
+import operator
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
+from .config import LOAD_POLICIES, PRICE_CONVENTIONS, format_float
 from .errors import (
     CompletenessError,
     DuplicateRowError,
     PanelFormatError,
     PriceDomainError,
 )
+from .tableio import format_cell, open_output
 
-LOAD_POLICIES = ("strict", "drop-incomplete", "zero-fill")
-PRICE_CONVENTIONS = ("close_to_close", "bin_open")
+#: Text read per parsing chunk, in bytes of whole lines.
+CHUNK_BYTES = 4 << 20
+#: Rows formatted per write of a return table.
+WRITE_BLOCK_ROWS = 1 << 16
+#: Characters that a plain comma split does not read the way ``csv`` does.
+_CSV_ONLY = ('"', "\r", "\0")
+_MAX_BIN = 2**63 - 1
 
 #: One bar-return observation: (date, bin, symbol, value).
 ReturnRecord = tuple[dt.date, int, str, float]
@@ -158,29 +182,118 @@ class ValidationReport:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class ReturnColumns:
+    """Bar-return observations as columns.
+
+    Row ``i`` is ``(dates[date_index[i]], bins[i], symbols[symbol_index[i]],
+    values[i])``.  ``dates`` and ``symbols`` hold the keys the rows point
+    into; each is used by some row, but they need not be sorted or
+    distinct.  ``len()`` is the row count, and iteration yields the rows as
+    :data:`ReturnRecord` tuples in order.
+    """
+
+    dates: tuple
+    symbols: tuple
+    date_index: np.ndarray
+    bins: np.ndarray
+    symbol_index: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[ReturnRecord]:
+        return zip(
+            map(self.dates.__getitem__, self.date_index.tolist()),
+            self.bins.tolist(),
+            map(self.symbols.__getitem__, self.symbol_index.tolist()),
+            self.values.tolist(),
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[ReturnRecord]) -> ReturnColumns:
+        rows = list(records)
+        dates, bins, symbols, values = (
+            list(map(operator.itemgetter(i), rows)) for i in range(4)
+        )
+        date_keys, date_index = _factorize(dates)
+        symbol_keys, symbol_index = _factorize(symbols)
+        return cls(
+            date_keys,
+            symbol_keys,
+            date_index,
+            np.array(bins, dtype=np.int64),
+            symbol_index,
+            np.array(values, dtype=np.float64),
+        )
+
+    def canonical_keys(self) -> tuple[tuple, np.ndarray, tuple, np.ndarray]:
+        """Sorted distinct dates and symbols, with each row's position in them."""
+        dates, date_pos = _factorize(self.dates)
+        symbols, symbol_pos = _factorize(self.symbols)
+        return dates, date_pos[self.date_index], symbols, symbol_pos[self.symbol_index]
+
+
+def _factorize(keys) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct ``keys`` and the position of each key among them."""
+    distinct = sorted(set(keys))
+    position = {key: i for i, key in enumerate(distinct)}
+    codes = np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
+    return tuple(distinct), codes
+
+
+class _KeyCodes(dict):
+    """Integer codes for key text, kept across chunks.
+
+    A text seen for the first time is parsed by ``parse``, which raises
+    ValueError for a bad one; ``parsed`` lists the keys in code order.
+    """
+
+    def __init__(self, parse: Callable[[str], object]):
+        super().__init__()
+        self.parse = parse
+        self.parsed: list = []
+
+    def __missing__(self, text: str) -> int:
+        self.parsed.append(self.parse(text))
+        code = self[text] = len(self.parsed) - 1
+        return code
+
+    def codes(self, texts: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, texts), np.intp, len(texts))
+
+
 def _open_text(source: str | os.PathLike | IO[str]) -> tuple[IO[str], bool]:
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", newline="", encoding="utf-8"), True
     return source, False
 
 
-def _parse_table(source, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, field values) for each data row, column-reordered.
+def _is_comment(first_field: str) -> bool:
+    return first_field.lstrip().startswith("#")
+
+
+def _table_chunks(
+    source, columns: tuple[str, ...], bulk: bool = True
+) -> Iterator[tuple[list[list[str]] | None, Iterator[tuple[int, list[str]]]]]:
+    """Yield a table's data rows chunk by chunk, as ``(tokens, rows)``.
 
     The header row must contain every name in ``columns``; extra columns are
     ignored.  Comment lines (leading ``#``) and blank lines are skipped.
+    ``rows`` yields ``(line_number, fields)`` for each data row, the fields
+    stripped and in ``columns`` order, and raises :class:`PanelFormatError`
+    at a row with the wrong field count.  ``tokens`` holds the unstripped
+    text of each requested column for bulk conversion; it is None when
+    ``bulk`` is false or some row of the chunk has the wrong field count.
     """
     handle, owned = _open_text(source)
     try:
         reader = csv.reader(handle)
-        header = None
-        for row in reader:
-            if not row or (row[0].lstrip().startswith("#") and len(row) >= 1):
-                continue
-            header = [name.strip() for name in row]
-            break
+        header = next((row for row in reader if row and not _is_comment(row[0])), None)
         if header is None:
             raise PanelFormatError("empty input, no header row found")
+        header = [name.strip() for name in header]
         try:
             order = [header.index(name) for name in columns]
         except ValueError:
@@ -189,27 +302,116 @@ def _parse_table(source, columns: tuple[str, ...]) -> Iterator[tuple[int, list[s
                 f"header {header} lacks required column(s) {missing}"
             ) from None
         width = len(header)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != width:
-                raise PanelFormatError(
-                    f"expected {width} fields, got {len(row)}", reader.line_num
-                )
-            yield reader.line_num, [row[i].strip() for i in order]
+        line_num = reader.line_num
+        while lines := handle.readlines(CHUNK_BYTES):
+            text = "".join(lines)
+            if any(c in text for c in _CSV_ONLY):
+                # A quoted field may run past the chunk: the reader then
+                # takes the lines it needs from the handle.
+                reader = csv.reader(itertools.chain(lines, handle))
+                rows = []
+                for row in reader:
+                    if row and not _is_comment(row[0]):
+                        rows.append((line_num + reader.line_num, row))
+                    if reader.line_num >= len(lines):
+                        break
+                line_num += reader.line_num
+                tokens = None
+                if bulk and all(len(row) == width for _, row in rows):
+                    tokens = [[row[i] for _, row in rows] for i in order]
+            else:
+                first = line_num + 1
+                line_num += len(lines)
+                numbered = zip(itertools.count(first), lines)
+                if "#" in text or "\n" in lines:
+                    numbered = [
+                        (num, line)
+                        for num, line in numbered
+                        if line != "\n" and not _is_comment(line)
+                    ]
+                    lines = [line for _, line in numbered]
+                tokens = _split_columns(lines, width, order) if bulk else None
+                rows = ((num, line.rstrip("\n").split(",")) for num, line in numbered)
+            yield tokens, _checked(rows, width, order)
     finally:
         if owned:
             handle.close()
 
 
-def read_return_records(source: str | os.PathLike | IO[str]) -> list[ReturnRecord]:
-    """Parse a bar-return table into records, with row numbers on errors."""
-    records: list[ReturnRecord] = []
-    for line_num, (date_s, bin_s, symbol, value_s) in _parse_table(
-        source, ("date", "bin", "symbol", "return")
+def _split_columns(lines: list[str], width: int, order: list[int]):
+    """Columns ``order`` of the comma-split ``lines``, or None unless every
+    line has exactly ``width`` fields."""
+    if not lines:
+        return [[] for _ in order]
+    tokens = ",".join(lines).split(",")
+    # Each line holds one newline, at its end; the lines all have ``width``
+    # fields exactly when every newline falls in a last-column token.
+    newlines = len(lines) - (not lines[-1].endswith("\n"))
+    if (
+        len(tokens) != width * len(lines)
+        or "".join(tokens[width - 1 :: width]).count("\n") != newlines
     ):
+        return None
+    return [tokens[i::width] for i in order]
+
+
+def _checked(rows, width: int, order: list[int]) -> Iterator[tuple[int, list[str]]]:
+    for line_num, row in rows:
+        if len(row) != width:
+            raise PanelFormatError(f"expected {width} fields, got {len(row)}", line_num)
+        yield line_num, [row[i].strip() for i in order]
+
+
+def _symbol_key(text: str) -> str:
+    symbol = text.strip()
+    if not symbol:
+        raise ValueError("empty symbol")
+    return symbol
+
+
+def read_return_records(source: str | os.PathLike | IO[str]) -> ReturnColumns:
+    """Parse a bar-return table into columns, with row numbers on errors."""
+    dates = _KeyCodes(lambda text: dt.date.fromisoformat(text.strip()))
+    symbols = _KeyCodes(_symbol_key)
+    parts = []
+    for tokens, rows in _table_chunks(source, ("date", "bin", "symbol", "return")):
+        arrays = _return_arrays(tokens, dates, symbols)
+        if arrays is None:
+            _raise_first_bad_return(rows)
+        parts.append(arrays)
+    if parts:
+        date_index, bins, symbol_index, values = map(np.concatenate, zip(*parts))
+    else:
+        date_index = symbol_index = np.zeros(0, np.intp)
+        bins, values = np.zeros(0, np.int64), np.zeros(0)
+    return ReturnColumns(
+        tuple(dates.parsed), tuple(symbols.parsed), date_index, bins, symbol_index, values
+    )
+
+
+def _return_arrays(tokens, dates: _KeyCodes, symbols: _KeyCodes):
+    """One chunk's columns as arrays, or None if some row fails a check."""
+    if tokens is None:
+        return None
+    date_s, bin_s, symbol_s, value_s = tokens
+    n = len(value_s)
+    try:
+        bins = np.fromiter(map(int, bin_s), np.int64, n)
+        values = np.fromiter(map(float, value_s), np.float64, n)
+        date_index = dates.codes(date_s)
+        symbol_index = symbols.codes(symbol_s)
+    except (ValueError, OverflowError):
+        return None
+    if (bins < 0).any() or not np.isfinite(values).all():
+        return None
+    return date_index, bins, symbol_index, values
+
+
+def _raise_first_bad_return(rows) -> None:
+    """Check rows one at a time and raise for the first bad one."""
+    for line_num, (date_s, bin_s, symbol, value_s) in rows:
         try:
-            date = dt.date.fromisoformat(date_s)
+            dt.date.fromisoformat(date_s)
         except ValueError:
             raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
         try:
@@ -218,23 +420,31 @@ def read_return_records(source: str | os.PathLike | IO[str]) -> list[ReturnRecor
             raise PanelFormatError(f"bad bin {bin_s!r}", line_num) from None
         if bin_number < 0:
             raise PanelFormatError(f"negative bin {bin_number}", line_num)
+        if bin_number > _MAX_BIN:
+            raise PanelFormatError(f"bin {bin_number} out of range", line_num)
         try:
             value = float(value_s)
         except ValueError:
             raise PanelFormatError(f"bad return {value_s!r}", line_num) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise PanelFormatError(f"non-finite return {value_s!r}", line_num)
         if not symbol:
             raise PanelFormatError("empty symbol", line_num)
-        records.append((date, bin_number, symbol, value))
-    return records
+    raise RuntimeError("a chunk failed its bulk checks but none of its rows did")
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Position of the earliest element equal to an element before it."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return int(order[1:][ordered[1:] == ordered[:-1]].min())
 
 
 def load_panel(
     source: str | os.PathLike | IO[str] | Iterable[ReturnRecord],
     policy: str = "strict",
 ) -> tuple[ReturnPanel, LoadReport]:
-    """Assemble a dense panel from a bar-return table or record iterable.
+    """Assemble a dense panel from a bar-return table, columns or records.
 
     ``policy`` controls how missing (date, bin, symbol) cells are handled:
 
@@ -244,101 +454,89 @@ def load_panel(
       then stocks with remaining gaps are dropped, with reasons recorded;
     * ``zero-fill``: gaps become 0.0 returns and are counted in the report.
 
-    Duplicate cells raise :class:`DuplicateRowError` under every policy.
-    The result is canonically ordered (sorted symbols, ascending dates), so
-    row order in the source never affects the panel.
+    Duplicate cells raise :class:`DuplicateRowError` under every policy,
+    naming the first row that repeats a cell.  The result is canonically
+    ordered (sorted symbols, ascending dates), so row order in the source
+    never affects the panel.
     """
     if policy not in LOAD_POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {LOAD_POLICIES}")
     if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        records = read_return_records(source)
+        columns = read_return_records(source)
+    elif isinstance(source, ReturnColumns):
+        columns = source
     else:
-        records = list(source)
+        columns = ReturnColumns.from_records(source)
 
-    report = LoadReport(rows_read=len(records))
-    if not records:
+    report = LoadReport(rows_read=len(columns))
+    if not len(columns):
         raise CompletenessError("no data rows")
 
-    cells: dict[tuple[dt.date, int, str], float] = {}
-    for date, bin_number, symbol, value in records:
-        key = (date, bin_number, symbol)
-        if key in cells:
-            raise DuplicateRowError(
-                f"duplicate cell date={date.isoformat()} bin={bin_number} symbol={symbol}"
-            )
-        cells[key] = value
-
-    dates = sorted({key[0] for key in cells})
-    symbols = sorted({key[2] for key in cells})
-    bins_seen = {key[1] for key in cells}
-    overnight = 0 in bins_seen
-    k_max = max(bins_seen)
+    dates, day, symbols, stock = columns.canonical_keys()
+    bins = columns.bins
+    if bins.min() < 0:
+        raise PanelFormatError(f"negative bin {bins.min()}")
+    overnight = bool((bins == 0).any())
+    k_max = int(bins.max())
+    offset = 0 if overnight else 1
+    shape = (len(symbols), len(dates), k_max + 1 - offset)
+    cell = np.ravel_multi_index((stock, day, bins - offset), shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    if counts.max() > 1:
+        row = _first_repeat(cell)
+        raise DuplicateRowError(
+            f"duplicate cell date={dates[day[row]].isoformat()} "
+            f"bin={bins[row]} symbol={symbols[stock[row]]}"
+        )
     if k_max < 1:
         raise CompletenessError("no intraday bins (only bin 0 present)")
-    expected_bins = list(range(0 if overnight else 1, k_max + 1))
 
-    if policy == "strict":
-        for date in dates:
-            for bin_number in expected_bins:
-                for symbol in symbols:
-                    if (date, bin_number, symbol) not in cells:
-                        raise CompletenessError(
-                            f"missing cell date={date.isoformat()} "
-                            f"bin={bin_number} symbol={symbol}"
-                        )
-    elif policy == "drop-incomplete":
+    present = counts > 0
+    keep_stock = np.ones(shape[0], dtype=bool)
+    keep_day = np.ones(shape[1], dtype=bool)
+    if policy == "strict" and not present.all():
+        # the first gap in (date, bin, symbol) order
+        t, c, a = np.unravel_index(
+            np.argmin(present.transpose(1, 2, 0)), (shape[1], shape[2], shape[0])
+        )
+        raise CompletenessError(
+            f"missing cell date={dates[t].isoformat()} "
+            f"bin={c + offset} symbol={symbols[a]}"
+        )
+    if policy == "drop-incomplete":
         # A bin absent for every symbol on a date is a market-wide gap: the
         # day goes.  Remaining gaps are stock-specific: the stock goes.
-        kept_dates = []
-        for date in dates:
-            gap_bins = [
-                b
-                for b in expected_bins
-                if not any((date, b, s) in cells for s in symbols)
-            ]
-            if gap_bins:
-                report.days_dropped.append(
-                    (date.isoformat(), f"no symbol has bin(s) {gap_bins}")
+        day_gaps = ~present.any(axis=0)
+        keep_day = ~day_gaps.any(axis=1)
+        bin_numbers = np.arange(offset, k_max + 1)
+        for t in np.flatnonzero(~keep_day):
+            report.days_dropped.append(
+                (
+                    dates[t].isoformat(),
+                    f"no symbol has bin(s) {bin_numbers[day_gaps[t]].tolist()}",
                 )
-            else:
-                kept_dates.append(date)
-        dates = kept_dates
-        if dates:
-            kept_symbols = []
-            for symbol in symbols:
-                missing = sum(
-                    1
-                    for date in dates
-                    for b in expected_bins
-                    if (date, b, symbol) not in cells
+            )
+        if keep_day.any():
+            missing = (~present[:, keep_day]).sum(axis=(1, 2))
+            keep_stock = missing == 0
+            for a in np.flatnonzero(~keep_stock):
+                report.stocks_dropped.append(
+                    (symbols[a], f"{missing[a]} missing cell(s) on kept days")
                 )
-                if missing:
-                    report.stocks_dropped.append(
-                        (symbol, f"{missing} missing cell(s) on kept days")
-                    )
-                else:
-                    kept_symbols.append(symbol)
-            symbols = kept_symbols
-        if not dates or not symbols:
+        if not keep_day.any() or not keep_stock.any():
             raise CompletenessError(
                 "no complete days/stocks remain under drop-incomplete"
             )
 
-    n_cols = len(expected_bins)
-    array = np.zeros((len(symbols), len(dates), n_cols))
-    date_index = {d: i for i, d in enumerate(dates)}
-    symbol_index = {s: i for i, s in enumerate(symbols)}
-    offset = 0 if overnight else 1
-    filled = np.zeros(array.shape, dtype=bool)
-    for (date, bin_number, symbol), value in cells.items():
-        t = date_index.get(date)
-        a = symbol_index.get(symbol)
-        if t is None or a is None:
-            continue
-        array[a, t, bin_number - offset] = value
-        filled[a, t, bin_number - offset] = True
+    array = np.zeros(counts.size)
+    array[cell] = columns.values
+    kept = np.ix_(keep_stock, keep_day)
+    array = array.reshape(shape)[kept]
+    present = present[kept]
+    symbols = tuple(itertools.compress(symbols, keep_stock))
+    dates = tuple(itertools.compress(dates, keep_day))
 
-    n_missing = int(filled.size - filled.sum())
+    n_missing = present.size - int(np.count_nonzero(present))
     if n_missing:
         # Only reachable under zero-fill: strict raised, drop-incomplete pruned.
         report.fills_applied = n_missing
@@ -346,8 +544,8 @@ def load_panel(
 
     panel = ReturnPanel(
         returns=array,
-        stock_ids=tuple(symbols),
-        dates=tuple(dates),
+        stock_ids=symbols,
+        dates=dates,
         bins_per_day=k_max,
         overnight_present=overnight,
     )
@@ -359,26 +557,42 @@ PriceRecord = tuple[dt.date, str, str, float]
 
 
 def read_price_records(source: str | os.PathLike | IO[str]) -> list[PriceRecord]:
-    """Parse a bar-price table (columns date, time, symbol, price)."""
+    """Parse a bar-price table (columns date, time, symbol, price).
+
+    Each distinct date, time and symbol text is parsed once, and the
+    records share one object per distinct value.
+    """
     records: list[PriceRecord] = []
-    for line_num, (date_s, time_s, symbol, price_s) in _parse_table(
-        source, ("date", "time", "symbol", "price")
-    ):
-        try:
-            date = dt.date.fromisoformat(date_s)
-        except ValueError:
-            raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
-        try:
-            dt.time.fromisoformat(time_s)
-        except ValueError:
-            raise PanelFormatError(f"bad time {time_s!r}", line_num) from None
-        try:
-            price = float(price_s)
-        except ValueError:
-            raise PanelFormatError(f"bad price {price_s!r}", line_num) from None
-        if not symbol:
-            raise PanelFormatError("empty symbol", line_num)
-        records.append((date, time_s, symbol, price))
+    dates: dict[str, dt.date] = {}
+    times: dict[str, str] = {}
+    symbols: dict[str, str] = {}
+    chunks = _table_chunks(source, ("date", "time", "symbol", "price"), bulk=False)
+    for _, rows in chunks:
+        for line_num, (date_s, time_s, symbol, price_s) in rows:
+            if date_s not in dates:
+                try:
+                    dates[date_s] = dt.date.fromisoformat(date_s)
+                except ValueError:
+                    raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
+            if time_s not in times:
+                try:
+                    dt.time.fromisoformat(time_s)
+                except ValueError:
+                    raise PanelFormatError(f"bad time {time_s!r}", line_num) from None
+            try:
+                price = float(price_s)
+            except ValueError:
+                raise PanelFormatError(f"bad price {price_s!r}", line_num) from None
+            if not symbol:
+                raise PanelFormatError("empty symbol", line_num)
+            records.append(
+                (
+                    dates[date_s],
+                    times.setdefault(time_s, time_s),
+                    symbols.setdefault(symbol, symbol),
+                    price,
+                )
+            )
     return records
 
 
@@ -526,48 +740,49 @@ def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationR
     return report
 
 
-def panel_to_records(panel: ReturnPanel) -> list[ReturnRecord]:
-    """Flatten a panel back into canonically ordered records."""
-    out: list[ReturnRecord] = []
-    bins = panel.bin_numbers
-    for t, date in enumerate(panel.dates):
-        for c, bin_number in enumerate(bins):
-            for a, symbol in enumerate(panel.stock_ids):
-                out.append((date, int(bin_number), symbol, float(panel.returns[a, t, c])))
-    return out
+def panel_to_records(panel: ReturnPanel) -> ReturnColumns:
+    """The panel's cells as columns, in (day, bin, stock) array order."""
+    n_stocks, n_days, n_cols = panel.returns.shape
+    return ReturnColumns(
+        dates=panel.dates,
+        symbols=panel.stock_ids,
+        date_index=np.repeat(np.arange(n_days), n_cols * n_stocks),
+        bins=np.tile(np.repeat(panel.bin_numbers, n_stocks), n_days),
+        symbol_index=np.tile(np.arange(n_stocks), n_days * n_cols),
+        values=panel.returns.transpose(1, 2, 0).reshape(-1),
+    )
 
 
 def write_return_records(
-    records: Iterable[ReturnRecord], destination: str | os.PathLike | IO[str]
+    records: ReturnColumns | Iterable[ReturnRecord],
+    destination: str | os.PathLike | IO[str],
 ) -> None:
-    """Write records as a canonical bar-return table (stable float format)."""
-    rows = sorted(records, key=lambda r: (r[0], r[1], r[2]))
-    handle, owned = (
-        (open(destination, "w", newline="", encoding="utf-8"), True)
-        if isinstance(destination, (str, os.PathLike))
-        else (destination, False)
-    )
-    try:
+    """Write records as a canonical bar-return table (stable float format).
+
+    Rows are sorted by (date, bin, symbol), keeping input order among equal
+    keys; symbols are quoted only where CSV needs it.
+    """
+    if not isinstance(records, ReturnColumns):
+        records = ReturnColumns.from_records(records)
+    dates, day, symbols, stock = records.canonical_keys()
+    order = np.lexsort((stock, records.bins, day))
+    date_text = [date.isoformat() for date in dates]
+    symbol_text = [format_cell(symbol) for symbol in symbols]
+    with open_output(destination) as handle:
         handle.write("# schema-version: 1\n")
         handle.write("date,bin,symbol,return\n")
-        for date, bin_number, symbol, value in rows:
+        for start in range(0, len(order), WRITE_BLOCK_ROWS):
+            block = order[start : start + WRITE_BLOCK_ROWS]
             handle.write(
-                f"{date.isoformat()},{bin_number},{symbol},{_format_float(value)}\n"
+                "".join(
+                    [
+                        f"{date_text[t]},{b},{symbol_text[a]},{format_float(v)}\n"
+                        for t, b, a, v in zip(
+                            day[block].tolist(),
+                            records.bins[block].tolist(),
+                            stock[block].tolist(),
+                            records.values[block].tolist(),
+                        )
+                    ]
+                )
             )
-    finally:
-        if owned:
-            handle.close()
-
-
-def _format_float(x: float) -> str:
-    """Locale-independent 10-significant-digit float text; -0 folds to 0."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.10g}"
-
-
-def records_to_csv_text(records: Iterable[ReturnRecord]) -> str:
-    buffer = io.StringIO()
-    write_return_records(records, buffer)
-    return buffer.getvalue()

@@ -3,19 +3,24 @@
 Every stage output starts with ``# schema-version: 1`` followed by a
 comma-separated header and data rows.  Floats print at 10 significant
 digits with a ``.`` decimal mark regardless of locale, so identical inputs
-produce byte-identical files.
+produce byte-identical files.  Text cells are quoted CSV-style only when
+they would otherwise be split or read as a comment, and tables written to
+a path appear there only once complete.
 """
 
 from __future__ import annotations
 
+import csv
 import os
-from typing import IO, Iterable, Sequence
+from contextlib import contextmanager
+from typing import IO, Iterable, Iterator, Sequence
 
 from .config import format_float
 from .errors import SchemaError
 
 SCHEMA_VERSION = 1
 _PREFIX = "# schema-version:"
+_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 
 
 def format_cell(value) -> str:
@@ -27,7 +32,34 @@ def format_cell(value) -> str:
         return format_float(value)
     if value is None:
         return "nan"
-    return str(value)
+    text = str(value)
+    if text.startswith("#") or any(c in text for c in _QUOTE_TRIGGERS):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@contextmanager
+def open_output(destination: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
+    """Text handle for writing a table to ``destination``.
+
+    A path is written through a temporary file in the same directory that
+    replaces the destination only when the block completes, so a failed
+    write leaves any earlier file intact and no partial file behind.
+    """
+    if not isinstance(destination, (str, os.PathLike)):
+        yield destination
+        return
+    path = os.fspath(destination)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 def write_table(
@@ -35,12 +67,7 @@ def write_table(
     header: Sequence[str],
     rows: Iterable[Sequence],
 ) -> None:
-    handle, owned = (
-        (open(destination, "w", newline="", encoding="utf-8"), True)
-        if isinstance(destination, (str, os.PathLike))
-        else (destination, False)
-    )
-    try:
+    with open_output(destination) as handle:
         handle.write(f"{_PREFIX} {SCHEMA_VERSION}\n")
         handle.write(",".join(header) + "\n")
         for row in rows:
@@ -49,24 +76,27 @@ def write_table(
                     f"row width {len(row)} does not match header width {len(header)}"
                 )
             handle.write(",".join(format_cell(v) for v in row) + "\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_table(
     source: str | os.PathLike | IO[str], expect_columns: Sequence[str] | None = None
 ) -> tuple[list[str], list[list[str]]]:
-    """Read a versioned table; wrong or missing version is a schema error."""
+    """Read a versioned table; wrong or missing version is a schema error.
+
+    Lines starting with ``#`` after the version line are comments; the rest
+    is parsed as CSV, so quoted cells round-trip.
+    """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_PREFIX):
+        with open(source, "r", newline="", encoding="utf-8") as handle:
+            return _read_versioned(handle, expect_columns)
+    return _read_versioned(source, expect_columns)
+
+
+def _read_versioned(source: IO[str], expect_columns: Sequence[str] | None):
+    first = source.readline()
+    if not first.startswith(_PREFIX):
         raise SchemaError("missing '# schema-version' line")
-    version_text = lines[0][len(_PREFIX) :].strip()
+    version_text = first[len(_PREFIX) :].strip()
     try:
         version = int(version_text)
     except ValueError:
@@ -75,16 +105,16 @@ def read_table(
         raise SchemaError(
             f"schema version {version} unsupported (expected {SCHEMA_VERSION})"
         )
-    body = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
-    if not body:
+    body = csv.reader(line for line in source if not line.startswith("#"))
+    rows = [row for row in body if row]
+    if not rows:
         raise SchemaError("table has no header row")
-    header = body[0].split(",")
+    header = rows[0]
     if expect_columns is not None:
         missing = [c for c in expect_columns if c not in header]
         if missing:
             raise SchemaError(f"table lacks required column(s) {missing}")
-    rows = [ln.split(",") for ln in body[1:]]
-    return header, rows
+    return header, rows[1:]
 
 
 def column(

@@ -134,7 +134,7 @@ class TestReturnTableParsing:
             "# another\n"
             "B,-0.02,2020-01-06,1\n"
         )
-        recs = read_return_records(io.StringIO(text))
+        recs = list(read_return_records(io.StringIO(text)))
         assert recs == [(D1, 1, "A", 0.01), (D1, 1, "B", -0.02)]
 
     def test_bad_rows_carry_line_numbers(self):
