@@ -6,7 +6,7 @@ stock x day x bin return panel, and ships a synthetic one-factor market
 generator for end-to-end validation.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "1.0.0"
 
@@ -26,7 +26,6 @@ from .cross_section import (
     DispersionGrid,
     NormalizedPanel,
     dispersion_grid,
-    dispersion_moments,
     normalize_panel,
 )
 from .errors import (
@@ -86,65 +85,9 @@ from .synth import (
     write_manifest,
 )
 
-__all__ = [
-    "__version__",
-    "BucketSpec",
-    "ConditionalCurve",
-    "SublinearityReport",
-    "conditional_statistic",
-    "dispersion_vs_index",
-    "kurtosis_vs_dispersion",
-    "kurtosis_vs_index",
-    "odd_even_decompose",
-    "skew_vs_index",
-    "sublinearity_diagnostic",
-    "DispersionGrid",
-    "NormalizedPanel",
-    "dispersion_grid",
-    "dispersion_moments",
-    "normalize_panel",
-    "CompletenessError",
-    "DegenerateCrossSectionError",
-    "DegenerateSampleError",
-    "DuplicateRowError",
-    "FeasibilityError",
-    "InsufficientDataError",
-    "IntradayError",
-    "PanelFormatError",
-    "PriceDomainError",
-    "SchemaError",
-    "LoadReport",
-    "ReturnPanel",
-    "ValidationReport",
-    "load_panel",
-    "read_return_records",
-    "returns_from_prices",
-    "validate_panel",
-    "write_return_records",
-    "MomentGrid",
-    "MomentSet",
-    "low_moment_kurtosis",
-    "low_moment_skewness",
-    "moment_set",
-    "stock_bin_moments",
-    "IntradayProfile",
-    "PowerLawFit",
-    "fit_power_law",
-    "profile_over_days",
-    "profile_over_stocks",
-    "ratio_profile",
-    "BinSpectrum",
-    "MarketMode",
-    "OverlapResult",
-    "bin_spectra",
-    "correlation_matrix",
-    "eigen_decompose",
-    "market_mode_stats",
-    "overlap_singular_values",
-    "random_overlap_baseline",
-    "GeneratorManifest",
-    "gaussian_iid_panel",
-    "generate_market",
-    "read_manifest",
-    "write_manifest",
+# The public API is every class and function imported above.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -13,6 +13,12 @@ produce byte-identical tables:
     condition      -> fig3.csv, fig4.csv, fig5_index.csv, fig5_dispersion.csv
     run            all of the above in order, plus run_manifest.txt
 
+Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
+``RunConfig`` field; flag values override the file and parse the same way.
+Settings that need the panel (eigen window, reference bin, conditioning
+bins) are checked by ``ingest`` before it writes, and again by the stages
+that use them.
+
 Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 5 internal error.  Failures print one machine-parsable line to stderr.
 """
@@ -22,12 +28,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .conditioning import (
-    BucketSpec,
     dispersion_vs_index,
     kurtosis_vs_dispersion,
     kurtosis_vs_index,
@@ -36,7 +42,8 @@ from .conditioning import (
 from .config import (
     RunConfig,
     config_echo_pairs,
-    read_run_config,
+    parse_kv_lines,
+    run_config_from,
     thread_cap_from_env,
     write_kv_lines,
 )
@@ -71,7 +78,7 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import column, read_table, write_table
+from .tableio import column, open_output, read_table, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
@@ -103,12 +110,12 @@ def stage_ingest(config: RunConfig) -> None:
     else:
         records = read_return_records(config.input)
     panel, report = load_panel(records, policy=config.policy)
+    config.check_panel(panel)
     validation = validate_panel(panel, sanity_bound=config.sanity_bound)
     write_return_records(panel_to_records(panel), _out(config, CANONICAL_FILE))
-    with open(_out(config, "load_report.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(report.lines()) + "\n")
-    with open(_out(config, "validation.txt"), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(validation.lines()) + "\n")
+    for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
+        with open_output(_out(config, name)) as handle:
+            handle.write("\n".join(summary.lines()) + "\n")
 
 
 def stage_moments(config: RunConfig) -> None:
@@ -307,6 +314,7 @@ def stage_fit(config: RunConfig) -> None:
 
 def stage_spectra(config: RunConfig) -> None:
     panel = _load_canonical(config)
+    config.check_panel(panel)
     npanel = normalize_panel(panel)
     spectra = bin_spectra(npanel)
 
@@ -382,11 +390,9 @@ def _write_curve(config: RunConfig, name: str, curve) -> None:
 
 def stage_condition(config: RunConfig) -> None:
     panel = _load_canonical(config)
+    config.check_panel(panel)
     grid = dispersion_grid(panel)
-    signed = BucketSpec.fixed_width(
-        config.bucket_width, config.bucket_lo, config.bucket_hi
-    )
-    positive = BucketSpec.fixed_width(config.bucket_width, 0.0, config.bucket_hi)
+    signed, positive = config.bucket_specs()
     common = dict(
         min_count=config.min_count,
         include_overnight=config.include_overnight_conditioning,
@@ -445,65 +451,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", "-c", help="run config file (key = value)")
-        p.add_argument("--mode", choices=("synth", "returns", "prices"))
-        p.add_argument("--input")
-        p.add_argument("--synth-manifest")
-        p.add_argument("--output-dir")
-        p.add_argument("--policy", choices=("strict", "drop-incomplete", "zero-fill"))
-        p.add_argument("--price-convention", choices=("close_to_close", "bin_open"))
-        p.add_argument("--fit-window")
-        p.add_argument("--bucket-width", type=float)
-        p.add_argument("--bucket-lo", type=float)
-        p.add_argument("--bucket-hi", type=float)
-        p.add_argument("--min-count", type=int)
-        p.add_argument("--eigen-lo", type=int)
-        p.add_argument("--eigen-hi", type=int)
-        p.add_argument("--reference-bin", type=int)
-        p.add_argument("--null-trials", type=int)
-        p.add_argument("--null-quantile", type=float)
-        p.add_argument("--null-seed", type=int)
-        p.add_argument("--sanity-bound", type=float)
-        p.add_argument(
-            "--include-overnight-conditioning", choices=("true", "false")
-        )
-        p.add_argument("--condition-bins", help="comma-separated bin numbers")
+        for f in fields(RunConfig):
+            p.add_argument(f"--{f.name.replace('_', '-')}", metavar="VALUE")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = read_run_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "mode": args.mode,
-        "input": args.input,
-        "synth_manifest": args.synth_manifest,
-        "output_dir": args.output_dir,
-        "policy": args.policy,
-        "price_convention": args.price_convention,
-        "fit_window": args.fit_window,
-        "bucket_width": args.bucket_width,
-        "bucket_lo": args.bucket_lo,
-        "bucket_hi": args.bucket_hi,
-        "min_count": args.min_count,
-        "eigen_lo": args.eigen_lo,
-        "eigen_hi": args.eigen_hi,
-        "reference_bin": args.reference_bin,
-        "null_trials": args.null_trials,
-        "null_quantile": args.null_quantile,
-        "null_seed": args.null_seed,
-        "sanity_bound": args.sanity_bound,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    if args.include_overnight_conditioning is not None:
-        config.include_overnight_conditioning = (
-            args.include_overnight_conditioning == "true"
-        )
-    if args.condition_bins is not None:
-        bins = tuple(int(p) for p in args.condition_bins.split(",") if p.strip())
-        config.condition_bins = bins or None
-    config.validate()
-    return config
+    """File values overridden by flags, parsed and validated as one set."""
+    pairs = parse_kv_lines(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            pairs[f.name] = getattr(args, f.name)
+    return run_config_from(pairs)
 
 
 def main(argv: list[str] | None = None) -> int:

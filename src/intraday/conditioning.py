@@ -4,7 +4,9 @@ Conditioning works on (x, y) pairs bucketed by x: each bucket reports the
 mean of y, its standard error, and the pair count.  Buckets below a
 minimum count are omitted and tallied.  The default grid spans index
 returns of -3% to +3% in 0.10% steps, pooling all intraday (bin, day)
-cells; the overnight bin stays out unless asked for.
+cells; the overnight bin stays out unless asked for.  The four curves of
+the dispersion grid (dispersion, skewness and kurtosis against the index
+return, kurtosis against the dispersion) pool and bucket through one body.
 
 Helpers split a curve into odd and even parts about x = 0 and diagnose
 sub-linear growth: a straight line is fitted to the buckets nearest the
@@ -21,6 +23,7 @@ import numpy as np
 
 from .cross_section import DispersionGrid
 from .errors import InsufficientDataError
+from .seasonality import _least_squares
 
 DEFAULT_BUCKET_WIDTH = 0.001
 DEFAULT_BUCKET_LO = -0.03
@@ -142,8 +145,29 @@ def conditional_statistic(
     )
 
 
-def _pooled(grid: DispersionGrid, include_overnight: bool, bins):
-    return grid.pooled(include_overnight=include_overnight, bins=bins)
+def _pooled_curve(
+    grid: DispersionGrid,
+    x_key: str,
+    y_key: str,
+    buckets: BucketSpec | None,
+    min_count: int,
+    include_overnight: bool,
+    bins,
+    x_name: str | None = None,
+    absolute: bool = False,
+) -> ConditionalCurve:
+    """One pooled grid statistic conditioned on another (or on its
+    absolute value); the conditioning name defaults to the key."""
+    pool = grid.pooled(include_overnight=include_overnight, bins=bins)
+    x = np.abs(pool[x_key]) if absolute else pool[x_key]
+    return conditional_statistic(
+        x,
+        pool[y_key],
+        buckets,
+        min_count,
+        conditioning_name=x_name or x_key,
+        statistic_name=y_key,
+    )
 
 
 def dispersion_vs_index(
@@ -154,14 +178,8 @@ def dispersion_vs_index(
     bins=None,
 ) -> ConditionalCurve:
     """sigma_d conditioned on the index return mu_d, pooled over (bin, day)."""
-    pool = _pooled(grid, include_overnight, bins)
-    return conditional_statistic(
-        pool["index_return"],
-        pool["dispersion"],
-        buckets,
-        min_count,
-        conditioning_name="index_return",
-        statistic_name="dispersion",
+    return _pooled_curve(
+        grid, "index_return", "dispersion", buckets, min_count, include_overnight, bins
     )
 
 
@@ -173,14 +191,8 @@ def skew_vs_index(
     bins=None,
 ) -> ConditionalCurve:
     """zeta_d conditioned on the index return mu_d."""
-    pool = _pooled(grid, include_overnight, bins)
-    return conditional_statistic(
-        pool["index_return"],
-        pool["skewness"],
-        buckets,
-        min_count,
-        conditioning_name="index_return",
-        statistic_name="skewness",
+    return _pooled_curve(
+        grid, "index_return", "skewness", buckets, min_count, include_overnight, bins
     )
 
 
@@ -193,19 +205,16 @@ def kurtosis_vs_index(
     absolute_index: bool = False,
 ) -> ConditionalCurve:
     """kappa_d conditioned on mu_d, or on |mu_d| with ``absolute_index``."""
-    pool = _pooled(grid, include_overnight, bins)
-    x = pool["index_return"]
-    name = "index_return"
-    if absolute_index:
-        x = np.abs(x)
-        name = "abs_index_return"
-    return conditional_statistic(
-        x,
-        pool["kurtosis"],
+    return _pooled_curve(
+        grid,
+        "index_return",
+        "kurtosis",
         buckets,
         min_count,
-        conditioning_name=name,
-        statistic_name="kurtosis",
+        include_overnight,
+        bins,
+        x_name="abs_index_return" if absolute_index else None,
+        absolute=absolute_index,
     )
 
 
@@ -222,15 +231,15 @@ def kurtosis_vs_dispersion(
         raise ValueError(
             f"unknown dispersion kind {dispersion_kind!r}, expected {DISPERSION_KINDS}"
         )
-    pool = _pooled(grid, include_overnight, bins)
-    x = pool["dispersion"] if dispersion_kind == "std" else pool["mad"]
-    return conditional_statistic(
-        x,
-        pool["kurtosis"],
+    return _pooled_curve(
+        grid,
+        "dispersion" if dispersion_kind == "std" else "mad",
+        "kurtosis",
         buckets,
         min_count,
-        conditioning_name=f"dispersion_{dispersion_kind}",
-        statistic_name="kurtosis",
+        include_overnight,
+        bins,
+        x_name=f"dispersion_{dispersion_kind}",
     )
 
 
@@ -348,15 +357,7 @@ def sublinearity_diagnostic(
         outer = order[origin_window:]
 
         xw = c[window]
-        yw = curve.means[window]
-        x_bar = xw.mean()
-        y_bar = yw.mean()
-        s_xx = float(((xw - x_bar) ** 2).sum())
-        slope = float(((xw - x_bar) * (yw - y_bar)).sum()) / s_xx
-        intercept = y_bar - slope * x_bar
-        resid = yw - (intercept + slope * xw)
-        dof = xw.size - 2
-        s2 = float((resid**2).sum()) / dof if dof > 0 else 0.0
+        slope, intercept, x_bar, s_xx, _, s2 = _least_squares(xw, curve.means[window])
 
         xo = c[outer]
         predicted = intercept + slope * xo

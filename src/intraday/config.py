@@ -4,13 +4,17 @@ Config files are plain text: one ``key = value`` per line, ``#`` starts a
 comment, blank lines ignored.  The same format serves generator manifests
 and pipeline run configs, and all floats are written at 10 significant
 digits so files round-trip deterministically.
+
+``RunConfig`` is the one declaration of the run-config keys: the CLI
+flags, the type each value is parsed as (file and flag alike) and the
+echoed run manifest are all derived from its fields.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import IO, Iterable
+from typing import IO, Iterable, get_args, get_origin, get_type_hints
 
 from .errors import PanelFormatError
 
@@ -58,21 +62,15 @@ def write_kv_lines(
     pairs: Iterable[tuple[str, str]], destination: str | os.PathLike | IO[str]
 ) -> None:
     """Write ``key = value`` lines; a key starting with ``#`` becomes an
-    informational comment line."""
-    handle, owned = (
-        (open(destination, "w", encoding="utf-8"), True)
-        if isinstance(destination, (str, os.PathLike))
-        else (destination, False)
-    )
-    try:
+    informational comment line.  A path is replaced only once complete."""
+    from .tableio import open_output  # tableio imports this module
+
+    with open_output(destination) as handle:
         for key, value in pairs:
             if key.startswith("#"):
                 handle.write(f"# {key.lstrip('# ')} = {value}\n")
             else:
                 handle.write(f"{key} = {value}\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 @dataclass
@@ -119,15 +117,20 @@ class RunConfig:
             raise ValueError(
                 f"price_convention {self.price_convention!r} not in {PRICE_CONVENTIONS}"
             )
-        if self.fit_window not in FIT_WINDOWS and not _is_range(self.fit_window):
-            raise ValueError(
-                f"fit_window {self.fit_window!r} must be one of {FIT_WINDOWS} "
-                "or 'lo:hi'"
-            )
-        if self.bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if self.bucket_hi <= self.bucket_lo:
-            raise ValueError("bucket range must have hi > lo")
+        if self.fit_window not in FIT_WINDOWS:
+            try:
+                lo, hi = self.fit_range_for(0)  # 'lo:hi' needs no bin count
+            except ValueError:
+                lo = hi = 0
+            if not 1 <= lo < hi:
+                raise ValueError(
+                    f"fit_window {self.fit_window!r} must be one of {FIT_WINDOWS} "
+                    "or 'lo:hi' with 1 <= lo < hi"
+                )
+        try:
+            self.bucket_specs()
+        except (ValueError, OverflowError) as exc:  # OverflowError: infinite span
+            raise ValueError(f"bucket_width/bucket_lo/bucket_hi: {exc}") from None
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
         if self.eigen_lo < 1 or self.eigen_hi < self.eigen_lo:
@@ -151,16 +154,36 @@ class RunConfig:
         lo, hi = self.fit_window.split(":")
         return (int(lo), int(hi))
 
+    def bucket_specs(self):
+        """Conditioning grids: signed (bucket_lo..bucket_hi) for the index
+        return, non-negative (0..bucket_hi) for the dispersion."""
+        from .conditioning import BucketSpec
 
-def _is_range(text: str) -> bool:
-    parts = text.split(":")
-    if len(parts) != 2:
-        return False
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        return False
-    return 1 <= lo < hi
+        return (
+            BucketSpec.fixed_width(self.bucket_width, self.bucket_lo, self.bucket_hi),
+            BucketSpec.fixed_width(self.bucket_width, 0.0, self.bucket_hi),
+        )
+
+    def check_panel(self, panel) -> None:
+        """Reject settings that the loaded panel cannot serve, so a run stops
+        before any analysis table is written."""
+        from .cross_section import _pooled_rows
+
+        n, bins = panel.n_stocks, [int(b) for b in panel.bin_numbers]
+        if self.eigen_hi > n or self.eigen_hi - self.eigen_lo + 1 >= n:
+            raise PanelFormatError(
+                f"eigen_lo..eigen_hi = {self.eigen_lo}..{self.eigen_hi} must end at "
+                f"or below the panel's {n} stocks and span fewer than {n}"
+            )
+        if self.reference_bin not in bins:
+            raise PanelFormatError(f"reference_bin {self.reference_bin} not in {bins}")
+        try:
+            _pooled_rows(bins, self.include_overnight_conditioning, self.condition_bins)
+        except ValueError:
+            raise PanelFormatError(
+                f"condition_bins {self.condition_bins} select none of the panel's "
+                f"bins {bins} (overnight in: {self.include_overnight_conditioning})"
+            ) from None
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -168,6 +191,11 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _cast(name: str, kind, text: str):
+    """Parse one config value by its ``RunConfig`` annotation."""
+    if type(None) in get_args(kind):  # ``X | None``: empty text means unset
+        if not text.strip():
+            return None
+        kind = get_args(kind)[0]
     if kind is bool:
         lowered = text.lower()
         if lowered in _BOOL_TRUE:
@@ -176,52 +204,32 @@ def _cast(name: str, kind, text: str):
             return False
         raise PanelFormatError(f"bad boolean for {name}: {text!r}")
     try:
+        if get_origin(kind) is tuple:  # comma-separated integers
+            return tuple(int(p) for p in text.split(",") if p.strip()) or None
         return kind(text)
     except ValueError:
         raise PanelFormatError(f"bad value for {name}: {text!r}") from None
 
 
-_CONFIG_KINDS: dict[str, type] = {
-    "mode": str,
-    "input": str,
-    "synth_manifest": str,
-    "output_dir": str,
-    "policy": str,
-    "price_convention": str,
-    "fit_window": str,
-    "bucket_width": float,
-    "bucket_lo": float,
-    "bucket_hi": float,
-    "min_count": int,
-    "eigen_lo": int,
-    "eigen_hi": int,
-    "reference_bin": int,
-    "null_trials": int,
-    "null_quantile": float,
-    "null_seed": int,
-    "sanity_bound": float,
-    "include_overnight_conditioning": bool,
-}
-
-
-def read_run_config(source: str | os.PathLike | IO[str]) -> RunConfig:
-    """Parse and validate a run config file."""
-    pairs = parse_kv_lines(source)
+def run_config_from(pairs: dict[str, str]) -> RunConfig:
+    """Build and validate a config from ``key = value`` text pairs; the
+    keys, and the type each value is parsed as, come from ``RunConfig``."""
+    kinds = get_type_hints(RunConfig)
     config = RunConfig()
     for key, value in pairs.items():
-        if key == "condition_bins":
-            bins = tuple(int(p) for p in value.split(",") if p.strip())
-            config.condition_bins = bins or None
-            continue
-        kind = _CONFIG_KINDS.get(key)
-        if kind is None:
+        if key not in kinds:
             raise PanelFormatError(f"unknown config key {key!r}")
-        setattr(config, key, value if kind is str else _cast(key, kind, value))
+        setattr(config, key, _cast(key, kinds[key], value))
     try:
         config.validate()
     except ValueError as exc:
         raise PanelFormatError(str(exc)) from None
     return config
+
+
+def read_run_config(source: str | os.PathLike | IO[str]) -> RunConfig:
+    """Parse and validate a run config file."""
+    return run_config_from(parse_kv_lines(source))
 
 
 def config_echo_pairs(config: RunConfig) -> list[tuple[str, str]]:

@@ -7,8 +7,10 @@ For each (bin k, day t) the cross-section of returns over stocks yields
     zeta_d  = 6 (mu_d - m_d) / sigma_d          (m_d the cross-sectional median),
     kappa_d = 24 (1 - sqrt(pi/2) <|r - mu_d|> / sigma_d),
 
-i.e. the same low-moment kernels as the single-stock statistics, applied
-across stocks instead of across days.  kappa_d carries no zeta^2 term.
+i.e. :func:`robust_moments.grid_moments`, the kernel of the single-stock
+statistics, evaluated across stocks instead of across days.  kappa_d
+carries no zeta^2 term.  :class:`DispersionGrid` holds every (bin, day)
+cell at once.
 
 Normalizing each cell by its own sigma_d produces a panel whose
 cross-sectional variance is exactly one at every (bin, day), which is the
@@ -27,24 +29,6 @@ from .robust_moments import grid_moments
 
 
 @dataclass(frozen=True)
-class DispersionSet:
-    """Cross-sectional moments of one (bin, day) cell; shape statistics are
-    None when every stock printed the same return."""
-
-    index_return: float
-    dispersion: float
-    skewness: float | None
-    kurtosis: float | None
-    median: float
-    bin: int
-    day: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.skewness is None
-
-
-@dataclass(frozen=True)
 class DispersionGrid:
     """Dispersion moments for every (bin, day); arrays are (n_bins, n_days)
     with rows aligned to ``bin_numbers``."""
@@ -60,54 +44,17 @@ class DispersionGrid:
     n_stocks: int
     dates: tuple
 
-    def row_of(self, bin_number: int) -> int:
-        rows = list(self.bin_numbers)
-        if bin_number not in rows:
-            raise ValueError(f"bin {bin_number} not in grid")
-        return rows.index(bin_number)
-
-    def at(self, bin_number: int, day: int) -> DispersionSet:
-        r = self.row_of(bin_number)
-        if self.degenerate[r, day]:
-            return DispersionSet(
-                float(self.index_return[r, day]),
-                0.0,
-                None,
-                None,
-                float(self.median[r, day]),
-                bin_number,
-                day,
-            )
-        return DispersionSet(
-            float(self.index_return[r, day]),
-            float(self.dispersion[r, day]),
-            float(self.skewness[r, day]),
-            float(self.kurtosis[r, day]),
-            float(self.median[r, day]),
-            bin_number,
-            day,
-        )
-
     def pooled(
-        self, include_overnight: bool = False, bins=None, drop_degenerate: bool = True
+        self, include_overnight: bool = False, bins=None
     ) -> dict[str, np.ndarray]:
-        """Flatten selected bins into 1-D arrays for conditioning.
+        """Flatten selected bins into 1-D arrays for conditioning, dropping
+        degenerate cells.
 
         ``bins`` restricts to specific bin numbers; by default all intraday
         bins pool together and the overnight row stays out.
         """
-        labels = np.asarray(self.bin_numbers)
-        keep = np.ones(labels.size, dtype=bool)
-        if not include_overnight:
-            keep &= labels != 0
-        if bins is not None:
-            keep &= np.isin(labels, np.asarray(list(bins)))
-        if not keep.any():
-            raise ValueError("bin selection leaves no rows")
-        if drop_degenerate:
-            mask = ~self.degenerate[keep]
-        else:
-            mask = np.ones_like(self.degenerate[keep], dtype=bool)
+        keep = _pooled_rows(self.bin_numbers, include_overnight, bins)
+        mask = ~self.degenerate[keep]
         return {
             "index_return": self.index_return[keep][mask],
             "dispersion": self.dispersion[keep][mask],
@@ -116,6 +63,17 @@ class DispersionGrid:
             "median": self.median[keep][mask],
             "mad": self.mad[keep][mask],
         }
+
+
+def _pooled_rows(bin_numbers, include_overnight: bool, bins) -> np.ndarray:
+    """Mask of the bins that conditioning pools; empty is an error."""
+    labels = np.asarray(bin_numbers)
+    keep = np.ones(labels.size, dtype=bool) if include_overnight else labels != 0
+    if bins is not None:
+        keep &= np.isin(labels, np.asarray(list(bins)))
+    if not keep.any():
+        raise ValueError("bin selection leaves no rows")
+    return keep
 
 
 def dispersion_grid(panel: ReturnPanel | _PanelView) -> DispersionGrid:
@@ -136,31 +94,6 @@ def dispersion_grid(panel: ReturnPanel | _PanelView) -> DispersionGrid:
         n_stocks=panel.n_stocks,
         dates=tuple(panel.dates),
     )
-
-
-def dispersion_moments(panel: ReturnPanel | _PanelView, k: int, t: int) -> DispersionSet:
-    """Cross-sectional moments of one (bin, day) cell."""
-    if panel.n_stocks < 2:
-        raise InsufficientDataError("cross-sections need at least 2 stocks")
-    if not 0 <= t < panel.n_days:
-        raise ValueError(f"day index {t} out of range")
-    column = panel.returns[:, t, panel.column_of(k)]
-    mean, vol, skew, kurt, median, _, degenerate = grid_moments(column, axis=0)
-    if degenerate:
-        return DispersionSet(float(mean), 0.0, None, None, float(median), k, t)
-    return DispersionSet(
-        float(mean), float(vol), float(skew), float(kurt), float(median), k, t
-    )
-
-
-def dispersion_mad(panel: ReturnPanel | _PanelView, k: int, t: int) -> float:
-    """Cross-sectional mean absolute deviation about mu_d for one cell."""
-    if panel.n_stocks < 2:
-        raise InsufficientDataError("cross-sections need at least 2 stocks")
-    if not 0 <= t < panel.n_days:
-        raise ValueError(f"day index {t} out of range")
-    column = panel.returns[:, t, panel.column_of(k)]
-    return float(np.abs(column - column.mean()).mean())
 
 
 @dataclass(frozen=True)

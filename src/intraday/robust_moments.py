@@ -20,9 +20,11 @@ useless, so shape is measured here through low-order statistics instead:
   negligible for daily equity panels.
 
 ``sigma`` throughout is the population standard deviation (1/T
-normalization).  A zero-dispersion sample has no defined shape: scalar
-kernels raise :class:`DegenerateSampleError`, and grid evaluation marks the
-cell degenerate instead of inventing a value.
+normalization).  :func:`grid_moments` is the one kernel, evaluated along
+days for single stocks and along stocks for the dispersion; the scalar
+functions wrap it for one sample.  A zero-dispersion sample has no defined
+shape: the scalar functions raise :class:`DegenerateSampleError`, and the
+grid marks the cell degenerate instead of inventing a value.
 """
 
 from __future__ import annotations
@@ -63,57 +65,6 @@ def _clean_1d(x) -> np.ndarray:
     return arr
 
 
-def sample_mean_var_median(x) -> tuple[float, float, float]:
-    """Mean, population variance (1/T), and median of a 1-D sample."""
-    arr = _clean_1d(x)
-    return float(arr.mean()), float(arr.var()), float(np.median(arr))
-
-
-def mean_abs_deviation(x) -> float:
-    """Mean absolute deviation about the sample mean."""
-    arr = _clean_1d(x)
-    return float(np.abs(arr - arr.mean()).mean())
-
-
-def low_moment_skewness(x) -> float:
-    """Mean-median skewness, 6 (mean - median) / sigma."""
-    mean, var, median = sample_mean_var_median(x)
-    sigma = np.sqrt(var)
-    if sigma == 0.0:
-        raise DegenerateSampleError("zero dispersion, skewness undefined")
-    return 6.0 * (mean - median) / sigma
-
-def low_moment_kurtosis(x, include_skew_correction: bool = False) -> float:
-    """MAD-based kurtosis, 24 (1 - sqrt(pi/2) mad / sigma) [+ zeta^2]."""
-    arr = _clean_1d(x)
-    mean = arr.mean()
-    sigma = float(arr.std())
-    if sigma == 0.0:
-        raise DegenerateSampleError("zero dispersion, kurtosis undefined")
-    mad = float(np.abs(arr - mean).mean())
-    kappa = 24.0 * (1.0 - ROOT_HALF_PI * mad / sigma)
-    if include_skew_correction:
-        zeta = 6.0 * (mean - float(np.median(arr))) / sigma
-        kappa += zeta * zeta
-    return float(kappa)
-
-
-def moment_set(x, include_skew_correction: bool = False) -> MomentSet:
-    """All low-moment statistics of one sample as a :class:`MomentSet`."""
-    arr = _clean_1d(x)
-    mean = float(arr.mean())
-    sigma = float(arr.std())
-    median = float(np.median(arr))
-    if sigma == 0.0:
-        return MomentSet(mean, 0.0, None, None, median, arr.size)
-    zeta = 6.0 * (mean - median) / sigma
-    mad = float(np.abs(arr - mean).mean())
-    kappa = 24.0 * (1.0 - ROOT_HALF_PI * mad / sigma)
-    if include_skew_correction:
-        kappa += zeta * zeta
-    return MomentSet(mean, sigma, zeta, kappa, median, arr.size)
-
-
 def grid_moments(values: np.ndarray, axis: int):
     """Vectorized kernel evaluation along ``axis`` of an array.
 
@@ -139,6 +90,35 @@ def grid_moments(values: np.ndarray, axis: int):
     return mean, vol, skew, kurt, median, mad, degenerate
 
 
+def moment_set(x, include_skew_correction: bool = False) -> MomentSet:
+    """All low-moment statistics of one sample, from :func:`grid_moments`."""
+    arr = _clean_1d(x)
+    mean, vol, skew, kurt, median, _, degenerate = grid_moments(arr, axis=0)
+    if degenerate:
+        return MomentSet(float(mean), 0.0, None, None, float(median), arr.size)
+    if include_skew_correction:
+        kurt = kurt + skew * skew
+    return MomentSet(
+        float(mean), float(vol), float(skew), float(kurt), float(median), arr.size
+    )
+
+
+def low_moment_skewness(x) -> float:
+    """Mean-median skewness, 6 (mean - median) / sigma."""
+    moments = moment_set(x)
+    if moments.degenerate:
+        raise DegenerateSampleError("zero dispersion, skewness undefined")
+    return moments.skewness
+
+
+def low_moment_kurtosis(x, include_skew_correction: bool = False) -> float:
+    """MAD-based kurtosis, 24 (1 - sqrt(pi/2) mad / sigma) [+ zeta^2]."""
+    moments = moment_set(x, include_skew_correction)
+    if moments.degenerate:
+        raise DegenerateSampleError("zero dispersion, kurtosis undefined")
+    return moments.kurtosis
+
+
 @dataclass(frozen=True)
 class MomentGrid:
     """Per (stock, bin) moment arrays over days; NaN marks degenerate cells,
@@ -153,29 +133,6 @@ class MomentGrid:
     bin_numbers: np.ndarray
     stock_ids: tuple[str, ...]
     sample_count: int
-
-    def at(self, stock_index: int, bin_number: int) -> MomentSet:
-        cols = list(self.bin_numbers)
-        if bin_number not in cols:
-            raise ValueError(f"bin {bin_number} not in grid")
-        c = cols.index(bin_number)
-        if self.degenerate[stock_index, c]:
-            return MomentSet(
-                float(self.mean[stock_index, c]),
-                0.0,
-                None,
-                None,
-                float(self.median[stock_index, c]),
-                self.sample_count,
-            )
-        return MomentSet(
-            float(self.mean[stock_index, c]),
-            float(self.volatility[stock_index, c]),
-            float(self.skewness[stock_index, c]),
-            float(self.kurtosis[stock_index, c]),
-            float(self.median[stock_index, c]),
-            self.sample_count,
-        )
 
 
 def stock_bin_moments(panel: ReturnPanel | _PanelView) -> MomentGrid:

@@ -8,7 +8,8 @@ optional overnight point.  Two band kinds are supported:
 
 Seasonal volatility decay is summarized by fitting ``A * k**(-beta)`` in
 log-log coordinates by ordinary least squares over a bin window; the
-overnight bin never enters a fit.
+overnight bin never enters a fit.  The least-squares line is one helper,
+shared with the sub-linearity diagnostic in :mod:`conditioning`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_section import dispersion_grid
 from .errors import InsufficientDataError
-from .panel import ReturnPanel, _PanelView
 
 BAND_KINDS = ("stderr", "dispersion")
-FIT_WINDOW_PRESETS = ("first_half", "first_two_hours")
 BINS_PER_HOUR_DEFAULT = 12  # five-minute bars
 
 
@@ -115,19 +113,6 @@ def profile_over_stocks(
     return _reduce(series, band_kind, bin_numbers, statistic_name)
 
 
-def index_abs_return_profile(
-    panel: ReturnPanel | _PanelView, band_kind: str = "stderr"
-) -> IntradayProfile:
-    """Per-bin average of |mu_d(k;t)|, the absolute equiweighted index return."""
-    grid = dispersion_grid(panel)
-    return profile_over_days(
-        np.abs(grid.index_return),
-        band_kind=band_kind,
-        bin_numbers=grid.bin_numbers,
-        statistic_name="abs_index_return",
-    )
-
-
 def ratio_profile(
     numerator: IntradayProfile,
     denominator: IntradayProfile,
@@ -204,6 +189,23 @@ def first_two_hours_range(
     return (1, max(2, min(bins_per_day, 2 * bins_per_hour)))
 
 
+def _least_squares(x: np.ndarray, y: np.ndarray):
+    """Plain OLS line y ~ intercept + slope * x.
+
+    Returns (slope, intercept, mean of x, S_xx, residuals, s^2), where s^2
+    is the residual variance on n - 2 degrees of freedom (0 without any).
+    """
+    x_bar = x.mean()
+    y_bar = y.mean()
+    s_xx = float(((x - x_bar) ** 2).sum())
+    slope = float(((x - x_bar) * (y - y_bar)).sum()) / s_xx
+    intercept = y_bar - slope * x_bar
+    resid = y - (intercept + slope * x)
+    dof = x.size - 2
+    s2 = float((resid**2).sum()) / dof if dof > 0 else 0.0
+    return slope, intercept, x_bar, s_xx, resid, s2
+
+
 def fit_power_law(
     profile: IntradayProfile, fit_range: tuple[int, int] | None = None
 ) -> PowerLawFit:
@@ -231,16 +233,7 @@ def fit_power_law(
         bad = int(k[np.nonzero(v <= 0.0)[0][0]])
         raise ValueError(f"non-positive value at bin {bad}, log fit undefined")
 
-    x = np.log(k)
-    y = np.log(v)
-    x_bar = x.mean()
-    y_bar = y.mean()
-    s_xx = float(((x - x_bar) ** 2).sum())
-    slope = float(((x - x_bar) * (y - y_bar)).sum()) / s_xx
-    intercept = y_bar - slope * x_bar
-    resid = y - (intercept + slope * x)
-    dof = k.size - 2
-    s2 = float((resid**2).sum()) / dof if dof > 0 else 0.0
+    slope, intercept, _, s_xx, resid, s2 = _least_squares(np.log(k), np.log(v))
     return PowerLawFit(
         amplitude=float(np.exp(intercept)),
         exponent=-slope,

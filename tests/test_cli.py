@@ -1,9 +1,19 @@
 """End-to-end CLI checks: stages, composability, determinism, exit codes."""
 
+import argparse
+import dataclasses
+import io
+
 import pytest
 
 from intraday import cli
-from intraday.config import parse_kv_lines
+from intraday.config import (
+    RunConfig,
+    config_echo_pairs,
+    parse_kv_lines,
+    read_run_config,
+    write_kv_lines,
+)
 from intraday.tableio import column, read_table
 
 MANIFEST = """\
@@ -254,7 +264,160 @@ class TestExitCodes:
         monkeypatch.setenv("SEASONALITY_THREADS", "2")
         assert cli.main(["run", "-c", str(cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--policy", "bogus"),
+            ("--min-count", "abc"),
+            ("--include-overnight-conditioning", "maybe"),
+        ],
+    )
+    def test_bad_flag_value(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), flag, value]) == 2
+        self.assert_single_error_line(capsys, "input-error")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bucket-width", "0.0007"),
+            ("--eigen-hi", "40"),
+            ("--reference-bin", "20"),
+            ("--condition-bins", "99"),
+        ],
+    )
+    def test_config_error_against_the_panel_stops_before_analysis(
+        self, tmp_path, capsys, flag, value
+    ):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), flag, value]) == 2
+        self.assert_single_error_line(capsys, "input-error")
+        out = tmp_path / "out"
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        analysis = [n for n in written if n.startswith("fig")]
+        analysis += [n for n in ("stock_moments.csv", "dispersion.csv") if n in written]
+        assert analysis == []
+        assert "returns_canonical.csv" not in written
+
+    @pytest.mark.parametrize(
+        "stage, flag, value, table",
+        [
+            ("spectra", "--eigen-hi", "40", "fig7.csv"),
+            ("spectra", "--reference-bin", "20", "fig7.csv"),
+            ("condition", "--condition-bins", "99", "fig3.csv"),
+        ],
+    )
+    def test_staged_config_error_against_the_panel(
+        self, tmp_path, capsys, stage, flag, value, table
+    ):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        before = (tmp_path / "out" / table).read_bytes()
+        assert cli.main([stage, "-c", str(cfg), flag, value]) == 2
+        self.assert_single_error_line(capsys, "input-error")
+        assert (tmp_path / "out" / table).read_bytes() == before
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+# Every RunConfig field set away from its default; the echo text of each
+# value is what the flag and the file receive.
+SAMPLE = RunConfig(
+    mode="prices",
+    input="bars.csv",
+    synth_manifest="m.cfg",
+    output_dir="elsewhere",
+    policy="zero-fill",
+    price_convention="bin_open",
+    fit_window="2:9",
+    bucket_width=0.002,
+    bucket_lo=-0.02,
+    bucket_hi=0.04,
+    min_count=7,
+    eigen_lo=3,
+    eigen_hi=5,
+    reference_bin=2,
+    null_trials=2000,
+    null_quantile=0.95,
+    null_seed=11,
+    sanity_bound=0.25,
+    include_overnight_conditioning=True,
+    condition_bins=(1, 3),
+)
+BASE = {"mode": "returns", "input": "base.csv"}
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def flag_of(name):
+    return "--" + name.replace("_", "-")
+
+
+def resolve(argv):
+    return cli._resolve_config(cli._build_parser().parse_args(argv))
+
+
+def subcommand_parsers():
+    parser = cli._build_parser()
+    (stages,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return stages.choices
+
+
+def write_pairs(path, pairs):
+    write_kv_lines(pairs.items(), path)
+    return str(path)
+
+
+class TestConfigKeys:
+    def test_sample_sets_every_field(self):
+        default = RunConfig()
+        assert [n for n in FIELDS if getattr(SAMPLE, n) == getattr(default, n)] == []
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_each_field_has_one_flag(self, name):
+        for stage, sub in subcommand_parsers().items():
+            flags = [a.option_strings for a in sub._actions if a.dest == name]
+            assert flags == [[flag_of(name)]], stage
+
+    def test_no_flag_without_a_field(self):
+        for sub in subcommand_parsers().values():
+            dests = {a.dest for a in sub._actions} - {"help", "config"}
+            assert dests == set(FIELDS)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_flag_and_file_give_equal_configs(self, tmp_path, name):
+        text = dict(config_echo_pairs(SAMPLE))[name]
+        from_file = resolve(
+            ["run", "-c", write_pairs(tmp_path / "a.cfg", {**BASE, name: text})]
+        )
+        base = write_pairs(tmp_path / "b.cfg", BASE)
+        from_flag = resolve(["run", "-c", base, flag_of(name), text])
+        assert from_file == from_flag
+        assert getattr(from_flag, name) == getattr(SAMPLE, name)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_echo_reads_back_as_the_same_config(self, name):
+        config = dataclasses.replace(
+            read_run_config(io.StringIO("mode = returns\ninput = base.csv\n")),
+            **{name: getattr(SAMPLE, name)},
+        )
+        buf = io.StringIO()
+        write_kv_lines(config_echo_pairs(config), buf)
+        assert read_run_config(io.StringIO(buf.getvalue())) == config
+
+    @pytest.mark.parametrize(
+        "literal, expected",
+        [("yes", True), ("On", True), ("1", True), ("no", False), ("0", False)],
+    )
+    def test_boolean_flag_spellings(self, tmp_path, literal, expected):
+        base = write_pairs(tmp_path / "b.cfg", BASE)
+        config = resolve(
+            ["run", "-c", base, "--include-overnight-conditioning", literal]
+        )
+        assert config.include_overnight_conditioning is expected
+
+    def test_flags_alone_without_a_file(self):
+        config = resolve(["run", "--mode", "returns", "--input", "x.csv"])
+        assert config == RunConfig(mode="returns", input="x.csv")

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intraday import cli, panel as panel_module
+from intraday.config import write_kv_lines
 from intraday.errors import CompletenessError, DuplicateRowError, PanelFormatError
 from intraday.panel import (
     ReturnColumns,
@@ -539,3 +540,18 @@ def test_failed_return_write_keeps_earlier_file(tmp_path):
     assert len(calls) == 4
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["r.csv"]
+
+
+def test_failed_kv_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "run_manifest.txt"
+    write_kv_lines([("k", "v")], path)
+    before = path.read_bytes()
+
+    def pairs():
+        yield ("k", "w")
+        raise Boom
+
+    with pytest.raises(Boom):
+        write_kv_lines(pairs(), path)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["run_manifest.txt"]

@@ -5,15 +5,14 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from intraday.cross_section import (
-    dispersion_grid,
-    dispersion_mad,
-    dispersion_moments,
-    normalize_panel,
-)
+from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.errors import DegenerateCrossSectionError, InsufficientDataError
 from intraday.panel import load_panel
-from intraday.robust_moments import low_moment_kurtosis, low_moment_skewness
+from intraday.robust_moments import (
+    low_moment_kurtosis,
+    low_moment_skewness,
+    moment_set,
+)
 from intraday.synth import gaussian_iid_panel
 
 
@@ -37,15 +36,15 @@ class TestDispersionMoments:
     def test_single_cell_against_scalar_kernels(self):
         rng = np.random.default_rng(3)
         arr = rng.standard_normal((8, 4, 3)) * 0.01
-        panel = panel_from_array(arr)
-        d = dispersion_moments(panel, 2, 1)
+        grid = dispersion_grid(panel_from_array(arr))
+        r, t = 1, 1  # bin 2, day 1
         column = arr[:, 1, 1]
-        assert d.index_return == pytest.approx(float(column.mean()))
-        assert d.dispersion == pytest.approx(float(column.std()))
-        assert d.skewness == pytest.approx(low_moment_skewness(column))
-        assert d.kurtosis == pytest.approx(low_moment_kurtosis(column))
-        assert d.median == pytest.approx(float(np.median(column)))
-        assert (d.bin, d.day) == (2, 1)
+        assert grid.index_return[r, t] == pytest.approx(float(column.mean()))
+        assert grid.dispersion[r, t] == pytest.approx(float(column.std()))
+        assert grid.skewness[r, t] == pytest.approx(low_moment_skewness(column))
+        assert grid.kurtosis[r, t] == pytest.approx(low_moment_kurtosis(column))
+        assert grid.median[r, t] == pytest.approx(float(np.median(column)))
+        assert (grid.bin_numbers[r], grid.dates[t]) == (2, dt.date(2021, 3, 2))
 
     def test_grid_matches_cells(self):
         rng = np.random.default_rng(4)
@@ -53,13 +52,12 @@ class TestDispersionMoments:
         panel = panel_from_array(arr, overnight=True)
         grid = dispersion_grid(panel)
         assert list(grid.bin_numbers) == [0, 1]
-        for b in (0, 1):
+        for r, b in enumerate((0, 1)):
             for t in range(5):
-                cell = dispersion_moments(panel, b, t)
-                got = grid.at(b, t)
-                assert got.index_return == pytest.approx(cell.index_return)
-                assert got.dispersion == pytest.approx(cell.dispersion)
-                assert got.kurtosis == pytest.approx(cell.kurtosis)
+                cell = moment_set(panel.returns[:, t, panel.column_of(b)])
+                assert grid.index_return[r, t] == pytest.approx(cell.mean)
+                assert grid.dispersion[r, t] == pytest.approx(cell.volatility)
+                assert grid.kurtosis[r, t] == pytest.approx(cell.kurtosis)
 
     def test_mad_never_exceeds_dispersion(self):
         rng = np.random.default_rng(5)
@@ -67,16 +65,17 @@ class TestDispersionMoments:
         panel = panel_from_array(arr)
         grid = dispersion_grid(panel)
         assert np.all(grid.mad <= grid.dispersion + 1e-15)
-        assert grid.mad[0, 0] == pytest.approx(dispersion_mad(panel, 1, 0))
+        column = arr[:, 0, 0]
+        assert grid.mad[0, 0] == pytest.approx(np.abs(column - column.mean()).mean())
 
     def test_degenerate_cell(self):
         arr = np.full((3, 2, 2), 0.01)
         arr[:, 1, :] = np.random.default_rng(0).standard_normal((3, 2))
-        panel = panel_from_array(arr)
-        d = dispersion_moments(panel, 1, 0)
-        assert d.degenerate
-        assert d.skewness is None and d.kurtosis is None
-        assert d.dispersion == 0.0
+        grid = dispersion_grid(panel_from_array(arr))
+        assert grid.degenerate[0, 0]
+        assert np.isnan(grid.skewness[0, 0]) and np.isnan(grid.kurtosis[0, 0])
+        assert grid.dispersion[0, 0] == 0.0
+        assert not grid.degenerate[0, 1]
 
     def test_needs_two_stocks(self):
         arr = np.zeros((1, 3, 2))
@@ -88,16 +87,16 @@ class TestDispersionMoments:
         ]
         panel, _ = load_panel(recs)
         with pytest.raises(InsufficientDataError):
-            dispersion_moments(panel, 1, 0)
+            dispersion_grid(panel)
 
     def test_gaussian_cross_section_kurtosis_near_zero(self):
         # Eq-2d style calibration at N = 1e5: kappa_d within 0.05 of 0
         panel = gaussian_iid_panel(
             n_stocks=10**5, n_days=2, bins_per_day=1, vol_profile=0.01, seed=7
         )
-        d = dispersion_moments(panel, 1, 0)
-        assert abs(d.kurtosis) < 0.05
-        assert abs(d.skewness) < 0.05
+        grid = dispersion_grid(panel)
+        assert abs(grid.kurtosis[0, 0]) < 0.05
+        assert abs(grid.skewness[0, 0]) < 0.05
 
 
 class TestPooled:
@@ -116,7 +115,7 @@ class TestPooled:
     def test_bin_selection(self):
         grid = self.make_grid()
         only2 = grid.pooled(bins=[2])
-        row = grid.row_of(2)
+        row = list(grid.bin_numbers).index(2)
         np.testing.assert_allclose(only2["dispersion"], grid.dispersion[row])
 
     def test_empty_selection_rejected(self):

@@ -25,9 +25,7 @@ from intraday.robust_moments import (
     grid_moments,
     low_moment_kurtosis,
     low_moment_skewness,
-    mean_abs_deviation,
     moment_set,
-    sample_mean_var_median,
     stock_bin_moments,
 )
 
@@ -39,13 +37,14 @@ THREE_POINT_ZETA = 4.2426406871
 
 class TestScalarKernels:
     def test_population_variance_normalization(self):
-        mean, var, median = sample_mean_var_median([1.0, 2.0, 3.0, 4.0])
-        assert mean == pytest.approx(2.5)
-        assert var == pytest.approx(1.25)  # 1/T, not 1/(T-1)
-        assert median == pytest.approx(2.5)
+        ms = moment_set([1.0, 2.0, 3.0, 4.0])
+        assert ms.mean == pytest.approx(2.5)
+        assert ms.volatility**2 == pytest.approx(1.25)  # 1/T, not 1/(T-1)
+        assert ms.median == pytest.approx(2.5)
 
     def test_mad_about_mean(self):
-        assert mean_abs_deviation([0.0, 0.0, 3.0]) == pytest.approx(4.0 / 3.0)
+        mad = grid_moments(np.array([0.0, 0.0, 3.0]), axis=0)[5]
+        assert mad == pytest.approx(4.0 / 3.0)
 
     def test_three_point_skewness_exact(self):
         assert low_moment_skewness([0.0, 0.0, 3.0]) == pytest.approx(
@@ -103,7 +102,8 @@ class TestLargeSampleOracles:
     def test_gaussian_mad_sigma_ratio(self):
         rng = np.random.default_rng(99)
         x = rng.standard_normal(10**6)
-        ratio = mean_abs_deviation(x) / np.sqrt(sample_mean_var_median(x)[1])
+        _, sigma, _, _, _, mad, _ = grid_moments(x, axis=0)
+        ratio = mad / sigma
         assert ratio == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-3)
         assert ROOT_HALF_PI == pytest.approx(np.sqrt(np.pi / 2.0))
 
@@ -153,12 +153,12 @@ class TestGridAgainstScalars:
         grid = stock_bin_moments(panel)
         for a in range(panel.n_stocks):
             for b in panel.bin_numbers:
-                series = panel.returns[:, :, panel.column_of(b)][a]
-                ms = grid.at(a, int(b))
-                assert ms.mean == pytest.approx(float(series.mean()))
-                assert ms.volatility == pytest.approx(float(series.std()))
-                assert ms.skewness == pytest.approx(low_moment_skewness(series))
-                assert ms.kurtosis == pytest.approx(low_moment_kurtosis(series))
+                c = panel.column_of(b)
+                series = panel.returns[a, :, c]
+                assert grid.mean[a, c] == pytest.approx(float(series.mean()))
+                assert grid.volatility[a, c] == pytest.approx(float(series.std()))
+                assert grid.skewness[a, c] == pytest.approx(low_moment_skewness(series))
+                assert grid.kurtosis[a, c] == pytest.approx(low_moment_kurtosis(series))
 
     def test_degenerate_cell_marked_not_fatal(self):
         recs = []
@@ -174,8 +174,8 @@ class TestGridAgainstScalars:
         assert grid.degenerate[0, 0]
         assert not grid.degenerate[1, 0]
         assert np.isnan(grid.skewness[0, 0])
-        assert grid.at(0, 1).degenerate
-        assert grid.at(1, 2).kurtosis is not None
+        assert grid.degenerate[0, panel.column_of(1)]
+        assert not np.isnan(grid.kurtosis[1, panel.column_of(2)])
 
     def test_grid_moments_rejects_short_axis(self):
         with pytest.raises(InsufficientDataError):

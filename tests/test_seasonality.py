@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from intraday.cross_section import dispersion_grid
 from intraday.errors import InsufficientDataError
 from intraday.seasonality import (
     IntradayProfile,
     first_half_range,
     first_two_hours_range,
     fit_power_law,
-    index_abs_return_profile,
     profile_over_days,
     profile_over_stocks,
     ratio_profile,
@@ -76,7 +76,9 @@ class TestProfiles:
         panel = gaussian_iid_panel(
             n_stocks=2000, n_days=100, bins_per_day=2, vol_profile=0.01, seed=3
         )
-        p = index_abs_return_profile(panel)
+        # the fig1 abs_index_return column: |mu_d| averaged over days
+        grid = dispersion_grid(panel)
+        p = profile_over_days(np.abs(grid.index_return), "stderr", grid.bin_numbers)
         # |mean of N iid| is half-normal with scale 0.01/sqrt(N)
         expected = 0.01 / np.sqrt(2000) * np.sqrt(2 / np.pi)
         assert p.values == pytest.approx([expected, expected], rel=0.2)
@@ -137,6 +139,17 @@ class TestPowerLawFit:
         fit = fit_power_law(make_profile(values, bins=bins), (1, 39))
         assert abs(fit.exponent - 0.3) < 3 * fit.exponent_stderr
         assert fit.exponent_stderr > 0
+
+    def test_least_squares_matches_linregress(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(2718)
+        bins = np.arange(1, 14)
+        values = 0.003 * bins**-0.4 * np.exp(0.05 * rng.standard_normal(13))
+        fit = fit_power_law(make_profile(values, bins=bins), (2, 11))
+        ref = stats.linregress(np.log(bins[1:11]), np.log(values[1:11]))
+        assert fit.exponent == pytest.approx(-ref.slope, rel=1e-12)
+        assert fit.amplitude == pytest.approx(np.exp(ref.intercept), rel=1e-12)
+        assert fit.exponent_stderr == pytest.approx(ref.stderr, rel=1e-10)
 
     def test_default_range_is_first_half(self):
         bins = np.arange(1, 21)
