@@ -1,8 +1,8 @@
 """Command-line interface: staged pipeline over bar-return panels.
 
-Subcommands map to pipeline stages, each reading the previous stage's
-files from the output directory, so ``run`` and a manual stage sequence
-produce byte-identical tables:
+Each pipeline stage is one ``stage_*`` function: it takes its inputs as
+arguments, writes its tables to the output directory and returns what
+later stages need.
 
     synth          manifest -> returns.csv, manifest_echo.txt
     ingest         input -> returns_canonical.csv, load_report.txt, validation.txt
@@ -13,11 +13,19 @@ produce byte-identical tables:
     condition      -> fig3.csv, fig4.csv, fig5_index.csv, fig5_dispersion.csv
     run            all of the above in order, plus run_manifest.txt
 
+``run`` hands each stage's results to the next in memory: the canonical
+panel, the volatility and kurtosis columns of ``stock_moments.csv``, and
+fig1's ``stock_vol`` profile.  Each is what the next stage would read back
+from the file (floats at 10 significant digits, -0 read as 0).  A stage
+subcommand reads those files from the output directory instead, so
+``run`` and a manual stage sequence produce byte-identical tables.
+
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
-Settings that need the panel (eigen window, reference bin, conditioning
-bins) are checked by ``ingest`` before it writes, and again by the stages
-that use them.
+Settings that need the panel (eigen window, reference bin, fit window,
+conditioning bins) are checked by ``ingest`` before it writes, and again
+by the stage subcommands that use them.  ``SEASONALITY_THREADS`` caps the
+threads of numpy's bundled OpenBLAS.
 
 Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 5 internal error.  Failures print one machine-parsable line to stderr.
@@ -26,6 +34,7 @@ Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from dataclasses import fields
@@ -41,6 +50,7 @@ from .conditioning import (
 )
 from .config import (
     RunConfig,
+    apply_thread_cap,
     config_echo_pairs,
     parse_kv_lines,
     run_config_from,
@@ -53,15 +63,18 @@ from .errors import (
     FeasibilityError,
     InsufficientDataError,
     IntradayError,
+    PanelFormatError,
     SchemaError,
 )
 from .panel import (
+    ReturnColumns,
+    ReturnPanel,
     load_panel,
+    panel_to_records,
     read_return_records,
     returns_from_prices,
     validate_panel,
     write_return_records,
-    panel_to_records,
 )
 from .robust_moments import stock_bin_moments
 from .seasonality import (
@@ -78,7 +91,7 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import column, open_output, read_table, write_table
+from .tableio import column, format_floats, open_output, read_table, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
@@ -88,38 +101,43 @@ def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
-def _load_canonical(config: RunConfig):
-    panel, _ = load_panel(_out(config, CANONICAL_FILE), policy="strict")
-    return panel
+def _write_returns(records: ReturnColumns, path: str) -> ReturnColumns:
+    """Write a return table; return the records as the table reads back."""
+    written = write_return_records(records, path)
+    if not np.isfinite(written).all():
+        raise PanelFormatError(f"{path}: a return rounds to a non-finite value")
+    return dataclasses.replace(records, values=written)
 
 
-def stage_synth(config: RunConfig) -> None:
+def stage_synth(config: RunConfig) -> ReturnColumns:
+    """Draw the synthetic panel; return its records as returns.csv holds them."""
     manifest = read_manifest(config.synth_manifest)
     panel, echoed = generate_market(manifest)
     os.makedirs(config.output_dir, exist_ok=True)
-    write_return_records(panel_to_records(panel), _out(config, RETURNS_FILE))
+    records = _write_returns(panel_to_records(panel), _out(config, RETURNS_FILE))
     write_manifest(echoed, _out(config, "manifest_echo.txt"))
+    return records
 
 
-def stage_ingest(config: RunConfig) -> None:
+def stage_ingest(config: RunConfig, records) -> ReturnPanel:
+    """Load, check and validate the input records; return the canonical
+    panel as returns_canonical.csv holds it."""
     os.makedirs(config.output_dir, exist_ok=True)
-    if config.mode == "synth":
-        records = read_return_records(_out(config, RETURNS_FILE))
-    elif config.mode == "prices":
-        records = returns_from_prices(config.input, config.price_convention)
-    else:
-        records = read_return_records(config.input)
     panel, report = load_panel(records, policy=config.policy)
+    del records
     config.check_panel(panel)
     validation = validate_panel(panel, sanity_bound=config.sanity_bound)
-    write_return_records(panel_to_records(panel), _out(config, CANONICAL_FILE))
+    canonical = _write_returns(panel_to_records(panel), _out(config, CANONICAL_FILE))
+    del panel  # the canonical copy replaces it
     for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
         with open_output(_out(config, name)) as handle:
             handle.write("\n".join(summary.lines()) + "\n")
+    return load_panel(canonical, policy="strict")[0]
 
 
-def stage_moments(config: RunConfig) -> None:
-    panel = _load_canonical(config)
+def stage_moments(config: RunConfig, panel: ReturnPanel) -> tuple[np.ndarray, ...]:
+    """Per (stock, bin) moments; return the bins and the (stock, bin)
+    volatility and kurtosis tables, as stock_moments.csv holds them."""
     grid = stock_bin_moments(panel)
     rows = []
     for a, symbol in enumerate(grid.stock_ids):
@@ -152,6 +170,8 @@ def stage_moments(config: RunConfig) -> None:
         ],
         rows,
     )
+    volatility, kurtosis = format_floats([grid.volatility, grid.kurtosis])[1]
+    return grid.bin_numbers, volatility, kurtosis
 
 
 def _profile_rows(profiles: list[IntradayProfile]) -> list[list]:
@@ -170,27 +190,24 @@ def _profile_rows(profiles: list[IntradayProfile]) -> list[list]:
     return rows
 
 
-def _moment_profile_from_table(config: RunConfig, field: str, band_kind: str):
-    header, raw = read_table(
-        _out(config, "stock_moments.csv"), expect_columns=["symbol", "bin", field]
-    )
-    symbols = column(header, raw, "symbol", str)
-    bins = column(header, raw, "bin", int)
-    values = column(header, raw, field, float)
-    order_syms = sorted(set(symbols))
-    order_bins = sorted(set(bins))
-    table = np.full((len(order_syms), len(order_bins)), np.nan)
-    s_index = {s: i for i, s in enumerate(order_syms)}
-    b_index = {b: i for i, b in enumerate(order_bins)}
-    for sym, b, v in zip(symbols, bins, values):
-        table[s_index[sym], b_index[b]] = v
-    return profile_over_stocks(
-        table, band_kind=band_kind, bin_numbers=order_bins, statistic_name=field
+def _vol_profile(bins, values, bands) -> IntradayProfile:
+    """fig1's intraday ``stock_vol`` profile, the input of ``fit``."""
+    return IntradayProfile(
+        bins=bins,
+        values=values,
+        band=bands,
+        overnight_value=None,
+        overnight_band=None,
+        statistic_name="stock_vol",
+        band_kind="stderr",
     )
 
 
-def stage_cross_section(config: RunConfig) -> None:
-    panel = _load_canonical(config)
+def stage_cross_section(
+    config: RunConfig, panel: ReturnPanel, moment_bins, volatility, kurtosis
+) -> IntradayProfile:
+    """Dispersion grid and the fig1/fig2 profiles; return fig1's stock_vol
+    profile as fig1.csv holds it."""
     grid = dispersion_grid(panel)
 
     rows = []
@@ -227,7 +244,7 @@ def stage_cross_section(config: RunConfig) -> None:
         rows,
     )
 
-    stock_vol = _moment_profile_from_table(config, "volatility", "stderr")
+    stock_vol = profile_over_stocks(volatility, "stderr", moment_bins, "volatility")
     dispersion_profile = profile_over_days(
         grid.dispersion, "stderr", grid.bin_numbers, "dispersion"
     )
@@ -252,7 +269,7 @@ def stage_cross_section(config: RunConfig) -> None:
         _profile_rows([stock_vol, dispersion_profile, abs_index, ratio]),
     )
 
-    stock_kurt = _moment_profile_from_table(config, "kurtosis", "dispersion")
+    stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "kurtosis")
     dispersion_kurt = profile_over_days(
         grid.kurtosis, "dispersion", grid.bin_numbers, "dispersion_kurtosis"
     )
@@ -268,27 +285,12 @@ def stage_cross_section(config: RunConfig) -> None:
         ],
         _profile_rows([stock_kurt, dispersion_kurt]),
     )
+    values, bands = format_floats([stock_vol.values, stock_vol.band])[1]
+    return _vol_profile(stock_vol.bins, values, bands)
 
 
-def stage_fit(config: RunConfig) -> None:
-    header, raw = read_table(
-        _out(config, "fig1.csv"), expect_columns=["bin", "overnight", "stock_vol"]
-    )
-    bins = np.asarray(column(header, raw, "bin", int))
-    overnight = np.asarray(column(header, raw, "overnight", int))
-    values = np.asarray(column(header, raw, "stock_vol", float))
-    bands = np.asarray(column(header, raw, "stock_vol_band", float))
-    keep = overnight == 0
-    profile = IntradayProfile(
-        bins=bins[keep],
-        values=values[keep],
-        band=bands[keep],
-        overnight_value=None,
-        overnight_band=None,
-        statistic_name="stock_vol",
-        band_kind="stderr",
-    )
-    fit = fit_power_law(profile, config.fit_range_for(int(bins[keep].max())))
+def stage_fit(config: RunConfig, profile: IntradayProfile) -> None:
+    fit = fit_power_law(profile, config.fit_range_for(int(profile.bins.max())))
     write_table(
         _out(config, "fig1_fit.csv"),
         [
@@ -312,9 +314,7 @@ def stage_fit(config: RunConfig) -> None:
     )
 
 
-def stage_spectra(config: RunConfig) -> None:
-    panel = _load_canonical(config)
-    config.check_panel(panel)
+def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     npanel = normalize_panel(panel)
     spectra = bin_spectra(npanel)
 
@@ -388,9 +388,7 @@ def _write_curve(config: RunConfig, name: str, curve) -> None:
     )
 
 
-def stage_condition(config: RunConfig) -> None:
-    panel = _load_canonical(config)
-    config.check_panel(panel)
+def stage_condition(config: RunConfig, panel: ReturnPanel) -> None:
     grid = dispersion_grid(panel)
     signed, positive = config.bucket_specs()
     common = dict(
@@ -413,15 +411,16 @@ def stage_condition(config: RunConfig) -> None:
 
 
 def run_pipeline(config: RunConfig) -> None:
-    """Execute every stage in order and write the run manifest."""
-    if config.mode == "synth":
-        stage_synth(config)
-    stage_ingest(config)
-    stage_moments(config)
-    stage_cross_section(config)
-    stage_fit(config)
-    stage_spectra(config)
-    stage_condition(config)
+    """Run every stage in order, handing each stage's results to the next in
+    memory, and write the run manifest."""
+    # Passed straight in, the input records die inside ingest once loaded.
+    panel = stage_ingest(
+        config, stage_synth(config) if config.mode == "synth" else _read_input(config)
+    )
+    vol_profile = stage_cross_section(config, panel, *stage_moments(config, panel))
+    stage_fit(config, vol_profile)
+    stage_spectra(config, panel)
+    stage_condition(config, panel)
     pairs = [
         ("package_version", __version__),
         ("table_schema_version", "1"),
@@ -430,15 +429,71 @@ def run_pipeline(config: RunConfig) -> None:
     write_kv_lines(pairs, _out(config, "run_manifest.txt"))
 
 
+# Stage subcommands read their inputs from the files earlier stages wrote.
+
+
+def _read_input(config: RunConfig):
+    """``ingest``'s records: the configured input, or returns.csv in synth mode."""
+    if config.mode == "prices":
+        return returns_from_prices(config.input, config.price_convention)
+    if config.mode == "synth":
+        return read_return_records(_out(config, RETURNS_FILE))
+    return read_return_records(config.input)
+
+
+def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
+    panel, _ = load_panel(_out(config, CANONICAL_FILE), policy="strict")
+    if check:
+        config.check_panel(panel)
+    return panel
+
+
+def _read_moments(config: RunConfig):
+    """stock_moments.csv as ``stage_moments`` returns it."""
+    header, raw = read_table(
+        _out(config, "stock_moments.csv"),
+        expect_columns=["symbol", "bin", "volatility", "kurtosis"],
+    )
+    symbols = column(header, raw, "symbol", str)
+    bins = column(header, raw, "bin", int)
+    order_syms = sorted(set(symbols))
+    order_bins = sorted(set(bins))
+    s_index = {s: i for i, s in enumerate(order_syms)}
+    b_index = {b: i for i, b in enumerate(order_bins)}
+    cell = ([s_index[s] for s in symbols], [b_index[b] for b in bins])
+    tables = np.full((2, len(order_syms), len(order_bins)), np.nan)
+    for table, name in zip(tables, ("volatility", "kurtosis")):
+        table[cell] = column(header, raw, name, float)
+    return order_bins, *tables
+
+
+def _read_vol_profile(config: RunConfig) -> IntradayProfile:
+    """fig1.csv's stock_vol columns as ``stage_cross_section`` returns them."""
+    header, raw = read_table(
+        _out(config, "fig1.csv"), expect_columns=["bin", "overnight", "stock_vol"]
+    )
+    bins = np.asarray(column(header, raw, "bin", int))
+    overnight = np.asarray(column(header, raw, "overnight", int))
+    values = np.asarray(column(header, raw, "stock_vol", float))
+    bands = np.asarray(column(header, raw, "stock_vol_band", float))
+    keep = overnight == 0
+    config.check_fit_window(int(bins[keep].max()))
+    return _vol_profile(bins[keep], values[keep], bands[keep])
+
+
 _STAGES = {
     "run": run_pipeline,
     "synth": stage_synth,
-    "ingest": stage_ingest,
-    "moments": stage_moments,
-    "cross-section": stage_cross_section,
-    "fit": stage_fit,
-    "spectra": stage_spectra,
-    "condition": stage_condition,
+    "ingest": lambda config: stage_ingest(config, _read_input(config)),
+    "moments": lambda config: stage_moments(config, _read_canonical(config)),
+    "cross-section": lambda config: stage_cross_section(
+        config, _read_canonical(config), *_read_moments(config)
+    ),
+    "fit": lambda config: stage_fit(config, _read_vol_profile(config)),
+    "spectra": lambda config: stage_spectra(config, _read_canonical(config, check=True)),
+    "condition": lambda config: stage_condition(
+        config, _read_canonical(config, check=True)
+    ),
 }
 
 
@@ -469,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap_from_env()
+        apply_thread_cap(thread_cap_from_env())
         config = _resolve_config(args)
     except (IntradayError, ValueError, OSError) as exc:
         print(f"error: input-error: {exc}", file=sys.stderr)

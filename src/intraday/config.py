@@ -164,6 +164,18 @@ class RunConfig:
             BucketSpec.fixed_width(self.bucket_width, 0.0, self.bucket_hi),
         )
 
+    def check_fit_window(self, bins_per_day: int) -> None:
+        """Reject a ``lo:hi`` fit window that is not 3 or more of the
+        intraday bins 1..``bins_per_day``."""
+        if self.fit_window in FIT_WINDOWS:
+            return
+        lo, hi = self.fit_range_for(bins_per_day)
+        if hi - lo < 2 or hi > bins_per_day:
+            raise PanelFormatError(
+                f"fit_window {self.fit_window!r} must cover at least 3 of the "
+                f"panel's intraday bins 1..{bins_per_day}"
+            )
+
     def check_panel(self, panel) -> None:
         """Reject settings that the loaded panel cannot serve, so a run stops
         before any analysis table is written."""
@@ -177,6 +189,12 @@ class RunConfig:
             )
         if self.reference_bin not in bins:
             raise PanelFormatError(f"reference_bin {self.reference_bin} not in {bins}")
+        self.check_fit_window(panel.bins_per_day)
+        unknown = sorted(set(self.condition_bins or ()) - set(bins))
+        if unknown:
+            raise PanelFormatError(
+                f"condition_bins {unknown} are not bins of the panel {bins}"
+            )
         try:
             _pooled_rows(bins, self.include_overnight_conditioning, self.condition_bins)
         except ValueError:
@@ -252,12 +270,7 @@ def config_echo_pairs(config: RunConfig) -> list[tuple[str, str]]:
 
 
 def thread_cap_from_env(environ=None) -> int | None:
-    """Validated SEASONALITY_THREADS value, or None when unset.
-
-    The toolkit runs its stages sequentially, so the cap is an upper bound
-    the implementation always respects; the variable is still validated so
-    misconfigured environments fail loudly.
-    """
+    """Validated SEASONALITY_THREADS value, or None when unset."""
     env = os.environ if environ is None else environ
     raw = env.get(THREADS_ENV_VAR)
     if raw is None:
@@ -269,3 +282,31 @@ def thread_cap_from_env(environ=None) -> int | None:
     if cap < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
     return cap
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (``libscipy_openblas64_``) through ctypes,
+    or None when numpy was built against another BLAS."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    root = os.path.dirname(numpy.__file__)
+    for pattern in ("../numpy.libs/libscipy_openblas64_*", ".dylibs/libscipy_openblas64_*"):
+        for path in sorted(glob.glob(os.path.join(root, pattern))):
+            try:
+                lib = ctypes.CDLL(path)  # the copy numpy already loaded
+            except OSError:
+                continue
+            if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+                return lib
+    return None
+
+
+def apply_thread_cap(cap: int | None) -> None:
+    """Lower numpy's OpenBLAS to at most ``cap`` threads; None, or a cap at
+    or above the current count, leaves it as it is."""
+    lib = None if cap is None else _bundled_openblas()
+    if lib is not None and cap < lib.scipy_openblas_get_num_threads64_():
+        lib.scipy_openblas_set_num_threads64_(cap)

@@ -29,7 +29,8 @@ checked one at a time, which reports the first bad row and its line number.
 one ``bincount`` finds duplicates and gaps, the load policies are masks over
 the count cube, and one scatter fills the array.
 :func:`write_return_records` formats the columns in blocks of
-:data:`WRITE_BLOCK_ROWS` rows.
+:data:`WRITE_BLOCK_ROWS` rows and returns the values parsed back from the
+text it wrote, so a caller can hand on what a reader of the table gets.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import LOAD_POLICIES, PRICE_CONVENTIONS, format_float
+from .config import LOAD_POLICIES, PRICE_CONVENTIONS
 from .errors import (
     CompletenessError,
     DuplicateRowError,
     PanelFormatError,
     PriceDomainError,
 )
-from .tableio import format_cell, open_output
+from .tableio import format_cell, format_floats, open_output
 
 #: Text read per parsing chunk, in bytes of whole lines.
 CHUNK_BYTES = 4 << 20
@@ -756,11 +757,12 @@ def panel_to_records(panel: ReturnPanel) -> ReturnColumns:
 def write_return_records(
     records: ReturnColumns | Iterable[ReturnRecord],
     destination: str | os.PathLike | IO[str],
-) -> None:
+) -> np.ndarray:
     """Write records as a canonical bar-return table (stable float format).
 
     Rows are sorted by (date, bin, symbol), keeping input order among equal
-    keys; symbols are quoted only where CSV needs it.
+    keys; symbols are quoted only where CSV needs it.  Returns each
+    record's value as the table reads it back, in the records' order.
     """
     if not isinstance(records, ReturnColumns):
         records = ReturnColumns.from_records(records)
@@ -768,21 +770,24 @@ def write_return_records(
     order = np.lexsort((stock, records.bins, day))
     date_text = [date.isoformat() for date in dates]
     symbol_text = [format_cell(symbol) for symbol in symbols]
+    written = np.empty(len(order))
     with open_output(destination) as handle:
         handle.write("# schema-version: 1\n")
         handle.write("date,bin,symbol,return\n")
         for start in range(0, len(order), WRITE_BLOCK_ROWS):
             block = order[start : start + WRITE_BLOCK_ROWS]
+            value_text, written[block] = format_floats(records.values[block])
             handle.write(
                 "".join(
                     [
-                        f"{date_text[t]},{b},{symbol_text[a]},{format_float(v)}\n"
+                        f"{date_text[t]},{b},{symbol_text[a]},{v}\n"
                         for t, b, a, v in zip(
                             day[block].tolist(),
                             records.bins[block].tolist(),
                             stock[block].tolist(),
-                            records.values[block].tolist(),
+                            value_text,
                         )
                     ]
                 )
             )
+    return written

@@ -15,6 +15,8 @@ import os
 from contextlib import contextmanager
 from typing import IO, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .config import format_float
 from .errors import SchemaError
 
@@ -36,6 +38,15 @@ def format_cell(value) -> str:
     if text.startswith("#") or any(c in text for c in _QUOTE_TRIGGERS):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def format_floats(values) -> tuple[list[str], np.ndarray]:
+    """Each value's table text, and the values as a reader parses them back
+    from it: 10 significant digits, -0 read as 0, shaped like ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = list(map(format_float, values.ravel().tolist()))
+    parsed = np.fromiter(map(float, texts), np.float64, len(texts))
+    return texts, parsed.reshape(values.shape)
 
 
 @contextmanager

@@ -284,6 +284,9 @@ class TestExitCodes:
             ("--eigen-hi", "40"),
             ("--reference-bin", "20"),
             ("--condition-bins", "99"),
+            ("--condition-bins", "1,99"),
+            ("--fit-window", "2:3"),
+            ("--fit-window", "5:7"),
         ],
     )
     def test_config_error_against_the_panel_stops_before_analysis(
@@ -305,6 +308,9 @@ class TestExitCodes:
             ("spectra", "--eigen-hi", "40", "fig7.csv"),
             ("spectra", "--reference-bin", "20", "fig7.csv"),
             ("condition", "--condition-bins", "99", "fig3.csv"),
+            ("condition", "--condition-bins", "1,99", "fig3.csv"),
+            ("fit", "--fit-window", "2:3", "fig1_fit.csv"),
+            ("fit", "--fit-window", "5:7", "fig1_fit.csv"),
         ],
     )
     def test_staged_config_error_against_the_panel(
@@ -316,6 +322,18 @@ class TestExitCodes:
         assert cli.main([stage, "-c", str(cfg), flag, value]) == 2
         self.assert_single_error_line(capsys, "input-error")
         assert (tmp_path / "out" / table).read_bytes() == before
+
+    def test_unknown_condition_bins_are_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), "--condition-bins", "1,99,7"]) == 2
+        err = capsys.readouterr().err
+        assert "condition_bins [7, 99] are not bins of the panel" in err
+
+    def test_fit_window_at_the_panel_edge_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), "--fit-window", "4:6"]) == 0
+        header, rows = read_table(tmp_path / "out" / "fig1_fit.csv")
+        assert column(header, rows, "fit_hi", int) == [6]
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intraday import cli, panel as panel_module
+from intraday import cli, panel as panel_module, tableio as tableio_module
 from intraday.config import write_kv_lines
 from intraday.errors import CompletenessError, DuplicateRowError, PanelFormatError
 from intraday.panel import (
@@ -533,7 +533,7 @@ def test_failed_return_write_keeps_earlier_file(tmp_path):
         return "9"
 
     with mock.patch.object(panel_module, "WRITE_BLOCK_ROWS", 2), mock.patch.object(
-        panel_module, "format_float", failing_format
+        tableio_module, "format_float", failing_format
     ):
         with pytest.raises(Boom):
             write_return_records(recs, path)
