@@ -250,23 +250,23 @@ def read_run_config(source: str | os.PathLike | IO[str]) -> RunConfig:
     return run_config_from(parse_kv_lines(source))
 
 
+def format_value(value) -> str:
+    """A config or manifest value as ``key = value`` text: None as empty
+    text, a sequence comma-separated."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, (str, int)):
+        return str(value)
+    return ",".join(map(format_value, value))
+
+
 def config_echo_pairs(config: RunConfig) -> list[tuple[str, str]]:
     """Resolved config as serialization-ready pairs (for the run manifest)."""
-    out: list[tuple[str, str]] = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            text = ""
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = format_float(value)
-        elif isinstance(value, tuple):
-            text = ",".join(str(v) for v in value)
-        else:
-            text = str(value)
-        out.append((f.name, text))
-    return out
+    return [(f.name, format_value(getattr(config, f.name))) for f in fields(RunConfig)]
 
 
 def thread_cap_from_env(environ=None) -> int | None:

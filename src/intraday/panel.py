@@ -11,20 +11,23 @@ Two tabular inputs are supported:
 
 * bar returns: columns ``date`` (ISO-8601), ``bin`` (int), ``symbol``,
   ``return`` (simple return, decimal units);
-* bar prices: columns ``date``, ``time`` (HH:MM), ``symbol``, ``price``,
-  converted to returns by :func:`returns_from_prices`.
+* bar prices: columns ``date``, ``time`` (ISO time such as HH:MM, without a
+  UTC offset), ``symbol``, ``price``, converted to returns by
+  :func:`returns_from_prices`.
 
 Lines starting with ``#`` are treated as comments in both formats.
 
-Return tables move as columns (:class:`ReturnColumns`), not as one tuple
-per row.  Tables are read in chunks of about :data:`CHUNK_BYTES` of whole
-lines.  Each chunk is split at once, its bins and returns become int64 and
-float64 arrays, and its dates and symbols become codes through one
-dictionary each, kept across chunks, so dates and symbols are parsed once
-per distinct text.  A chunk holding a quote, carriage return or NUL is read
-by :mod:`csv` instead, so quoting and line endings behave exactly as
-``csv.reader`` reads them.  When a chunk fails a bulk check, its rows are
-checked one at a time, which reports the first bad row and its line number.
+Both tables go through one reader, in chunks of about :data:`CHUNK_BYTES`
+of whole lines.  Each chunk is split at once, its numbers become int64 or
+float64 arrays, and its dates, times and symbols become codes through one
+dictionary each, kept across chunks, so each distinct text is parsed once.
+A chunk holding a quote, carriage return or NUL is read by :mod:`csv`
+instead, so quoting and line endings behave exactly as ``csv.reader`` reads
+them.  When a chunk fails a bulk check, its rows are checked one at a time,
+which reports the first bad row and its line number.  Rows move as columns
+(:class:`ReturnColumns`), not as one tuple per row:
+:func:`returns_from_prices` scatters the prices into a (symbol-day, stamp)
+matrix and divides its columns.
 :func:`load_panel` places every row in one linear (stock, day, bin) index:
 one ``bincount`` finds duplicates and gaps, the load policies are masks over
 the count cube, and one scatter fills the array.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import itertools
 import math
 import operator
@@ -276,7 +280,7 @@ def _is_comment(first_field: str) -> bool:
 
 
 def _table_chunks(
-    source, columns: tuple[str, ...], bulk: bool = True
+    source, columns: tuple[str, ...]
 ) -> Iterator[tuple[list[list[str]] | None, Iterator[tuple[int, list[str]]]]]:
     """Yield a table's data rows chunk by chunk, as ``(tokens, rows)``.
 
@@ -285,8 +289,8 @@ def _table_chunks(
     ``rows`` yields ``(line_number, fields)`` for each data row, the fields
     stripped and in ``columns`` order, and raises :class:`PanelFormatError`
     at a row with the wrong field count.  ``tokens`` holds the unstripped
-    text of each requested column for bulk conversion; it is None when
-    ``bulk`` is false or some row of the chunk has the wrong field count.
+    text of each requested column for bulk conversion; it is None when some
+    row of the chunk has the wrong field count.
     """
     handle, owned = _open_text(source)
     try:
@@ -318,7 +322,7 @@ def _table_chunks(
                         break
                 line_num += reader.line_num
                 tokens = None
-                if bulk and all(len(row) == width for _, row in rows):
+                if all(len(row) == width for _, row in rows):
                     tokens = [[row[i] for _, row in rows] for i in order]
             else:
                 first = line_num + 1
@@ -331,7 +335,7 @@ def _table_chunks(
                         if line != "\n" and not _is_comment(line)
                     ]
                     lines = [line for _, line in numbered]
-                tokens = _split_columns(lines, width, order) if bulk else None
+                tokens = _split_columns(lines, width, order)
                 rows = ((num, line.rstrip("\n").split(",")) for num, line in numbered)
             yield tokens, _checked(rows, width, order)
     finally:
@@ -363,6 +367,59 @@ def _checked(rows, width: int, order: list[int]) -> Iterator[tuple[int, list[str
         yield line_num, [row[i].strip() for i in order]
 
 
+def _read_table(source, columns: dict[str, tuple]) -> list[np.ndarray]:
+    """Read the named columns of a table as one array each.
+
+    ``columns`` maps each name to ``(convert, parse)``: ``convert`` turns a
+    chunk's texts into an array, ``parse`` one stripped text, and each
+    raises ValueError (``convert`` also OverflowError) on a bad text.  A
+    chunk that fails is checked row by row, each row's columns in the order
+    ``columns`` lists them, and the first bad row raises
+    :class:`PanelFormatError` with the message of ``parse``.
+    """
+    converts, parses = zip(*columns.values())
+    parts = [[convert([]) for convert in converts]]
+    for tokens, rows in _table_chunks(source, tuple(columns)):
+        if tokens is None:
+            _raise_first_bad_row(rows, parses)
+        try:
+            parts.append([convert(texts) for convert, texts in zip(converts, tokens)])
+        except (ValueError, OverflowError):
+            _raise_first_bad_row(rows, parses)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _raise_first_bad_row(rows, parses) -> None:
+    """Check rows one at a time and raise for the first bad one."""
+    for line_num, fields in rows:
+        for parse, text in zip(parses, fields):
+            try:
+                parse(text)
+            except ValueError as exc:
+                raise PanelFormatError(str(exc), line_num) from None
+    raise RuntimeError("a chunk failed its bulk checks but none of its rows did")
+
+
+def _parse(kind: Callable[[str], object], name: str, text: str):
+    """``kind(text)``, or a ValueError naming the bad ``name``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}") from None
+
+
+def _date_key(text: str) -> dt.date:
+    return _parse(dt.date.fromisoformat, "date", text.strip())
+
+
+def _time_key(text: str) -> dt.time:
+    stamp = _parse(dt.time.fromisoformat, "time", text.strip())
+    if stamp.tzinfo is not None:
+        # naive and offset times do not compare, so stamps could not be ordered
+        raise ValueError(f"bad time {text.strip()!r}")
+    return stamp
+
+
 def _symbol_key(text: str) -> str:
     symbol = text.strip()
     if not symbol:
@@ -370,75 +427,63 @@ def _symbol_key(text: str) -> str:
     return symbol
 
 
+def _floats(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, texts), np.float64, len(texts))
+
+
+def _bins(texts: list[str]) -> np.ndarray:
+    bins = np.fromiter(map(int, texts), np.int64, len(texts))
+    if (bins < 0).any():
+        raise ValueError("negative bin")
+    return bins
+
+
+def _bin(text: str) -> int:
+    bin_number = _parse(int, "bin", text)
+    if bin_number < 0:
+        raise ValueError(f"negative bin {bin_number}")
+    if bin_number > _MAX_BIN:
+        raise ValueError(f"bin {bin_number} out of range")
+    return bin_number
+
+
+def _returns(texts: list[str]) -> np.ndarray:
+    values = _floats(texts)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite return")
+    return values
+
+
+def _return(text: str) -> float:
+    value = _parse(float, "return", text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite return {text!r}")
+    return value
+
+
 def read_return_records(source: str | os.PathLike | IO[str]) -> ReturnColumns:
     """Parse a bar-return table into columns, with row numbers on errors."""
-    dates = _KeyCodes(lambda text: dt.date.fromisoformat(text.strip()))
-    symbols = _KeyCodes(_symbol_key)
-    parts = []
-    for tokens, rows in _table_chunks(source, ("date", "bin", "symbol", "return")):
-        arrays = _return_arrays(tokens, dates, symbols)
-        if arrays is None:
-            _raise_first_bad_return(rows)
-        parts.append(arrays)
-    if parts:
-        date_index, bins, symbol_index, values = map(np.concatenate, zip(*parts))
-    else:
-        date_index = symbol_index = np.zeros(0, np.intp)
-        bins, values = np.zeros(0, np.int64), np.zeros(0)
+    dates, symbols = _KeyCodes(_date_key), _KeyCodes(_symbol_key)
+    date_index, bins, values, symbol_index = _read_table(
+        source,
+        {
+            "date": (dates.codes, dates.parse),
+            "bin": (_bins, _bin),
+            "return": (_returns, _return),
+            "symbol": (symbols.codes, symbols.parse),
+        },
+    )
     return ReturnColumns(
         tuple(dates.parsed), tuple(symbols.parsed), date_index, bins, symbol_index, values
     )
 
 
-def _return_arrays(tokens, dates: _KeyCodes, symbols: _KeyCodes):
-    """One chunk's columns as arrays, or None if some row fails a check."""
-    if tokens is None:
-        return None
-    date_s, bin_s, symbol_s, value_s = tokens
-    n = len(value_s)
-    try:
-        bins = np.fromiter(map(int, bin_s), np.int64, n)
-        values = np.fromiter(map(float, value_s), np.float64, n)
-        date_index = dates.codes(date_s)
-        symbol_index = symbols.codes(symbol_s)
-    except (ValueError, OverflowError):
-        return None
-    if (bins < 0).any() or not np.isfinite(values).all():
-        return None
-    return date_index, bins, symbol_index, values
-
-
-def _raise_first_bad_return(rows) -> None:
-    """Check rows one at a time and raise for the first bad one."""
-    for line_num, (date_s, bin_s, symbol, value_s) in rows:
-        try:
-            dt.date.fromisoformat(date_s)
-        except ValueError:
-            raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
-        try:
-            bin_number = int(bin_s)
-        except ValueError:
-            raise PanelFormatError(f"bad bin {bin_s!r}", line_num) from None
-        if bin_number < 0:
-            raise PanelFormatError(f"negative bin {bin_number}", line_num)
-        if bin_number > _MAX_BIN:
-            raise PanelFormatError(f"bin {bin_number} out of range", line_num)
-        try:
-            value = float(value_s)
-        except ValueError:
-            raise PanelFormatError(f"bad return {value_s!r}", line_num) from None
-        if not math.isfinite(value):
-            raise PanelFormatError(f"non-finite return {value_s!r}", line_num)
-        if not symbol:
-            raise PanelFormatError("empty symbol", line_num)
-    raise RuntimeError("a chunk failed its bulk checks but none of its rows did")
-
-
 def _first_repeat(keys: np.ndarray) -> int:
-    """Position of the earliest element equal to an element before it."""
+    """Position of the earliest element equal to an element before it, or
+    ``len(keys)`` if the elements are distinct."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    return int(order[1:][ordered[1:] == ordered[:-1]].min())
+    return int(order[1:][ordered[1:] == ordered[:-1]].min(initial=len(keys)))
 
 
 def load_panel(
@@ -553,58 +598,14 @@ def load_panel(
     return panel, report
 
 
-#: One bar-price observation: (date, time, symbol, price).
-PriceRecord = tuple[dt.date, str, str, float]
-
-
-def read_price_records(source: str | os.PathLike | IO[str]) -> list[PriceRecord]:
-    """Parse a bar-price table (columns date, time, symbol, price).
-
-    Each distinct date, time and symbol text is parsed once, and the
-    records share one object per distinct value.
-    """
-    records: list[PriceRecord] = []
-    dates: dict[str, dt.date] = {}
-    times: dict[str, str] = {}
-    symbols: dict[str, str] = {}
-    chunks = _table_chunks(source, ("date", "time", "symbol", "price"), bulk=False)
-    for _, rows in chunks:
-        for line_num, (date_s, time_s, symbol, price_s) in rows:
-            if date_s not in dates:
-                try:
-                    dates[date_s] = dt.date.fromisoformat(date_s)
-                except ValueError:
-                    raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
-            if time_s not in times:
-                try:
-                    dt.time.fromisoformat(time_s)
-                except ValueError:
-                    raise PanelFormatError(f"bad time {time_s!r}", line_num) from None
-            try:
-                price = float(price_s)
-            except ValueError:
-                raise PanelFormatError(f"bad price {price_s!r}", line_num) from None
-            if not symbol:
-                raise PanelFormatError("empty symbol", line_num)
-            records.append(
-                (
-                    dates[date_s],
-                    times.setdefault(time_s, time_s),
-                    symbols.setdefault(symbol, symbol),
-                    price,
-                )
-            )
-    return records
-
-
 def returns_from_prices(
-    source: str | os.PathLike | IO[str] | Iterable[PriceRecord],
-    convention: str = "close_to_close",
-) -> list[ReturnRecord]:
-    """Convert per-bin price stamps into bar-return records.
+    source: str | os.PathLike | IO[str], convention: str = "close_to_close"
+) -> ReturnColumns:
+    """Convert a bar-price table (columns date, time, symbol, price) into
+    bar-return columns.
 
-    Every (symbol, date) group must carry the same time grid.  Two stamp
-    conventions are supported:
+    Every (symbol, date) group must carry the same grid of time stamps,
+    ordered by the time they denote.  Two stamp conventions are supported:
 
     * ``close_to_close`` (default): the stamps are the K bin closes.  Bins
       2..K are close-to-close returns within the day; bin 1 runs from the
@@ -616,73 +617,80 @@ def returns_from_prices(
       on.
 
     Either way the first day is incomplete, so downstream loading normally
-    pairs with the ``drop-incomplete`` policy.  Non-positive prices raise
-    :class:`PriceDomainError`.
+    pairs with the ``drop-incomplete`` policy.  A non-positive price raises
+    :class:`PriceDomainError` and a stamp repeated within a group
+    :class:`DuplicateRowError`, whichever comes first in the table.
     """
     if convention not in PRICE_CONVENTIONS:
         raise ValueError(
             f"unknown convention {convention!r}, expected one of {PRICE_CONVENTIONS}"
         )
-    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        records = read_price_records(source)
-    else:
-        records = list(source)
-    if not records:
+    dates, stamps = _KeyCodes(_date_key), _KeyCodes(_time_key)
+    symbols = _KeyCodes(_symbol_key)
+    date_code, stamp_code, price, symbol_code = _read_table(
+        source,
+        {
+            "date": (dates.codes, dates.parse),
+            "time": (stamps.codes, stamps.parse),
+            "price": (_floats, functools.partial(_parse, float, "price")),
+            "symbol": (symbols.codes, symbols.parse),
+        },
+    )
+    if not len(price):
         raise CompletenessError("no price rows")
 
-    groups: dict[tuple[str, dt.date], dict[str, float]] = {}
-    for date, time_s, symbol, price in records:
-        if price <= 0:
-            raise PriceDomainError(
-                f"non-positive price {price} for {symbol} {date.isoformat()} {time_s}"
-            )
-        group = groups.setdefault((symbol, date), {})
-        if time_s in group:
-            raise DuplicateRowError(
-                f"duplicate stamp {symbol} {date.isoformat()} {time_s}"
-            )
-        group[time_s] = price
+    # Keys by the value they denote, in order: texts that differ only in
+    # spacing or spelling (10:00 and 10:00:00) are one key.
+    date_keys, day = _factorize(dates.parsed)
+    stamp_keys, stamp = _factorize(stamps.parsed)
+    symbol_keys, stock = _factorize(symbols.parsed)
+    day, stamp, stock = day[date_code], stamp[stamp_code], stock[symbol_code]
+    n_stamps = len(stamp_keys)
+    cell = np.ravel_multi_index(
+        (stock, day, stamp), (len(symbol_keys), len(date_keys), n_stamps)
+    )
+    # The first bad row wins; a non-positive price before a repeated stamp.
+    bad_price = np.flatnonzero(price <= 0).min(initial=len(price))
+    row = min(bad_price, _first_repeat(cell))
+    if row < len(price):
+        where = (
+            f"{symbol_keys[stock[row]]} {date_keys[day[row]].isoformat()} "
+            f"{list(stamps)[stamp_code[row]].strip()}"
+        )
+        if row == bad_price:
+            raise PriceDomainError(f"non-positive price {price[row]} for {where}")
+        raise DuplicateRowError(f"duplicate stamp {where}")
 
-    grids = {tuple(sorted(g)) for g in groups.values()}
-    if len(grids) != 1:
-        sizes = sorted({len(g) for g in grids})
+    groups, group_index, sizes = np.unique(
+        cell // n_stamps, return_inverse=True, return_counts=True
+    )
+    if (sizes != n_stamps).any():
         raise CompletenessError(
-            f"inconsistent time grids across symbol-days (sizes {sizes}); "
+            "inconsistent time grids across symbol-days "
+            f"(sizes {np.unique(sizes).tolist()}); "
             "price ingestion requires one uniform bar clock"
         )
-    grid = grids.pop()
-    n_stamps = len(grid)
     if n_stamps < 2:
         raise CompletenessError("need at least two stamps per day")
 
-    if convention == "bin_open":
-        k_bins = n_stamps - 1
-        if k_bins < 1:
-            raise CompletenessError("bin_open needs K+1 >= 2 stamps per day")
-    else:
-        k_bins = n_stamps
-
-    out: list[ReturnRecord] = []
-    symbols = sorted({sym for sym, _ in groups})
-    for symbol in symbols:
-        sym_dates = sorted(date for sym, date in groups if sym == symbol)
-        prev_last: float | None = None
-        for date in sym_dates:
-            prices = [groups[(symbol, date)][t] for t in grid]
-            if convention == "bin_open":
-                for k in range(1, k_bins + 1):
-                    out.append((date, k, symbol, prices[k] / prices[k - 1] - 1.0))
-                if prev_last is not None:
-                    out.append((date, 0, symbol, prices[0] / prev_last - 1.0))
-                prev_last = prices[-1]
-            else:
-                for k in range(2, k_bins + 1):
-                    out.append((date, k, symbol, prices[k - 1] / prices[k - 2] - 1.0))
-                if prev_last is not None:
-                    out.append((date, 1, symbol, prices[0] / prev_last - 1.0))
-                prev_last = prices[-1]
-    out.sort(key=lambda r: (r[0], r[1], r[2]))
-    return out
+    # One row per (symbol, day) in that order, one column per stamp; from
+    # here on ``stock`` and ``day`` label those rows.
+    prices = np.empty((len(groups), n_stamps))
+    prices[group_index, stamp] = price
+    stock, day = np.divmod(groups, len(date_keys))
+    # Column 0 is the return from the symbol's previous day's last price, in
+    # bin 1 (close_to_close) or bin 0 (bin_open); the bins after it are
+    # within the day.
+    returns = np.empty_like(prices)
+    returns[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
+    returns[1:, 0] = prices[1:, 0] / prices[:-1, -1] - 1.0
+    kept = np.ones(returns.shape, dtype=bool)
+    kept[:, 0] = np.r_[False, stock[1:] == stock[:-1]]
+    row, column = np.nonzero(kept)
+    first_bin = 1 if convention == "close_to_close" else 0
+    return ReturnColumns(
+        date_keys, symbol_keys, day[row], column + first_bin, stock[row], returns[kept]
+    )
 
 
 def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationReport:

@@ -50,8 +50,8 @@ from __future__ import annotations
 import datetime as dt
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import IO
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import IO, get_args, get_type_hints
 
 import numpy as np
 
@@ -95,12 +95,12 @@ class GeneratorManifest:
     target_correlation: np.ndarray | float
     beta_mean: float = 1.0
     beta_std: float = 0.0
-    residual_tail: str = "gaussian"
     student_nu: float = 5.0
     residual_vol_coupling: float = 0.0
     jump_day_rate: float = 0.0
     jump_scale: float = 1.0
     overnight_vol_multiplier: float = 0.0
+    residual_tail: str = "gaussian"
     seed: int = 0
     implied_correlation: np.ndarray | None = field(default=None, compare=False)
 
@@ -277,21 +277,18 @@ def gaussian_iid_panel(
 
 # --- manifest (de)serialization: key = value lines, '#' comments -----------
 
-_SCALAR_FIELDS = {
-    "n_stocks": int,
-    "n_days": int,
-    "bins_per_day": int,
-    "beta_mean": float,
-    "beta_std": float,
-    "residual_tail": str,
-    "student_nu": float,
-    "residual_vol_coupling": float,
-    "jump_day_rate": float,
-    "jump_scale": float,
-    "overnight_vol_multiplier": float,
-    "seed": int,
-}
-_PROFILE_FIELDS = ("factor_vol", "target_correlation")
+# Every field is a manifest key, in echo order, except the derived
+# implied_correlation; the profile keys are the array-valued ones.
+_KINDS = get_type_hints(GeneratorManifest)
+_KEYS = tuple(
+    f.name for f in fields(GeneratorManifest) if f.name != "implied_correlation"
+)
+_PROFILE_KEYS = tuple(key for key in _KEYS if np.ndarray in get_args(_KINDS[key]))
+_REQUIRED_SCALARS = [
+    f.name
+    for f in fields(GeneratorManifest)
+    if f.default is MISSING and f.name not in _PROFILE_KEYS
+]
 
 
 def _parse_profile(text: str, bins_per_day: int, name: str) -> np.ndarray:
@@ -325,25 +322,22 @@ def _parse_profile(text: str, bins_per_day: int, name: str) -> np.ndarray:
 
 def read_manifest(source: str | os.PathLike | IO[str]) -> GeneratorManifest:
     """Parse a manifest config file into a validated GeneratorManifest."""
-    from .config import parse_kv_lines
+    from .config import _cast, parse_kv_lines
 
     pairs = parse_kv_lines(source)
-    missing = [k for k in ("n_stocks", "n_days", "bins_per_day") if k not in pairs]
+    missing = [k for k in _REQUIRED_SCALARS if k not in pairs]
     if missing:
         raise PanelFormatError(f"manifest lacks required key(s) {missing}")
-    kwargs: dict = {}
-    for key, caster in _SCALAR_FIELDS.items():
-        if key in pairs:
-            try:
-                kwargs[key] = caster(pairs[key])
-            except ValueError:
-                raise PanelFormatError(f"bad value for {key}: {pairs[key]!r}") from None
-    k_bins = kwargs["bins_per_day"]
-    for key in _PROFILE_FIELDS:
+    kwargs = {
+        key: _cast(key, _KINDS[key], pairs[key])
+        for key in _KEYS
+        if key in pairs and key not in _PROFILE_KEYS
+    }
+    for key in _PROFILE_KEYS:
         if key not in pairs:
             raise PanelFormatError(f"manifest lacks required key {key}")
-        kwargs[key] = _parse_profile(pairs[key], k_bins, key)
-    unknown = set(pairs) - set(_SCALAR_FIELDS) - set(_PROFILE_FIELDS)
+        kwargs[key] = _parse_profile(pairs[key], kwargs["bins_per_day"], key)
+    unknown = set(pairs) - set(_KEYS)
     if unknown:
         raise PanelFormatError(f"unknown manifest key(s) {sorted(unknown)}")
     manifest = GeneratorManifest(**kwargs)
@@ -358,31 +352,11 @@ def write_manifest(
     manifest: GeneratorManifest, destination: str | os.PathLike | IO[str]
 ) -> None:
     """Write a manifest as key = value lines (profiles as explicit lists)."""
-    from .config import format_float, write_kv_lines
+    from .config import format_value, write_kv_lines
 
-    pairs: list[tuple[str, str]] = []
-    for key in ("n_stocks", "n_days", "bins_per_day"):
-        pairs.append((key, str(getattr(manifest, key))))
-    for key in _PROFILE_FIELDS:
-        values = getattr(manifest, key)
-        pairs.append((key, ",".join(format_float(v) for v in values)))
-    for key in (
-        "beta_mean",
-        "beta_std",
-        "student_nu",
-        "residual_vol_coupling",
-        "jump_day_rate",
-        "jump_scale",
-        "overnight_vol_multiplier",
-    ):
-        pairs.append((key, format_float(getattr(manifest, key))))
-    pairs.append(("residual_tail", manifest.residual_tail))
-    pairs.append(("seed", str(manifest.seed)))
+    pairs = [(key, format_value(getattr(manifest, key))) for key in _KEYS]
     if manifest.implied_correlation is not None:
         pairs.append(
-            (
-                "# implied_correlation",
-                ",".join(format_float(v) for v in manifest.implied_correlation),
-            )
+            ("# implied_correlation", format_value(manifest.implied_correlation))
         )
     write_kv_lines(pairs, destination)

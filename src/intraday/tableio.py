@@ -94,8 +94,9 @@ def read_table(
 ) -> tuple[list[str], list[list[str]]]:
     """Read a versioned table; wrong or missing version is a schema error.
 
-    Lines starting with ``#`` after the version line are comments; the rest
-    is parsed as CSV, so quoted cells round-trip.
+    Lines starting with ``#`` after the version line are comments, except
+    inside a quoted cell; the rest is parsed as CSV, so quoted cells
+    round-trip.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", newline="", encoding="utf-8") as handle:
@@ -116,8 +117,7 @@ def _read_versioned(source: IO[str], expect_columns: Sequence[str] | None):
         raise SchemaError(
             f"schema version {version} unsupported (expected {SCHEMA_VERSION})"
         )
-    body = csv.reader(line for line in source if not line.startswith("#"))
-    rows = [row for row in body if row]
+    rows = [row for row in csv.reader(_data_lines(source)) if row]
     if not rows:
         raise SchemaError("table has no header row")
     header = rows[0]
@@ -126,6 +126,17 @@ def _read_versioned(source: IO[str], expect_columns: Sequence[str] | None):
         if missing:
             raise SchemaError(f"table lacks required column(s) {missing}")
     return header, rows[1:]
+
+
+def _data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that are not comments.  A line starting with ``#`` is a
+    comment only where a record starts, not inside a quoted cell, which
+    holds an odd number of quote characters up to its line break."""
+    quoted = False
+    for line in lines:
+        if quoted or not line.startswith("#"):
+            yield line
+            quoted ^= line.count('"') % 2 == 1
 
 
 def column(

@@ -1,7 +1,8 @@
-"""The columnar return-table path against the row-by-row reader it replaced.
+"""The columnar table paths against the row-by-row code they replaced.
 
 ``oracle_read`` and ``oracle_load`` are the ``csv.reader``-based parser and
-the dict-based assembly that the columnar path replaced, kept as the
+the dict-based assembly that the columnar return path replaced, and
+``oracle_prices`` the row-by-row price reader and conversion, kept as the
 reference: for any table, the new path must return the same rows and panel,
 or raise the same error with the same row number.
 """
@@ -21,12 +22,18 @@ from hypothesis import strategies as st
 
 from intraday import cli, panel as panel_module, tableio as tableio_module
 from intraday.config import write_kv_lines
-from intraday.errors import CompletenessError, DuplicateRowError, PanelFormatError
+from intraday.errors import (
+    CompletenessError,
+    DuplicateRowError,
+    PanelFormatError,
+    PriceDomainError,
+)
 from intraday.panel import (
     ReturnColumns,
     load_panel,
     panel_to_records,
     read_return_records,
+    returns_from_prices,
     write_return_records,
 )
 from intraday.tableio import column, read_table, write_table
@@ -190,7 +197,13 @@ def outcome(fn):
     """A call's result, or its error as (type, message, row number)."""
     try:
         return "ok", fn()
-    except (PanelFormatError, DuplicateRowError, CompletenessError, csv.Error) as exc:
+    except (
+        PanelFormatError,
+        DuplicateRowError,
+        CompletenessError,
+        PriceDomainError,
+        csv.Error,
+    ) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "row_number", None)
 
 
@@ -451,9 +464,16 @@ null_trials = 1000
 """
 
 
+# A quoted cell may go on after a line break with a "#", which must not be
+# read as a comment line.
+broken_symbols = st.builds("{}\n#{}".format, printable_symbols, printable_symbols)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    symbols=st.lists(printable_symbols, min_size=2, max_size=3, unique_by=str.strip)
+    symbols=st.lists(
+        printable_symbols | broken_symbols, min_size=2, max_size=3, unique_by=str.strip
+    )
 )
 def test_printable_symbols_survive_ingest_moments_cross_section(symbols):
     rng = np.random.default_rng(0)
@@ -555,3 +575,235 @@ def test_failed_kv_write_keeps_earlier_file(tmp_path):
         write_kv_lines(pairs(), path)
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["run_manifest.txt"]
+
+
+# --- price tables ----------------------------------------------------------------
+
+
+PRICE_COLUMNS = ("date", "time", "symbol", "price")
+
+
+def oracle_prices(source, convention):
+    """The row-by-row price reader and conversion: return records sorted by
+    (date, bin, symbol), stamps ordered and matched by their text."""
+    records = []
+    for line_num, (date_s, time_s, symbol, price_s) in _parse_table(
+        source, PRICE_COLUMNS
+    ):
+        try:
+            date = dt.date.fromisoformat(date_s)
+        except ValueError:
+            raise PanelFormatError(f"bad date {date_s!r}", line_num) from None
+        try:
+            dt.time.fromisoformat(time_s)
+        except ValueError:
+            raise PanelFormatError(f"bad time {time_s!r}", line_num) from None
+        try:
+            price = float(price_s)
+        except ValueError:
+            raise PanelFormatError(f"bad price {price_s!r}", line_num) from None
+        if not symbol:
+            raise PanelFormatError("empty symbol", line_num)
+        records.append((date, time_s, symbol, price))
+    if not records:
+        raise CompletenessError("no price rows")
+
+    groups = {}
+    for date, time_s, symbol, price in records:
+        if price <= 0:
+            raise PriceDomainError(
+                f"non-positive price {price} for {symbol} {date.isoformat()} {time_s}"
+            )
+        group = groups.setdefault((symbol, date), {})
+        if time_s in group:
+            raise DuplicateRowError(
+                f"duplicate stamp {symbol} {date.isoformat()} {time_s}"
+            )
+        group[time_s] = price
+
+    grids = {tuple(sorted(g)) for g in groups.values()}
+    if len(grids) != 1:
+        sizes = sorted({len(g) for g in grids})
+        raise CompletenessError(
+            f"inconsistent time grids across symbol-days (sizes {sizes}); "
+            "price ingestion requires one uniform bar clock"
+        )
+    grid = grids.pop()
+    n_stamps = len(grid)
+    if n_stamps < 2:
+        raise CompletenessError("need at least two stamps per day")
+    k_bins = n_stamps - 1 if convention == "bin_open" else n_stamps
+
+    out = []
+    for symbol in sorted({sym for sym, _ in groups}):
+        sym_dates = sorted(date for sym, date in groups if sym == symbol)
+        prev_last = None
+        for date in sym_dates:
+            prices = [groups[(symbol, date)][t] for t in grid]
+            if convention == "bin_open":
+                for k in range(1, k_bins + 1):
+                    out.append((date, k, symbol, prices[k] / prices[k - 1] - 1.0))
+                if prev_last is not None:
+                    out.append((date, 0, symbol, prices[0] / prev_last - 1.0))
+            else:
+                for k in range(2, k_bins + 1):
+                    out.append((date, k, symbol, prices[k - 1] / prices[k - 2] - 1.0))
+                if prev_last is not None:
+                    out.append((date, 1, symbol, prices[0] / prev_last - 1.0))
+            prev_last = prices[-1]
+    out.sort(key=lambda r: (r[0], r[1], r[2]))
+    return out
+
+
+def record_set(records):
+    """Records in (date, bin, symbol) order, each value by its repr, so that
+    nan equals nan and -0.0 differs from 0.0."""
+    return sorted((d, b, s, repr(v)) for d, b, s, v in records)
+
+
+# zero-padded HH:MM: text order is time order, which the oracle relies on
+STAMPS = ("09:35", "10:00", "10:05", "11:30", "15:55")
+
+
+@st.composite
+def price_tables(draw):
+    symbols = draw(
+        st.lists(
+            st.text("AB ,\"#é\n\r", min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+            unique_by=str.strip,
+        )
+    )
+    n_days = draw(st.integers(1, 3))
+    dates = [dt.date(2020, 1, 6) + dt.timedelta(days=i) for i in range(n_days)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stamps = sorted(rng.sample(STAMPS, draw(st.sampled_from([2, 3, 4, 1]))))
+    # whole symbol-days removed keep the grid uniform
+    day_drop = draw(st.sampled_from([0.0, 0.0, 0.3]))
+    cells = [
+        (d, t, s)
+        for d in dates
+        for s in symbols
+        if (d, s) == (dates[0], symbols[0]) or rng.random() >= day_drop
+        for t in stamps
+    ]
+    if cells and rng.random() < 0.15:
+        cells.remove(rng.choice(cells))
+    cells += rng.sample(cells, min(len(cells), draw(st.sampled_from([0, 0, 0, 1]))))
+    rng.shuffle(cells)
+
+    header = list(PRICE_COLUMNS) + draw(st.sampled_from([[], ["x"], ["note", "x"]]))
+    rng.shuffle(header)
+    rows = []
+    for date, stamp, symbol in cells:
+        price = rng.choice([100.0, 1e-3, rng.uniform(1.0, 200.0)])
+        if rng.random() < 0.01:
+            price = rng.choice([0.0, -0.0, -1.5])
+        text = {
+            "date": date.isoformat(),
+            "time": stamp,
+            "symbol": symbol,
+            "price": rng.choice([repr(price), f"{price:.6g}"]),
+            "x": rng.choice(["1", "", "a b"]),
+            "note": rng.choice(["n", '"q"', "c,d"]),
+        }
+        rows.append([text[name] for name in header])
+    if rows and rng.random() < 0.3:
+        # one bad field, or a row with a field too many or too few
+        row = rng.choice(rows)
+        if rng.random() < 0.125:
+            row.append("extra")
+        elif rng.random() < 0.125:
+            row.pop()
+        else:
+            row[rng.randrange(len(row))] = rng.choice(BAD_TEXT)
+
+    quote_rate = draw(st.sampled_from([0.0, 0.0, 0.3]))
+    pad = draw(PAD)
+
+    def field_text(text):
+        if any(c in text for c in ',"\r\n') or rng.random() < quote_rate:
+            return _quote(text)
+        return pad + text + pad if rng.random() < 0.3 else text
+
+    lines = [",".join(field_text(h) for h in header)]
+    lines += [",".join(field_text(f) for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(
+            rng.randrange(len(lines) + 1),
+            rng.choice(["# comment", "  # indented, comment", "", "#,,,"]),
+        )
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    text=price_tables(),
+    chunk_bytes=st.sampled_from([1, 40, 200, 4 << 20]),
+    convention=st.sampled_from(["close_to_close", "bin_open"]),
+)
+def test_price_conversion_matches_the_row_parser(text, chunk_bytes, convention):
+    """Same return records and errors as the row-by-row price path, for
+    either convention and any chunk size."""
+    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+        got = outcome(lambda: record_set(returns_from_prices(io.StringIO(text), convention)))
+    want = outcome(lambda: record_set(oracle_prices(io.StringIO(text), convention)))
+    assert got == want
+
+
+def _long_prices(n_days=10, symbols=("A", "B"), stamps=("10:00", "11:00")):
+    """Header, a comment, then rows: line n holds the (n-3)-th stamp."""
+    lines = ["date,time,symbol,price", "# leading comment"]
+    for i in range(n_days):
+        date = (dt.date(2020, 1, 6) + dt.timedelta(days=i)).isoformat()
+        for t in stamps:
+            for s in symbols:
+                lines.append(f"{date},{t},{s},{100 + i}.5")
+    return lines
+
+
+LATE_PRICE_ERRORS = [
+    (0, "2020-02-30", "bad date"),
+    (1, "25:00", "bad time"),
+    (1, "10:00+01:00", "bad time"),
+    (3, "oops", "bad price"),
+    (2, "  ", "empty symbol"),
+]
+
+
+@pytest.mark.parametrize("field, text, message", LATE_PRICE_ERRORS)
+def test_late_bad_price_row_reports_its_line(field, text, message):
+    lines = _long_prices()
+    lines.insert(20, "# a comment inside a later chunk")
+    row = lines[30].split(",")
+    row[field] = text
+    lines[30] = ",".join(row)
+    table = "\n".join(lines) + "\n"
+    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+        with pytest.raises(PanelFormatError, match=f"row 31: {message}") as exc:
+            returns_from_prices(io.StringIO(table))
+    assert exc.value.row_number == 31
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        # a duplicate stamp before a non-positive price
+        ({25: "2020-01-06,10:00,A,100.5", 30: "2020-01-12,11:00,B,-1"}, DuplicateRowError),
+        # a non-positive price before a duplicate stamp
+        ({25: "2020-01-11,11:00,A,0", 30: "2020-01-06,10:00,A,100.5"}, PriceDomainError),
+        # one row that is both: the price is checked first
+        ({25: "2020-01-06,10:00,A,-0.0"}, PriceDomainError),
+    ],
+)
+def test_earlier_of_price_and_duplicate_errors_wins(edits, error):
+    lines = _long_prices()
+    for line, text in edits.items():
+        lines[line - 1] = text
+    table = "\n".join(lines) + "\n"
+    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+        got = outcome(lambda: returns_from_prices(io.StringIO(table)))
+    assert got[0] == error.__name__
+    assert got == outcome(lambda: oracle_prices(io.StringIO(table), "close_to_close"))

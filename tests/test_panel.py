@@ -220,6 +220,25 @@ class TestPriceConversion:
         with pytest.raises(CompletenessError, match="uniform bar clock"):
             returns_from_prices(self.price_csv(rows), "close_to_close")
 
+    def test_stamps_ordered_by_time_not_text(self):
+        # "1045" is 10:45, though as text it sorts before "10:00"
+        rows = [
+            ("2020-01-06", "10:00", "A", 100.0),
+            ("2020-01-06", "1045", "A", 110.0),
+            ("2020-01-06", "11:00", "A", 121.0),
+        ]
+        recs = returns_from_prices(self.price_csv(rows), "close_to_close")
+        assert {r[1]: r[3] for r in recs} == pytest.approx({2: 0.10, 3: 0.10})
+
+    def test_one_instant_written_two_ways_is_a_duplicate(self):
+        rows = [
+            ("2020-01-06", "10:00", "A", 100.0),
+            ("2020-01-06", "11:00", "A", 101.0),
+            ("2020-01-06", "10:00:00", "A", 102.0),
+        ]
+        with pytest.raises(DuplicateRowError, match="^duplicate stamp A 2020-01-06 10:00:00$"):
+            returns_from_prices(self.price_csv(rows), "close_to_close")
+
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
             returns_from_prices(self.price_csv([]), "open_to_open")
