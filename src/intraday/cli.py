@@ -63,7 +63,6 @@ from .errors import (
     FeasibilityError,
     InsufficientDataError,
     IntradayError,
-    PanelFormatError,
     SchemaError,
 )
 from .panel import (
@@ -103,10 +102,7 @@ def _out(config: RunConfig, name: str) -> str:
 
 def _write_returns(records: ReturnColumns, path: str) -> ReturnColumns:
     """Write a return table; return the records as the table reads back."""
-    written = write_return_records(records, path)
-    if not np.isfinite(written).all():
-        raise PanelFormatError(f"{path}: a return rounds to a non-finite value")
-    return dataclasses.replace(records, values=written)
+    return dataclasses.replace(records, values=write_return_records(records, path))
 
 
 def stage_synth(config: RunConfig) -> ReturnColumns:

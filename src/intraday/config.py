@@ -182,10 +182,13 @@ class RunConfig:
         from .cross_section import _pooled_rows
 
         n, bins = panel.n_stocks, [int(b) for b in panel.bin_numbers]
-        if self.eigen_hi > n or self.eigen_hi - self.eigen_lo + 1 >= n:
+        # past rank n_days - 1 an eigenvector spans a null space, not data
+        top = min(n, panel.n_days - 1)
+        if self.eigen_hi > top or self.eigen_hi - self.eigen_lo + 1 >= n:
             raise PanelFormatError(
                 f"eigen_lo..eigen_hi = {self.eigen_lo}..{self.eigen_hi} must end at "
-                f"or below the panel's {n} stocks and span fewer than {n}"
+                f"or below both the panel's {n} stocks and its {panel.n_days} days "
+                f"less one, and span fewer than {n}"
             )
         if self.reference_bin not in bins:
             raise PanelFormatError(f"reference_bin {self.reference_bin} not in {bins}")

@@ -26,7 +26,7 @@ class CompletenessError(IntradayError):
 
 
 class PriceDomainError(IntradayError):
-    """A price record is outside the valid domain (non-positive price)."""
+    """A price record is outside the valid domain (non-positive or non-finite price)."""
 
 
 class InsufficientDataError(IntradayError):

@@ -617,9 +617,9 @@ def returns_from_prices(
       on.
 
     Either way the first day is incomplete, so downstream loading normally
-    pairs with the ``drop-incomplete`` policy.  A non-positive price raises
-    :class:`PriceDomainError` and a stamp repeated within a group
-    :class:`DuplicateRowError`, whichever comes first in the table.
+    pairs with the ``drop-incomplete`` policy.  A non-positive or non-finite
+    price raises :class:`PriceDomainError` and a stamp repeated within a
+    group :class:`DuplicateRowError`, whichever comes first in the table.
     """
     if convention not in PRICE_CONVENTIONS:
         raise ValueError(
@@ -649,8 +649,9 @@ def returns_from_prices(
     cell = np.ravel_multi_index(
         (stock, day, stamp), (len(symbol_keys), len(date_keys), n_stamps)
     )
-    # The first bad row wins; a non-positive price before a repeated stamp.
-    bad_price = np.flatnonzero(price <= 0).min(initial=len(price))
+    # The first bad row wins; a bad price before a repeated stamp.
+    bad = ~(np.isfinite(price) & (price > 0))
+    bad_price = np.flatnonzero(bad).min(initial=len(price))
     row = min(bad_price, _first_repeat(cell))
     if row < len(price):
         where = (
@@ -658,7 +659,8 @@ def returns_from_prices(
             f"{list(stamps)[stamp_code[row]].strip()}"
         )
         if row == bad_price:
-            raise PriceDomainError(f"non-positive price {price[row]} for {where}")
+            kind = "non-positive" if np.isfinite(price[row]) else "non-finite"
+            raise PriceDomainError(f"{kind} price {price[row]} for {where}")
         raise DuplicateRowError(f"duplicate stamp {where}")
 
     groups, group_index, sizes = np.unique(
@@ -770,7 +772,9 @@ def write_return_records(
 
     Rows are sorted by (date, bin, symbol), keeping input order among equal
     keys; symbols are quoted only where CSV needs it.  Returns each
-    record's value as the table reads it back, in the records' order.
+    record's value as the table reads it back, in the records' order.  A
+    value whose text reads back as non-finite raises
+    :class:`PanelFormatError` before a path destination is replaced.
     """
     if not isinstance(records, ReturnColumns):
         records = ReturnColumns.from_records(records)
@@ -798,4 +802,7 @@ def write_return_records(
                     ]
                 )
             )
+        if not np.isfinite(written).all():
+            # raised inside the block, so a path destination is left untouched
+            raise PanelFormatError(f"{destination}: a return rounds to a non-finite value")
     return written

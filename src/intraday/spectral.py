@@ -6,6 +6,13 @@ moments) and population normalization.  Its eigen-decomposition is reported
 with eigenvalues descending and a deterministic eigenvector sign convention
 so repeated runs agree bit for bit.
 
+With fewer days T than stocks N the matrix has rank at most T - 1, and
+:func:`bin_spectra` decomposes the T x T dual Gram matrix Z'Z/T of the
+standardized data Z instead of the N x N correlation matrix: the nonzero
+eigenvalues are shared, and each eigenvector maps back as Z u / sqrt(T g).
+Such a spectrum keeps all N eigenvalues (zeros past rank T - 1) but only
+the T - 1 eigenvectors that are determined by the data.
+
 The stability of eigenvectors across bins is measured by overlap matrices
 
     W_ij = v_i(reference bin) . v_j(k)
@@ -52,7 +59,13 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class BinSpectrum:
-    """Eigenvalues (descending) and sign-fixed eigenvectors for one bin."""
+    """Eigenvalues (descending) and sign-fixed eigenvectors for one bin.
+
+    ``eigenvectors`` is N x N, or N x (T - 1) when the bin has fewer days
+    T than stocks N: past rank T - 1 the eigenvalues are exactly zero and
+    their eigenvectors are an arbitrary basis of the null space, so none
+    is kept.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column j pairs with eigenvalues[j]
@@ -80,14 +93,11 @@ class OverlapResult:
     index_range: tuple[int, int]
 
 
-def correlation_matrix(npanel: NormalizedPanel | _PanelView, k: int) -> CorrelationMatrix:
-    """Correlation across stocks at bin ``k`` estimated over days.
-
-    Per-stock means over days are removed and each row is scaled by its
-    population std, so the diagonal is exactly one.  A stock with zero
-    variance at this bin is an error naming the stock; fewer days than
-    stocks only warns (the matrix is then rank-deficient but well defined).
-    """
+def _standardized(
+    npanel: NormalizedPanel | _PanelView, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin ``k``'s stocks x days data centered per stock, and each stock's
+    population std, with the checks :func:`correlation_matrix` documents."""
     data = npanel.returns[:, :, npanel.column_of(k)]
     n_stocks, n_days = data.shape
     if n_days < 2:
@@ -96,7 +106,7 @@ def correlation_matrix(npanel: NormalizedPanel | _PanelView, k: int) -> Correlat
         warnings.warn(
             f"bin {k}: {n_days} days < {n_stocks} stocks, correlation matrix "
             "is rank-deficient",
-            stacklevel=2,
+            stacklevel=3,
         )
     centered = data - data.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=1))
@@ -108,12 +118,28 @@ def correlation_matrix(npanel: NormalizedPanel | _PanelView, k: int) -> Correlat
         raise DegenerateSampleError(
             f"zero variance at bin {k} for stock(s): {names}"
         )
+    return centered, scale
+
+
+def _correlation(centered: np.ndarray, scale: np.ndarray, k: int) -> CorrelationMatrix:
+    n_days = centered.shape[1]
     c = (centered @ centered.T) / n_days
     c /= np.outer(scale, scale)
     c = (c + c.T) / 2.0
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
     return CorrelationMatrix(entries=c, bin=int(k), sample_count=n_days)
+
+
+def correlation_matrix(npanel: NormalizedPanel | _PanelView, k: int) -> CorrelationMatrix:
+    """Correlation across stocks at bin ``k`` estimated over days.
+
+    Per-stock means over days are removed and each row is scaled by its
+    population std, so the diagonal is exactly one.  A stock with zero
+    variance at this bin is an error naming the stock; fewer days than
+    stocks only warns (the matrix is then rank-deficient but well defined).
+    """
+    return _correlation(*_standardized(npanel, k), k)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -156,13 +182,34 @@ def market_mode_stats(spectrum: BinSpectrum) -> MarketMode:
     )
 
 
+def _bin_spectrum(npanel: NormalizedPanel | _PanelView, k: int) -> BinSpectrum:
+    centered, scale = _standardized(npanel, k)
+    n_stocks, n_days = centered.shape
+    if n_days < n_stocks:
+        # Centering leaves at most T - 1 nonzero eigenvalues; a bin with
+        # fewer (a repeated day, say) takes the N x N path below.
+        z = centered / scale[:, None]
+        g, u = np.linalg.eigh((z.T @ z) / n_days)
+        rank = n_days - 1
+        g, u = g[::-1][:rank], u[:, ::-1][:, :rank]
+        if g[-1] > n_days * np.finfo(np.float64).eps * g[0]:
+            eigenvalues = np.zeros(n_stocks)
+            eigenvalues[:rank] = g
+            vectors = z @ (u / np.sqrt(n_days * g))
+            return BinSpectrum(eigenvalues, _fix_signs(vectors), bin=int(k))
+    return eigen_decompose(_correlation(centered, scale, k))
+
+
 def bin_spectra(
     npanel: NormalizedPanel | _PanelView, bins: Sequence[int] | None = None
 ) -> list[BinSpectrum]:
-    """Eigen-decompose every requested bin (all panel bins by default)."""
+    """Eigen-decompose every requested bin (all panel bins by default):
+    ``eigen_decompose(correlation_matrix(npanel, k))``, or the dual Gram
+    matrix when the bin has fewer days than stocks (see the module
+    docstring)."""
     if bins is None:
         bins = [int(b) for b in npanel.bin_numbers]
-    return [eigen_decompose(correlation_matrix(npanel, k)) for k in bins]
+    return [_bin_spectrum(npanel, k) for k in bins]
 
 
 def overlap_singular_values(
@@ -186,6 +233,12 @@ def overlap_singular_values(
     ref = by_bin[reference_bin]
     if hi > ref.n:
         raise ValueError(f"index range ({lo}, {hi}) exceeds dimension {ref.n}")
+    held = min(s.eigenvectors.shape[1] for s in spectra)
+    if hi > held:
+        raise ValueError(
+            f"index range ({lo}, {hi}) exceeds the {held} eigenvectors held "
+            "(rank is at most days - 1)"
+        )
     cols = slice(lo - 1, hi)
     ref_block = ref.eigenvectors[:, cols]
     out = []

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import io
 
+import numpy as np
 import pytest
 
 from intraday import cli
@@ -339,6 +340,90 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("ignore:bin .* is rank-deficient")
+class TestFewerDaysThanStocks:
+    """A panel with more stocks than days: spectra come from the dual Gram
+    matrix, and eigenvector ranks stop at n_days - 1."""
+
+    WIDE = MANIFEST.replace("n_stocks = 8", "n_stocks = 12").replace(
+        "n_days = 80", "n_days = 8"
+    )
+
+    def write_wide_config(self, tmp_path, **overrides):
+        (tmp_path / "synth.cfg").write_text(self.WIDE)
+        return write_config(tmp_path, **overrides)
+
+    def test_run_writes_every_table(self, tmp_path):
+        cfg = self.write_wide_config(tmp_path, eigen_hi="7")
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        header, rows = read_table(tmp_path / "out" / "fig7.csv")
+        assert header[-1] == "s_7"
+        assert column(header, rows, "s_2", float)[1] == pytest.approx(1.0, abs=1e-9)
+
+    def assert_eigen_hi_rejected(self, capsys):
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input-error: eigen_lo..eigen_hi = 2..8")
+        assert "12 stocks" in err and "8 days less one" in err
+
+    def test_eigen_hi_past_the_days_stops_ingest(self, tmp_path, capsys):
+        cfg = self.write_wide_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), "--eigen-hi", "8"]) == 2
+        self.assert_eigen_hi_rejected(capsys)
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["manifest_echo.txt", "returns.csv"]
+
+    def test_eigen_hi_past_the_days_stops_the_spectra_stage(self, tmp_path, capsys):
+        cfg = self.write_wide_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        fig7 = tmp_path / "out" / "fig7.csv"
+        before = fig7.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["spectra", "-c", str(cfg), "--eigen-hi", "8"]) == 2
+        self.assert_eigen_hi_rejected(capsys)
+        assert fig7.read_bytes() == before
+
+
+class TestNonFiniteInput:
+    def assert_ingest_rejects(self, tmp_path, capsys, cfg, message):
+        assert cli.main(["ingest", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: input-error:") and message in err
+        out = tmp_path / "out"
+        assert not out.exists() or [p.name for p in out.iterdir()] == []
+
+    def test_nan_and_inf_prices(self, tmp_path, capsys):
+        rows = ["date,time,symbol,price"]
+        for day in ("2024-01-02", "2024-01-03", "2024-01-04"):
+            for symbol in ("AAA", "BBB"):
+                for stamp, price in (("10:00", "10.0"), ("11:00", "10.5"), ("12:00", "10.2")):
+                    rows.append(f"{day},{stamp},{symbol},{price}")
+        rows[8] = "2024-01-03,11:00,AAA,nan"
+        rows[14] = "2024-01-04,11:00,AAA,inf"
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path, mode="prices", input=str(prices), policy="drop-incomplete"
+        )
+        self.assert_ingest_rejects(
+            tmp_path, capsys, cfg, "non-finite price nan for AAA 2024-01-03 11:00"
+        )
+
+    def test_return_that_rounds_to_infinity(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rows = ["date,bin,symbol,return"]
+        for day in range(1, 11):
+            for k in (1, 2, 3):
+                for symbol in ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF"):
+                    rows.append(f"2024-01-{day:02d},{k},{symbol},{rng.normal(0, 0.01):.6f}")
+        rows[40] = rows[40].rsplit(",", 1)[0] + ",1.7976931348e308"
+        returns = tmp_path / "returns.csv"
+        returns.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, mode="returns", input=str(returns))
+        self.assert_ingest_rejects(
+            tmp_path, capsys, cfg, "returns_canonical.csv: a return rounds to a non-finite value"
+        )
 
 
 # Every RunConfig field set away from its default; the echo text of each

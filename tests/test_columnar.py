@@ -10,6 +10,7 @@ or raise the same error with the same row number.
 import csv
 import datetime as dt
 import io
+import math
 import os
 import random
 import tempfile
@@ -610,9 +611,10 @@ def oracle_prices(source, convention):
 
     groups = {}
     for date, time_s, symbol, price in records:
-        if price <= 0:
+        if not (math.isfinite(price) and price > 0):
+            kind = "non-positive" if math.isfinite(price) else "non-finite"
             raise PriceDomainError(
-                f"non-positive price {price} for {symbol} {date.isoformat()} {time_s}"
+                f"{kind} price {price} for {symbol} {date.isoformat()} {time_s}"
             )
         group = groups.setdefault((symbol, date), {})
         if time_s in group:

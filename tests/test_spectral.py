@@ -4,14 +4,23 @@ The exchangeable matrix with off-diagonal rho has the closed-form spectrum
 lambda_1 = 1 + (N-1) rho with eigenvector e, and N-1 degenerate
 eigenvalues 1 - rho; at N = 126, rho = 0.3 the top eigenvalue is exactly
 38.5.
+
+With fewer days T than stocks N, ``bin_spectra`` takes the T x T dual Gram
+matrix; its spectra are checked against the primal
+``eigen_decompose(correlation_matrix(...))``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intraday.cross_section import normalize_panel
 from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.spectral import (
+    BinSpectrum,
     CorrelationMatrix,
     bin_spectra,
     correlation_matrix,
@@ -247,3 +256,137 @@ class TestRandomBaseline:
             random_overlap_baseline(10, 2, trials=10)
         with pytest.raises(ValueError, match="quantile"):
             random_overlap_baseline(10, 2, trials=1000, quantile=1.5)
+
+
+class View:
+    """A bare panel view over a stocks x days x bins array; bins 1..K."""
+
+    def __init__(self, arr):
+        self.returns = arr
+        self.stock_ids = tuple(f"S{i:02d}" for i in range(arr.shape[0]))
+        self.bin_numbers = np.arange(1, arr.shape[2] + 1)
+
+    def column_of(self, k):
+        return int(k) - 1
+
+
+def factor_view(n, t, bins=2, seed=0):
+    """Returns with one common factor and a spread of stock loadings, so the
+    leading eigenvalues are well separated."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.2, 2.0, size=(n, 1, 1))
+    return View(beta * rng.standard_normal((1, t, bins)) + rng.standard_normal((n, t, bins)))
+
+
+def primal_spectra(view):
+    return [eigen_decompose(correlation_matrix(view, int(k))) for k in view.bin_numbers]
+
+
+def quietly(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args, **kwargs)
+
+
+class TestDualPath:
+    def test_nonzero_eigenvalues_match_primal(self):
+        view = factor_view(60, 20)
+        for dual, primal in zip(quietly(bin_spectra, view), quietly(primal_spectra, view)):
+            np.testing.assert_allclose(dual.eigenvalues[:19], primal.eigenvalues[:19], rtol=1e-10)
+
+    def test_eigenvalues_past_rank_are_zero_and_sum_to_n(self):
+        for spectrum in quietly(bin_spectra, factor_view(60, 20)):
+            assert spectrum.eigenvalues.shape == (60,)
+            assert spectrum.eigenvectors.shape == (60, 19)
+            assert np.all(spectrum.eigenvalues[19:] == 0.0)
+            assert np.all(np.diff(spectrum.eigenvalues[:19]) <= 0.0)
+            assert spectrum.eigenvalues.sum() == pytest.approx(60.0, rel=1e-12)
+
+    def test_leading_eigenvectors_match_primal_with_signs(self):
+        view = factor_view(60, 20)
+        for dual, primal in zip(quietly(bin_spectra, view), quietly(primal_spectra, view)):
+            np.testing.assert_allclose(
+                dual.eigenvectors[:, :7], primal.eigenvectors[:, :7], atol=1e-10
+            )
+            assert market_mode_stats(dual).v1_dot_e == pytest.approx(
+                market_mode_stats(primal).v1_dot_e, abs=1e-12
+            )
+
+    def test_overlaps_match_primal(self):
+        view = factor_view(60, 20, bins=4)
+        dual = overlap_singular_values(quietly(bin_spectra, view))
+        primal = overlap_singular_values(quietly(primal_spectra, view))
+        for d, p in zip(dual, primal):
+            np.testing.assert_allclose(d.w, p.w, atol=1e-10)
+            np.testing.assert_allclose(d.singular_values, p.singular_values, atol=1e-10)
+
+    def test_repeated_day_takes_the_primal_path(self):
+        view = factor_view(60, 20)
+        view.returns[:, 5, 0] = view.returns[:, 4, 0]  # rank T - 2 at bin 1
+        dual, primal = quietly(bin_spectra, view), quietly(primal_spectra, view)
+        assert dual[0].eigenvectors.shape == (60, 60)
+        np.testing.assert_array_equal(dual[0].eigenvalues, primal[0].eigenvalues)
+        np.testing.assert_array_equal(dual[0].eigenvectors, primal[0].eigenvectors)
+        assert dual[1].eigenvectors.shape == (60, 19)
+
+    @pytest.mark.parametrize("n, t", [(10, 30), (12, 12)])
+    def test_enough_days_is_the_primal_bit_for_bit(self, n, t):
+        view = factor_view(n, t, bins=3)
+        for dual, primal in zip(quietly(bin_spectra, view), quietly(primal_spectra, view)):
+            np.testing.assert_array_equal(dual.eigenvalues, primal.eigenvalues)
+            np.testing.assert_array_equal(dual.eigenvectors, primal.eigenvectors)
+
+    def test_flat_stock_named(self):
+        view = factor_view(30, 10)
+        view.returns[7, :, 1] = 0.25
+        with pytest.raises(DegenerateSampleError, match="S07"):
+            quietly(bin_spectra, view)
+
+    def test_rank_warning_once_per_bin(self):
+        view = factor_view(40, 12, bins=3)
+        view.returns[:, 3, 1] = view.returns[:, 2, 1]  # bin 2 takes the primal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bin_spectra(view)
+        messages = [str(w.message) for w in caught if "rank-deficient" in str(w.message)]
+        assert [m.split(":")[0] for m in messages] == ["bin 1", "bin 2", "bin 3"]
+
+    def test_index_range_past_the_held_eigenvectors(self):
+        spectra = quietly(bin_spectra, factor_view(60, 20))
+        assert len(overlap_singular_values(spectra, index_range=(2, 19))) == 2
+        for hi in (20, 60):
+            with pytest.raises(ValueError, match="19 eigenvectors held"):
+                overlap_singular_values(spectra, index_range=(2, hi))
+
+    def test_held_columns_checked_for_every_bin(self):
+        ref, other = quietly(bin_spectra, factor_view(10, 30))
+        short = BinSpectrum(other.eigenvalues, other.eigenvectors[:, :4], bin=other.bin)
+        with pytest.raises(ValueError, match="4 eigenvectors held"):
+            overlap_singular_values([ref, short], index_range=(2, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 50),
+    t_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_spectrum_is_the_primal_spectrum(n, t_share, seed):
+    """For any T < N, the dual spectrum keeps the primal's nonzero
+    eigenvalues, zeros past rank T - 1, and unit eigenvectors of C."""
+    t = 2 + int(t_share * (n - 3))
+    view = factor_view(n, t, bins=1, seed=seed)
+    (dual,) = quietly(bin_spectra, view)
+    (primal,) = quietly(primal_spectra, view)
+    c = quietly(correlation_matrix, view, 1).entries
+    rank = t - 1
+    top = primal.eigenvalues[0]
+    assert dual.eigenvectors.shape == (n, rank)
+    np.testing.assert_allclose(
+        dual.eigenvalues[:rank], primal.eigenvalues[:rank], rtol=1e-10, atol=1e-10 * top
+    )
+    assert np.all(dual.eigenvalues[rank:] == 0.0)
+    assert dual.eigenvalues.sum() == pytest.approx(n, rel=1e-10)
+    v, g = dual.eigenvectors, dual.eigenvalues[:rank]
+    np.testing.assert_allclose(c @ v, v * g, atol=1e-9 * top)
+    np.testing.assert_allclose(v.T @ v, np.eye(rank), atol=1e-8)
