@@ -18,7 +18,9 @@ panel, the volatility and kurtosis columns of ``stock_moments.csv``, and
 fig1's ``stock_vol`` profile.  Each is what the next stage would read back
 from the file (floats at 10 significant digits, -0 read as 0).  A stage
 subcommand reads those files from the output directory instead, so
-``run`` and a manual stage sequence produce byte-identical tables.
+``run`` and a manual stage sequence produce byte-identical tables.  In synth
+mode, when ingest's load keeps every record, ``run`` copies returns.csv to
+returns_canonical.csv: the canonical table would hold the same bytes.
 
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
 from dataclasses import fields
 
@@ -115,20 +118,34 @@ def stage_synth(config: RunConfig) -> ReturnColumns:
     return records
 
 
-def stage_ingest(config: RunConfig, records) -> ReturnPanel:
+def stage_ingest(config: RunConfig, records, written: str | None = None) -> ReturnPanel:
     """Load, check and validate the input records; return the canonical
-    panel as returns_canonical.csv holds it."""
+    panel as returns_canonical.csv holds it.
+
+    ``written`` may name the return table that ``records`` were read back
+    from.  When the load keeps every record, returns_canonical.csv would
+    hold that file's bytes, so it is copied instead of formatted again.
+    """
     os.makedirs(config.output_dir, exist_ok=True)
     panel, report = load_panel(records, policy=config.policy)
     del records
     config.check_panel(panel)
     validation = validate_panel(panel, sanity_bound=config.sanity_bound)
-    canonical = _write_returns(panel_to_records(panel), _out(config, CANONICAL_FILE))
-    del panel  # the canonical copy replaces it
+    canonical_path = _out(config, CANONICAL_FILE)
+    if written is not None and report.is_clean:
+        # Each value already reads back as itself, and both tables hold the
+        # same rows in canonical order, so the panel is already canonical.
+        with open(written, newline="", encoding="utf-8") as source:
+            with open_output(canonical_path) as handle:
+                shutil.copyfileobj(source, handle)
+    else:
+        canonical = _write_returns(panel_to_records(panel), canonical_path)
+        del panel  # the canonical copy replaces it
+        panel = load_panel(canonical, policy="strict")[0]
     for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
         with open_output(_out(config, name)) as handle:
             handle.write("\n".join(summary.lines()) + "\n")
-    return load_panel(canonical, policy="strict")[0]
+    return panel
 
 
 def stage_moments(config: RunConfig, panel: ReturnPanel) -> tuple[np.ndarray, ...]:
@@ -410,9 +427,10 @@ def run_pipeline(config: RunConfig) -> None:
     """Run every stage in order, handing each stage's results to the next in
     memory, and write the run manifest."""
     # Passed straight in, the input records die inside ingest once loaded.
-    panel = stage_ingest(
-        config, stage_synth(config) if config.mode == "synth" else _read_input(config)
-    )
+    if config.mode == "synth":
+        panel = stage_ingest(config, stage_synth(config), _out(config, RETURNS_FILE))
+    else:
+        panel = stage_ingest(config, _read_input(config))
     vol_profile = stage_cross_section(config, panel, *stage_moments(config, panel))
     stage_fit(config, vol_profile)
     stage_spectra(config, panel)

@@ -25,12 +25,14 @@ FIT_WINDOWS = ("first_half", "first_two_hours")
 THREADS_ENV_VAR = "SEASONALITY_THREADS"
 
 
+#: The text of every float in a table or config file: 10 significant digits,
+#: locale-independent.
+FLOAT_FORMAT = "%.10g"
+
+
 def format_float(x: float) -> str:
-    """10 significant digits, locale-independent, -0 folded to 0."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.10g}"
+    """``x`` at :data:`FLOAT_FORMAT`, -0 folded to 0 (``-0.0 + 0.0`` is 0)."""
+    return FLOAT_FORMAT % (float(x) + 0.0)
 
 
 def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:

@@ -15,7 +15,9 @@ Two tabular inputs are supported:
   UTC offset), ``symbol``, ``price``, converted to returns by
   :func:`returns_from_prices`.
 
-Lines starting with ``#`` are treated as comments in both formats.
+Lines starting with ``#`` are treated as comments in both formats, unless
+they go on a quoted cell from an earlier line; a quoted first cell such as
+``"#A"`` is data.
 
 Both tables go through one reader, in chunks of about :data:`CHUNK_BYTES`
 of whole lines.  Each chunk is split at once, its numbers become int64 or
@@ -275,8 +277,23 @@ def _open_text(source: str | os.PathLike | IO[str]) -> tuple[IO[str], bool]:
     return source, False
 
 
-def _is_comment(first_field: str) -> bool:
-    return first_field.lstrip().startswith("#")
+def _is_comment(line: str) -> bool:
+    """Whether a record whose first line is ``line`` is a comment.  The raw
+    line decides, so a quoted first cell such as ``"#A"`` is data."""
+    return line.lstrip().startswith("#")
+
+
+def _header(handle: IO[str]) -> tuple[list[str], int]:
+    """The first record that is neither blank nor a comment, and the number
+    of lines read up to its end."""
+    line_num = 0
+    while line := handle.readline():
+        reader = csv.reader(itertools.chain([line], handle))
+        row = next(reader)
+        line_num += reader.line_num
+        if row and not _is_comment(line):
+            return row, line_num
+    raise PanelFormatError("empty input, no header row found")
 
 
 def _table_chunks(
@@ -294,10 +311,7 @@ def _table_chunks(
     """
     handle, owned = _open_text(source)
     try:
-        reader = csv.reader(handle)
-        header = next((row for row in reader if row and not _is_comment(row[0])), None)
-        if header is None:
-            raise PanelFormatError("empty input, no header row found")
+        header, line_num = _header(handle)
         header = [name.strip() for name in header]
         try:
             order = [header.index(name) for name in columns]
@@ -307,7 +321,6 @@ def _table_chunks(
                 f"header {header} lacks required column(s) {missing}"
             ) from None
         width = len(header)
-        line_num = reader.line_num
         while lines := handle.readlines(CHUNK_BYTES):
             text = "".join(lines)
             if any(c in text for c in _CSV_ONLY):
@@ -315,10 +328,12 @@ def _table_chunks(
                 # takes the lines it needs from the handle.
                 reader = csv.reader(itertools.chain(lines, handle))
                 rows = []
+                start = 0  # the index of the line the next record starts on
                 for row in reader:
-                    if row and not _is_comment(row[0]):
+                    if row and not _is_comment(lines[start]):
                         rows.append((line_num + reader.line_num, row))
-                    if reader.line_num >= len(lines):
+                    start = reader.line_num
+                    if start >= len(lines):
                         break
                 line_num += reader.line_num
                 tokens = None

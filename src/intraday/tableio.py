@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import format_float
+from .config import FLOAT_FORMAT, format_float
 from .errors import SchemaError
 
 SCHEMA_VERSION = 1
@@ -44,7 +44,8 @@ def format_floats(values) -> tuple[list[str], np.ndarray]:
     """Each value's table text, and the values as a reader parses them back
     from it: 10 significant digits, -0 read as 0, shaped like ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    texts = list(map(format_float, values.ravel().tolist()))
+    # ``format_float`` without a Python call per value; + 0.0 folds -0
+    texts = list(map(FLOAT_FORMAT.__mod__, (values.ravel() + 0.0).tolist()))
     parsed = np.fromiter(map(float, texts), np.float64, len(texts))
     return texts, parsed.reshape(values.shape)
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intraday import cli, panel as panel_module, tableio as tableio_module
-from intraday.config import write_kv_lines
+from intraday.config import format_float, write_kv_lines
 from intraday.errors import (
     CompletenessError,
     DuplicateRowError,
@@ -37,7 +37,7 @@ from intraday.panel import (
     returns_from_prices,
     write_return_records,
 )
-from intraday.tableio import column, read_table, write_table
+from intraday.tableio import column, format_floats, read_table, write_table
 
 
 # --- oracle: the row-by-row reader and assembly --------------------------------
@@ -49,18 +49,26 @@ def _open_text(source):
     return source, False
 
 
+def _records(lines):
+    """``(line number, row)`` of each csv record that is neither blank nor a
+    comment.  A comment is a record whose first raw line starts with "#",
+    so a quoted first cell such as "#A" is data."""
+    reader = csv.reader(lines)
+    start = 0
+    for row in reader:
+        if row and not lines[start].lstrip().startswith("#"):
+            yield reader.line_num, row
+        start = reader.line_num
+
+
 def _parse_table(source, columns):
     handle, owned = _open_text(source)
     try:
-        reader = csv.reader(handle)
-        header = None
-        for row in reader:
-            if not row or (row[0].lstrip().startswith("#") and len(row) >= 1):
-                continue
-            header = [name.strip() for name in row]
-            break
+        reader = _records(list(handle))
+        header = next((row for _, row in reader), None)
         if header is None:
             raise PanelFormatError("empty input, no header row found")
+        header = [name.strip() for name in header]
         try:
             order = [header.index(name) for name in columns]
         except ValueError:
@@ -69,14 +77,12 @@ def _parse_table(source, columns):
                 f"header {header} lacks required column(s) {missing}"
             ) from None
         width = len(header)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
+        for line_num, row in reader:
             if len(row) != width:
                 raise PanelFormatError(
-                    f"expected {width} fields, got {len(row)}", reader.line_num
+                    f"expected {width} fields, got {len(row)}", line_num
                 )
-            yield reader.line_num, [row[i].strip() for i in order]
+            yield line_num, [row[i].strip() for i in order]
     finally:
         if owned:
             handle.close()
@@ -518,6 +524,28 @@ def test_table_cells_quoted_only_when_needed():
     assert rows == [["#A", "1"], ["B,C", "2"], ["D", "3"]]
 
 
+# --- float text ------------------------------------------------------------------
+
+EDGE_FLOATS = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.7976931348623157e308
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    values=st.lists(st.floats(width=64) | st.sampled_from(EDGE_FLOATS), max_size=12),
+    rows=st.sampled_from([1, 2, 3]),
+)
+def test_format_floats_prints_each_value_at_10_digits(values, rows):
+    """Any float64, -0 folded to 0, reads back from its own text."""
+    values = values[: len(values) // rows * rows]
+    texts, parsed = format_floats(np.reshape(values, (rows, -1)))
+    assert texts == [f"{0.0 if v == 0 else v:.10g}" for v in values]
+    assert texts == [format_float(v) for v in values]
+    assert parsed.shape == (rows, len(values) // rows)
+    assert list(map(repr, parsed.ravel().tolist())) == [repr(float(t)) for t in texts]
+
+
 # --- atomic writes ---------------------------------------------------------------
 
 
@@ -547,18 +575,18 @@ def test_failed_return_write_keeps_earlier_file(tmp_path):
     before = path.read_bytes()
     calls = []
 
-    def failing_format(x):
-        calls.append(x)
-        if len(calls) > 3:
+    def failing_formats(values):
+        calls.append(values)
+        if len(calls) > 1:
             raise Boom
-        return "9"
+        return tableio_module.format_floats(values)
 
     with mock.patch.object(panel_module, "WRITE_BLOCK_ROWS", 2), mock.patch.object(
-        tableio_module, "format_float", failing_format
+        panel_module, "format_floats", failing_formats
     ):
         with pytest.raises(Boom):
             write_return_records(recs, path)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["r.csv"]
 
@@ -753,6 +781,29 @@ def test_price_conversion_matches_the_row_parser(text, chunk_bytes, convention):
         got = outcome(lambda: record_set(returns_from_prices(io.StringIO(text), convention)))
     want = outcome(lambda: record_set(oracle_prices(io.StringIO(text), convention)))
     assert got == want
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 4 << 20])
+def test_quoted_hash_first_cell_is_data(chunk_bytes):
+    """A quoted "#A" starting a line is a symbol, not a comment, in either
+    table, while an unquoted "#" line still is a comment."""
+    returns = (
+        'symbol,date,bin,return\n"#A",2020-01-06,1,0.1\n'
+        "#B,2020-01-06,1,0.3\nB,2020-01-06,1,0.2\n"
+    )
+    prices = "symbol,date,time,price\n" + "".join(
+        f"{s},2020-01-0{d},{t},{p}\n"
+        for d in (6, 7)
+        for t, p in (("10:00", 10.0), ("10:05", 10.5))
+        for s in ('"#A"', "B")
+    )
+    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+        got = list(read_return_records(io.StringIO(returns)))
+        converted = record_set(returns_from_prices(io.StringIO(prices)))
+    assert [(symbol, value) for _, _, symbol, value in got] == [("#A", 0.1), ("B", 0.2)]
+    assert got == oracle_read(io.StringIO(returns))
+    assert {symbol for _, _, symbol, _ in converted} == {"#A", "B"}
+    assert converted == record_set(oracle_prices(io.StringIO(prices), "close_to_close"))
 
 
 def _long_prices(n_days=10, symbols=("A", "B"), stamps=("10:00", "11:00")):

@@ -6,6 +6,7 @@ bytes; these tests hold that for every input mode, count the file reads
 ``run`` makes, and compare each in-memory artifact with its file.
 """
 
+import dataclasses
 import datetime as dt
 import hashlib
 import os
@@ -41,6 +42,8 @@ target_correlation = 0.3
 overnight_vol_multiplier = 2
 seed = 5
 """
+
+CANONICAL = "returns_canonical.csv"
 
 # Needs CSV quoting in every table that carries symbols.
 QUOTED_SYMBOL = "B,C"
@@ -152,6 +155,45 @@ def count_calls(monkeypatch, name, modules):
     return calls
 
 
+def test_synth_run_formats_the_returns_once(tmp_path, monkeypatch):
+    """ingest keeps every synth record, so it copies returns.csv."""
+    cfg = write_config(tmp_path, "synth", "out")
+    writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
+    assert cli.main(["run", "-c", str(cfg)]) == 0
+    assert len(writes) == 1
+    out = tmp_path / "out"
+    assert (out / CANONICAL).read_bytes() == (out / "returns.csv").read_bytes()
+
+
+def test_ingest_formats_synth_records_that_lose_a_cell(tmp_path, monkeypatch):
+    """The copy follows the load report, not the file handed in: with a cell
+    zero-filled, ingest formats the table, as the staged ingest does."""
+    config = read_run_config(write_config(tmp_path, "synth", "run"))
+    config.policy = "zero-fill"
+    records = cli.stage_synth(config)
+    partial = dataclasses.replace(
+        records,
+        **{
+            name: getattr(records, name)[1:]
+            for name in ("date_index", "bins", "symbol_index", "values")
+        },
+    )
+    writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
+    cli.stage_ingest(config, partial, str(tmp_path / "run" / "returns.csv"))
+    assert len(writes) == 1
+
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    panel_module.write_return_records(partial, staged / "returns.csv")
+    staged_cfg = str(write_config(tmp_path, "synth", "staged"))
+    assert cli.main(["ingest", "-c", staged_cfg, "--policy", "zero-fill"]) == 0
+    ran = digests(tmp_path / "run")
+    assert ran[CANONICAL] != ran["returns.csv"]
+    assert "fills_applied = 1\n" in (tmp_path / "run" / "load_report.txt").read_text()
+    for name in (CANONICAL, "load_report.txt", "validation.txt"):
+        assert ran[name] == digests(staged)[name], name
+
+
 @pytest.mark.parametrize("mode, parses", [("synth", 0), ("returns", 1)])
 def test_run_reads_no_intermediate_file(tmp_path, monkeypatch, mode, parses):
     cfg = write_config(tmp_path, mode, "out")
@@ -173,15 +215,20 @@ def assert_same_panel(got, want):
 
 
 @pytest.mark.parametrize("mode", ["returns", "prices", "synth"])
-def test_each_artifact_equals_its_file(tmp_path, mode):
+def test_each_artifact_equals_its_file(tmp_path, monkeypatch, mode):
     config = read_run_config(write_config(tmp_path, mode, "out"))
     records = cli.stage_synth(config) if mode == "synth" else cli._read_input(config)
+    written = None
     if mode == "synth":
-        from_file = panel_module.read_return_records(tmp_path / "out" / "returns.csv")
+        written = str(tmp_path / "out" / "returns.csv")
+        from_file = panel_module.read_return_records(written)
         assert_same_panel(load_panel(records)[0], load_panel(from_file)[0])
     loaded = load_panel(records, policy=config.policy)[0].returns
 
-    canonical = cli.stage_ingest(config, records)
+    writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
+    canonical = cli.stage_ingest(config, records, written)
+    # synth's records load clean, so ingest copies returns.csv
+    assert len(writes) == (0 if mode == "synth" else 1)
     assert_same_panel(canonical, cli._read_canonical(config))
     if mode != "synth":
         # the input carries digits past the tenth, so the hand-off is rounded
