@@ -93,7 +93,7 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import column, format_floats, open_output, read_table, write_table
+from .tableio import format_floats, open_output, read_columns, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
@@ -451,12 +451,13 @@ def _read_input(config: RunConfig):
     if config.mode == "prices":
         return returns_from_prices(config.input, config.price_convention)
     if config.mode == "synth":
-        return read_return_records(_out(config, RETURNS_FILE))
+        return read_return_records(_out(config, RETURNS_FILE), versioned=True)
     return read_return_records(config.input)
 
 
 def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
-    panel, _ = load_panel(_out(config, CANONICAL_FILE), policy="strict")
+    records = read_return_records(_out(config, CANONICAL_FILE), versioned=True)
+    panel, _ = load_panel(records, policy="strict")
     if check:
         config.check_panel(panel)
     return panel
@@ -464,32 +465,25 @@ def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
 
 def _read_moments(config: RunConfig):
     """stock_moments.csv as ``stage_moments`` returns it."""
-    header, raw = read_table(
+    _, (symbols, bins, *values) = read_columns(
         _out(config, "stock_moments.csv"),
-        expect_columns=["symbol", "bin", "volatility", "kurtosis"],
+        {"symbol": str, "bin": int, "volatility": float, "kurtosis": float},
+        versioned=True,
     )
-    symbols = column(header, raw, "symbol", str)
-    bins = column(header, raw, "bin", int)
-    order_syms = sorted(set(symbols))
-    order_bins = sorted(set(bins))
-    s_index = {s: i for i, s in enumerate(order_syms)}
-    b_index = {b: i for i, b in enumerate(order_bins)}
-    cell = ([s_index[s] for s in symbols], [b_index[b] for b in bins])
+    order_syms, stock = np.unique(symbols, return_inverse=True)
+    order_bins, col = np.unique(bins, return_inverse=True)
     tables = np.full((2, len(order_syms), len(order_bins)), np.nan)
-    for table, name in zip(tables, ("volatility", "kurtosis")):
-        table[cell] = column(header, raw, name, float)
-    return order_bins, *tables
+    tables[:, stock, col] = values
+    return order_bins.tolist(), *tables
 
 
 def _read_vol_profile(config: RunConfig) -> IntradayProfile:
     """fig1.csv's stock_vol columns as ``stage_cross_section`` returns them."""
-    header, raw = read_table(
-        _out(config, "fig1.csv"), expect_columns=["bin", "overnight", "stock_vol"]
+    _, (bins, overnight, values, bands) = read_columns(
+        _out(config, "fig1.csv"),
+        {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float},
+        versioned=True,
     )
-    bins = np.asarray(column(header, raw, "bin", int))
-    overnight = np.asarray(column(header, raw, "overnight", int))
-    values = np.asarray(column(header, raw, "stock_vol", float))
-    bands = np.asarray(column(header, raw, "stock_vol_band", float))
     keep = overnight == 0
     config.check_fit_window(int(bins[keep].max()))
     return _vol_profile(bins[keep], values[keep], bands[keep])

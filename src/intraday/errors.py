@@ -56,4 +56,4 @@ class FeasibilityError(IntradayError):
 
 
 class SchemaError(IntradayError):
-    """A stage output table has a missing or incompatible schema version."""
+    """A stage output table has a bad version line, or lacks its header or a column."""

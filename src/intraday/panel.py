@@ -15,19 +15,13 @@ Two tabular inputs are supported:
   UTC offset), ``symbol``, ``price``, converted to returns by
   :func:`returns_from_prices`.
 
-Lines starting with ``#`` are treated as comments in both formats, unless
-they go on a quoted cell from an earlier line; a quoted first cell such as
-``"#A"`` is data.
-
-Both tables go through one reader, in chunks of about :data:`CHUNK_BYTES`
-of whole lines.  Each chunk is split at once, its numbers become int64 or
-float64 arrays, and its dates, times and symbols become codes through one
-dictionary each, kept across chunks, so each distinct text is parsed once.
-A chunk holding a quote, carriage return or NUL is read by :mod:`csv`
-instead, so quoting and line endings behave exactly as ``csv.reader`` reads
-them.  When a chunk fails a bulk check, its rows are checked one at a time,
-which reports the first bad row and its line number.  Rows move as columns
-(:class:`ReturnColumns`), not as one tuple per row:
+Both are read by :func:`intraday.tableio.read_columns`, which owns the
+table grammar (header search, comments, quoting, field counts and
+row-numbered errors).  This module supplies what the columns mean: dates,
+times and symbols become codes through one dictionary each
+(:class:`_KeyCodes`), kept across chunks, so each distinct text is parsed
+once, and bins, returns and prices become int64 or float64 arrays.  Rows
+move as columns (:class:`ReturnColumns`), not as one tuple per row:
 :func:`returns_from_prices` scatters the prices into a (symbol-day, stamp)
 matrix and divides its columns.
 :func:`load_panel` places every row in one linear (stock, day, bin) index:
@@ -40,9 +34,7 @@ text it wrote, so a caller can hand on what a reader of the table gets.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import functools
 import itertools
 import math
 import operator
@@ -59,14 +51,10 @@ from .errors import (
     PanelFormatError,
     PriceDomainError,
 )
-from .tableio import format_cell, format_floats, open_output
+from .tableio import format_cell, format_floats, open_output, read_columns
 
-#: Text read per parsing chunk, in bytes of whole lines.
-CHUNK_BYTES = 4 << 20
 #: Rows formatted per write of a return table.
 WRITE_BLOCK_ROWS = 1 << 16
-#: Characters that a plain comma split does not read the way ``csv`` does.
-_CSV_ONLY = ('"', "\r", "\0")
 _MAX_BIN = 2**63 - 1
 
 #: One bar-return observation: (date, bin, symbol, value).
@@ -271,150 +259,6 @@ class _KeyCodes(dict):
         return np.fromiter(map(self.__getitem__, texts), np.intp, len(texts))
 
 
-def _open_text(source: str | os.PathLike | IO[str]) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", newline="", encoding="utf-8"), True
-    return source, False
-
-
-def _is_comment(line: str) -> bool:
-    """Whether a record whose first line is ``line`` is a comment.  The raw
-    line decides, so a quoted first cell such as ``"#A"`` is data."""
-    return line.lstrip().startswith("#")
-
-
-def _header(handle: IO[str]) -> tuple[list[str], int]:
-    """The first record that is neither blank nor a comment, and the number
-    of lines read up to its end."""
-    line_num = 0
-    while line := handle.readline():
-        reader = csv.reader(itertools.chain([line], handle))
-        row = next(reader)
-        line_num += reader.line_num
-        if row and not _is_comment(line):
-            return row, line_num
-    raise PanelFormatError("empty input, no header row found")
-
-
-def _table_chunks(
-    source, columns: tuple[str, ...]
-) -> Iterator[tuple[list[list[str]] | None, Iterator[tuple[int, list[str]]]]]:
-    """Yield a table's data rows chunk by chunk, as ``(tokens, rows)``.
-
-    The header row must contain every name in ``columns``; extra columns are
-    ignored.  Comment lines (leading ``#``) and blank lines are skipped.
-    ``rows`` yields ``(line_number, fields)`` for each data row, the fields
-    stripped and in ``columns`` order, and raises :class:`PanelFormatError`
-    at a row with the wrong field count.  ``tokens`` holds the unstripped
-    text of each requested column for bulk conversion; it is None when some
-    row of the chunk has the wrong field count.
-    """
-    handle, owned = _open_text(source)
-    try:
-        header, line_num = _header(handle)
-        header = [name.strip() for name in header]
-        try:
-            order = [header.index(name) for name in columns]
-        except ValueError:
-            missing = [name for name in columns if name not in header]
-            raise PanelFormatError(
-                f"header {header} lacks required column(s) {missing}"
-            ) from None
-        width = len(header)
-        while lines := handle.readlines(CHUNK_BYTES):
-            text = "".join(lines)
-            if any(c in text for c in _CSV_ONLY):
-                # A quoted field may run past the chunk: the reader then
-                # takes the lines it needs from the handle.
-                reader = csv.reader(itertools.chain(lines, handle))
-                rows = []
-                start = 0  # the index of the line the next record starts on
-                for row in reader:
-                    if row and not _is_comment(lines[start]):
-                        rows.append((line_num + reader.line_num, row))
-                    start = reader.line_num
-                    if start >= len(lines):
-                        break
-                line_num += reader.line_num
-                tokens = None
-                if all(len(row) == width for _, row in rows):
-                    tokens = [[row[i] for _, row in rows] for i in order]
-            else:
-                first = line_num + 1
-                line_num += len(lines)
-                numbered = zip(itertools.count(first), lines)
-                if "#" in text or "\n" in lines:
-                    numbered = [
-                        (num, line)
-                        for num, line in numbered
-                        if line != "\n" and not _is_comment(line)
-                    ]
-                    lines = [line for _, line in numbered]
-                tokens = _split_columns(lines, width, order)
-                rows = ((num, line.rstrip("\n").split(",")) for num, line in numbered)
-            yield tokens, _checked(rows, width, order)
-    finally:
-        if owned:
-            handle.close()
-
-
-def _split_columns(lines: list[str], width: int, order: list[int]):
-    """Columns ``order`` of the comma-split ``lines``, or None unless every
-    line has exactly ``width`` fields."""
-    if not lines:
-        return [[] for _ in order]
-    tokens = ",".join(lines).split(",")
-    # Each line holds one newline, at its end; the lines all have ``width``
-    # fields exactly when every newline falls in a last-column token.
-    newlines = len(lines) - (not lines[-1].endswith("\n"))
-    if (
-        len(tokens) != width * len(lines)
-        or "".join(tokens[width - 1 :: width]).count("\n") != newlines
-    ):
-        return None
-    return [tokens[i::width] for i in order]
-
-
-def _checked(rows, width: int, order: list[int]) -> Iterator[tuple[int, list[str]]]:
-    for line_num, row in rows:
-        if len(row) != width:
-            raise PanelFormatError(f"expected {width} fields, got {len(row)}", line_num)
-        yield line_num, [row[i].strip() for i in order]
-
-
-def _read_table(source, columns: dict[str, tuple]) -> list[np.ndarray]:
-    """Read the named columns of a table as one array each.
-
-    ``columns`` maps each name to ``(convert, parse)``: ``convert`` turns a
-    chunk's texts into an array, ``parse`` one stripped text, and each
-    raises ValueError (``convert`` also OverflowError) on a bad text.  A
-    chunk that fails is checked row by row, each row's columns in the order
-    ``columns`` lists them, and the first bad row raises
-    :class:`PanelFormatError` with the message of ``parse``.
-    """
-    converts, parses = zip(*columns.values())
-    parts = [[convert([]) for convert in converts]]
-    for tokens, rows in _table_chunks(source, tuple(columns)):
-        if tokens is None:
-            _raise_first_bad_row(rows, parses)
-        try:
-            parts.append([convert(texts) for convert, texts in zip(converts, tokens)])
-        except (ValueError, OverflowError):
-            _raise_first_bad_row(rows, parses)
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _raise_first_bad_row(rows, parses) -> None:
-    """Check rows one at a time and raise for the first bad one."""
-    for line_num, fields in rows:
-        for parse, text in zip(parses, fields):
-            try:
-                parse(text)
-            except ValueError as exc:
-                raise PanelFormatError(str(exc), line_num) from None
-    raise RuntimeError("a chunk failed its bulk checks but none of its rows did")
-
-
 def _parse(kind: Callable[[str], object], name: str, text: str):
     """``kind(text)``, or a ValueError naming the bad ``name``."""
     try:
@@ -442,10 +286,6 @@ def _symbol_key(text: str) -> str:
     return symbol
 
 
-def _floats(texts: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, texts), np.float64, len(texts))
-
-
 def _bins(texts: list[str]) -> np.ndarray:
     bins = np.fromiter(map(int, texts), np.int64, len(texts))
     if (bins < 0).any():
@@ -463,7 +303,7 @@ def _bin(text: str) -> int:
 
 
 def _returns(texts: list[str]) -> np.ndarray:
-    values = _floats(texts)
+    values = np.fromiter(map(float, texts), np.float64, len(texts))
     if not np.isfinite(values).all():
         raise ValueError("non-finite return")
     return values
@@ -476,10 +316,14 @@ def _return(text: str) -> float:
     return value
 
 
-def read_return_records(source: str | os.PathLike | IO[str]) -> ReturnColumns:
-    """Parse a bar-return table into columns, with row numbers on errors."""
+def read_return_records(
+    source: str | os.PathLike | IO[str], versioned: bool = False
+) -> ReturnColumns:
+    """Parse a bar-return table into columns, with row numbers on errors.
+    A ``versioned`` table, one this package wrote, must start with the
+    ``# schema-version`` line."""
     dates, symbols = _KeyCodes(_date_key), _KeyCodes(_symbol_key)
-    date_index, bins, values, symbol_index = _read_table(
+    _, (date_index, bins, values, symbol_index) = read_columns(
         source,
         {
             "date": (dates.codes, dates.parse),
@@ -487,6 +331,7 @@ def read_return_records(source: str | os.PathLike | IO[str]) -> ReturnColumns:
             "return": (_returns, _return),
             "symbol": (symbols.codes, symbols.parse),
         },
+        versioned=versioned,
     )
     return ReturnColumns(
         tuple(dates.parsed), tuple(symbols.parsed), date_index, bins, symbol_index, values
@@ -642,12 +487,12 @@ def returns_from_prices(
         )
     dates, stamps = _KeyCodes(_date_key), _KeyCodes(_time_key)
     symbols = _KeyCodes(_symbol_key)
-    date_code, stamp_code, price, symbol_code = _read_table(
+    _, (date_code, stamp_code, price, symbol_code) = read_columns(
         source,
         {
             "date": (dates.codes, dates.parse),
             "time": (stamps.codes, stamps.parse),
-            "price": (_floats, functools.partial(_parse, float, "price")),
+            "price": float,
             "symbol": (symbols.codes, symbols.parse),
         },
     )

@@ -237,7 +237,7 @@ class TestExitCodes:
     def test_too_little_data_for_moments(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        rows = ["date,bin,symbol,return"]
+        rows = ["# schema-version: 1", "date,bin,symbol,return"]
         for symbol in ("AAA", "BBB"):
             for k in (1, 2, 3):
                 rows.append(f"2024-01-02,{k},{symbol},0.0{k}")
@@ -245,6 +245,49 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert cli.main(["moments", "-c", str(cfg)]) == 4
         self.assert_single_error_line(capsys, "numeric-error")
+
+    @pytest.mark.parametrize(
+        "stage, name, field, text, message",
+        [
+            # field None: the row loses its last field
+            ("cross-section", "stock_moments.csv", None, None, "expected 9 fields, got 8"),
+            ("cross-section", "stock_moments.csv", 4, "abc", "bad volatility 'abc'"),
+            ("fit", "fig1.csv", 0, "x", "bad bin 'x'"),
+        ],
+    )
+    def test_bad_stage_table_row_is_named(
+        self, tmp_path, capsys, stage, name, field, text, message
+    ):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        table = tmp_path / "out" / name
+        lines = table.read_text().splitlines()
+        row = lines[3].split(",")
+        if field is None:
+            row.pop()
+        else:
+            row[field] = text
+        lines[3] = ",".join(row)
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main([stage, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: input-error: row 4: {message}\n"
+
+    @pytest.mark.parametrize(
+        "stage, name", [("moments", "returns_canonical.csv"), ("ingest", "returns.csv")]
+    )
+    @pytest.mark.parametrize("version", ["# schema-version: 9", "# a comment"])
+    def test_stage_return_table_version_is_checked(
+        self, tmp_path, capsys, stage, name, version
+    ):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        table = tmp_path / "out" / name
+        lines = table.read_text().splitlines()
+        table.write_text("\n".join([version] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert cli.main([stage, "-c", str(cfg)]) == 3
+        self.assert_single_error_line(capsys, "schema-error")
 
     def test_unexpected_failure_is_internal(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)

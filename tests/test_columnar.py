@@ -317,13 +317,23 @@ def return_tables(draw):
 )
 def test_reader_and_assembly_match_the_row_parser(text, chunk_bytes, newline):
     """Same rows, panels, reports and errors as the csv.reader path, under
-    every policy, chunk size and line splitting."""
-    def source():
-        return io.StringIO(text, newline=newline)
+    every policy, chunk size and line splitting; and read_table reads the
+    same rows once the table has its version line."""
+    def source(prefix=""):
+        return io.StringIO(prefix + text, newline=newline)
 
-    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+    def table_rows(handle):
+        header, rows = read_table(handle)
+        order = [header.index(name) for name in COLUMNS]
+        return [[row[i] for i in order] for row in rows]
+
+    versioned = "# schema-version: 1\n"
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
         got = outcome(lambda: list(read_return_records(source())))
         assert got == outcome(lambda: oracle_read(source()))
+        got = outcome(lambda: table_rows(source(versioned)))
+        want = outcome(lambda: [row for _, row in _parse_table(source(versioned), COLUMNS)])
+        assert got == want
         for policy in ("strict", "drop-incomplete", "zero-fill"):
             got = outcome(lambda: new_load(source(), policy))
             want = outcome(lambda: oracle_load(source(), policy))
@@ -362,7 +372,7 @@ def test_late_bad_row_reports_its_line(field, text, message):
     row[field] = text
     lines[30] = ",".join(row)
     table = "\n".join(lines) + "\n"
-    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", 64):
         with pytest.raises(PanelFormatError, match=f"row 31: {message}") as exc:
             read_return_records(io.StringIO(table))
     assert exc.value.row_number == 31
@@ -373,7 +383,7 @@ def test_late_width_mismatch_reports_its_line():
     lines = _long_table()
     lines.insert(20, "# a comment inside a later chunk")
     lines[30] += ",extra"
-    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", 64):
         with pytest.raises(PanelFormatError, match="row 31: expected 4 fields, got 5"):
             read_return_records(io.StringIO("\n".join(lines) + "\n"))
 
@@ -397,7 +407,7 @@ def test_late_duplicate_and_gap_are_named():
     lines = _long_table()
     lines.insert(20, "# a comment inside a later chunk")
     duplicated = lines + [lines[30].replace("0.00", "0.99")]
-    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", 64):
         with pytest.raises(
             DuplicateRowError, match="^duplicate cell date=2020-01-12 bin=2 symbol=B$"
         ):
@@ -777,7 +787,7 @@ def price_tables(draw):
 def test_price_conversion_matches_the_row_parser(text, chunk_bytes, convention):
     """Same return records and errors as the row-by-row price path, for
     either convention and any chunk size."""
-    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
         got = outcome(lambda: record_set(returns_from_prices(io.StringIO(text), convention)))
     want = outcome(lambda: record_set(oracle_prices(io.StringIO(text), convention)))
     assert got == want
@@ -797,7 +807,7 @@ def test_quoted_hash_first_cell_is_data(chunk_bytes):
         for t, p in (("10:00", 10.0), ("10:05", 10.5))
         for s in ('"#A"', "B")
     )
-    with mock.patch.object(panel_module, "CHUNK_BYTES", chunk_bytes):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
         got = list(read_return_records(io.StringIO(returns)))
         converted = record_set(returns_from_prices(io.StringIO(prices)))
     assert [(symbol, value) for _, _, symbol, value in got] == [("#A", 0.1), ("B", 0.2)]
@@ -834,7 +844,7 @@ def test_late_bad_price_row_reports_its_line(field, text, message):
     row[field] = text
     lines[30] = ",".join(row)
     table = "\n".join(lines) + "\n"
-    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", 64):
         with pytest.raises(PanelFormatError, match=f"row 31: {message}") as exc:
             returns_from_prices(io.StringIO(table))
     assert exc.value.row_number == 31
@@ -856,7 +866,7 @@ def test_earlier_of_price_and_duplicate_errors_wins(edits, error):
     for line, text in edits.items():
         lines[line - 1] = text
     table = "\n".join(lines) + "\n"
-    with mock.patch.object(panel_module, "CHUNK_BYTES", 64):
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", 64):
         got = outcome(lambda: returns_from_prices(io.StringIO(table)))
     assert got[0] == error.__name__
     assert got == outcome(lambda: oracle_prices(io.StringIO(table), "close_to_close"))

@@ -269,6 +269,13 @@ class TestTableIO:
         header, rows = read_table(io.StringIO(text))
         assert header == ["a"]
         assert rows == [["1"]]
+        # a quote inside an unquoted cell is a literal: it opens no quoted
+        # cell, so the "#" line after it is still a comment
+        text = '# schema-version: 1\nsymbol,x\nA"B,1\n# note\nC,2\n'
+        assert read_table(io.StringIO(text)) == (
+            ["symbol", "x"],
+            [['A"B', "1"], ["C", "2"]],
+        )
 
     def test_missing_column_extraction(self):
         header, rows = read_table(io.StringIO("# schema-version: 1\na\n1\n"))

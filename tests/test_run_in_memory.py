@@ -198,10 +198,11 @@ def test_ingest_formats_synth_records_that_lose_a_cell(tmp_path, monkeypatch):
 def test_run_reads_no_intermediate_file(tmp_path, monkeypatch, mode, parses):
     cfg = write_config(tmp_path, mode, "out")
     parsed = count_calls(monkeypatch, "read_return_records", [panel_module, cli])
-    tables = count_calls(monkeypatch, "read_table", [tableio, cli])
+    # every table reader goes through read_columns
+    tables = count_calls(monkeypatch, "read_columns", [tableio, panel_module, cli])
     assert cli.main(["run", "-c", str(cfg)]) == 0
     assert len(parsed) == parses
-    assert len(tables) == 0
+    assert len(tables) == parses
 
 
 def assert_same_panel(got, want):
