@@ -1,8 +1,8 @@
 """Command-line interface: staged pipeline over bar-return panels.
 
 Each pipeline stage is one ``stage_*`` function: it takes its inputs as
-arguments, writes its tables to the output directory and returns what
-later stages need.
+arguments, writes its tables to the output directory as column dicts
+through ``tableio.write_table`` and returns what later stages need.
 
     synth          manifest -> returns.csv, manifest_echo.txt
     ingest         input -> returns_canonical.csv, load_report.txt, validation.txt
@@ -15,12 +15,13 @@ later stages need.
 
 ``run`` hands each stage's results to the next in memory: the canonical
 panel, the volatility and kurtosis columns of ``stock_moments.csv``, and
-fig1's ``stock_vol`` profile.  Each is what the next stage would read back
-from the file (floats at 10 significant digits, -0 read as 0).  A stage
-subcommand reads those files from the output directory instead, so
-``run`` and a manual stage sequence produce byte-identical tables.  In synth
-mode, when ingest's load keeps every record, ``run`` copies returns.csv to
-returns_canonical.csv: the canonical table would hold the same bytes.
+fig1's ``stock_vol`` profile.  Each is a float column that ``write_table``
+returns, what the next stage would read back from the file (floats at 10
+significant digits, -0 read as 0).  A stage subcommand reads those files
+from the output directory instead, so ``run`` and a manual stage sequence
+produce byte-identical tables.  In synth mode, when ingest's load keeps
+every record, ``run`` copies returns.csv to returns_canonical.csv: the
+canonical table would hold the same bytes.
 
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
@@ -36,11 +37,10 @@ Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -93,7 +93,7 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import format_floats, open_output, read_columns, write_table
+from .tableio import open_output, read_columns, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
@@ -103,19 +103,14 @@ def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
-def _write_returns(records: ReturnColumns, path: str) -> ReturnColumns:
-    """Write a return table; return the records as the table reads back."""
-    return dataclasses.replace(records, values=write_return_records(records, path))
-
-
 def stage_synth(config: RunConfig) -> ReturnColumns:
     """Draw the synthetic panel; return its records as returns.csv holds them."""
     manifest = read_manifest(config.synth_manifest)
     panel, echoed = generate_market(manifest)
     os.makedirs(config.output_dir, exist_ok=True)
-    records = _write_returns(panel_to_records(panel), _out(config, RETURNS_FILE))
+    written = write_return_records(panel, _out(config, RETURNS_FILE))
     write_manifest(echoed, _out(config, "manifest_echo.txt"))
-    return records
+    return panel_to_records(replace(panel, returns=written))
 
 
 def stage_ingest(config: RunConfig, records, written: str | None = None) -> ReturnPanel:
@@ -139,9 +134,7 @@ def stage_ingest(config: RunConfig, records, written: str | None = None) -> Retu
             with open_output(canonical_path) as handle:
                 shutil.copyfileobj(source, handle)
     else:
-        canonical = _write_returns(panel_to_records(panel), canonical_path)
-        del panel  # the canonical copy replaces it
-        panel = load_panel(canonical, policy="strict")[0]
+        panel = replace(panel, returns=write_return_records(panel, canonical_path))
     for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
         with open_output(_out(config, name)) as handle:
             handle.write("\n".join(summary.lines()) + "\n")
@@ -152,55 +145,36 @@ def stage_moments(config: RunConfig, panel: ReturnPanel) -> tuple[np.ndarray, ..
     """Per (stock, bin) moments; return the bins and the (stock, bin)
     volatility and kurtosis tables, as stock_moments.csv holds them."""
     grid = stock_bin_moments(panel)
-    rows = []
-    for a, symbol in enumerate(grid.stock_ids):
-        for c, bin_number in enumerate(grid.bin_numbers):
-            rows.append(
-                [
-                    symbol,
-                    int(bin_number),
-                    1 if bin_number == 0 else 0,
-                    float(grid.mean[a, c]),
-                    float(grid.volatility[a, c]),
-                    float(grid.skewness[a, c]),
-                    float(grid.kurtosis[a, c]),
-                    float(grid.median[a, c]),
-                    1 if grid.degenerate[a, c] else 0,
-                ]
-            )
-    write_table(
+    n_stocks, n_bins = grid.volatility.shape
+    bins = np.tile(grid.bin_numbers, n_stocks)
+    written = write_table(
         _out(config, "stock_moments.csv"),
-        [
-            "symbol",
-            "bin",
-            "overnight",
-            "mean",
-            "volatility",
-            "skewness",
-            "kurtosis",
-            "median",
-            "degenerate",
-        ],
-        rows,
+        {
+            "symbol": np.repeat(np.array(grid.stock_ids, dtype=object), n_bins),
+            "bin": bins,
+            "overnight": bins == 0,
+            "mean": grid.mean.ravel(),
+            "volatility": grid.volatility.ravel(),
+            "skewness": grid.skewness.ravel(),
+            "kurtosis": grid.kurtosis.ravel(),
+            "median": grid.median.ravel(),
+            "degenerate": grid.degenerate.ravel(),
+        },
     )
-    volatility, kurtosis = format_floats([grid.volatility, grid.kurtosis])[1]
-    return grid.bin_numbers, volatility, kurtosis
+    tables = (written[name].reshape(n_stocks, n_bins) for name in ("volatility", "kurtosis"))
+    return grid.bin_numbers, *tables
 
 
-def _profile_rows(profiles: list[IntradayProfile]) -> list[list]:
-    """Rows (bin, overnight, value, band, value, band, ...) for fig tables."""
-    rows = []
-    if profiles[0].overnight_value is not None:
-        row: list = [0, 1]
-        for p in profiles:
-            row.extend([p.overnight_value, p.overnight_band])
-        rows.append(row)
-    for i, bin_number in enumerate(profiles[0].bins):
-        row = [int(bin_number), 0]
-        for p in profiles:
-            row.extend([float(p.values[i]), float(p.band[i])])
-        rows.append(row)
-    return rows
+def _write_profiles(path: str, profiles: list[IntradayProfile]) -> dict[str, np.ndarray]:
+    """Write a fig table, (bin, overnight, value, band, value, band, ...)
+    with the overnight point first if present; return ``write_table``'s."""
+    lead = [0] if profiles[0].overnight_value is not None else []
+    bins = np.array(lead + profiles[0].bins.tolist())
+    columns = {"bin": bins, "overnight": bins == 0}
+    for p in profiles:
+        columns[p.statistic_name] = np.r_[[p.overnight_value] * len(lead), p.values]
+        columns[f"{p.statistic_name}_band"] = np.r_[[p.overnight_band] * len(lead), p.band]
+    return write_table(path, columns)
 
 
 def _vol_profile(bins, values, bands) -> IntradayProfile:
@@ -222,42 +196,25 @@ def stage_cross_section(
     """Dispersion grid and the fig1/fig2 profiles; return fig1's stock_vol
     profile as fig1.csv holds it."""
     grid = dispersion_grid(panel)
-
-    rows = []
-    for t, date in enumerate(grid.dates):
-        for r, bin_number in enumerate(grid.bin_numbers):
-            rows.append(
-                [
-                    date.isoformat(),
-                    int(bin_number),
-                    1 if bin_number == 0 else 0,
-                    float(grid.index_return[r, t]),
-                    float(grid.dispersion[r, t]),
-                    float(grid.skewness[r, t]),
-                    float(grid.kurtosis[r, t]),
-                    float(grid.median[r, t]),
-                    float(grid.mad[r, t]),
-                    1 if grid.degenerate[r, t] else 0,
-                ]
-            )
+    n_bins, n_days = grid.dispersion.shape
+    bins = np.tile(grid.bin_numbers, n_days)
     write_table(
         _out(config, "dispersion.csv"),
-        [
-            "date",
-            "bin",
-            "overnight",
-            "index_return",
-            "dispersion",
-            "skewness",
-            "kurtosis",
-            "median",
-            "mad",
-            "degenerate",
-        ],
-        rows,
+        {
+            "date": np.repeat(np.array(grid.dates, dtype=object), n_bins),
+            "bin": bins,
+            "overnight": bins == 0,
+            "index_return": grid.index_return.T.ravel(),
+            "dispersion": grid.dispersion.T.ravel(),
+            "skewness": grid.skewness.T.ravel(),
+            "kurtosis": grid.kurtosis.T.ravel(),
+            "median": grid.median.T.ravel(),
+            "mad": grid.mad.T.ravel(),
+            "degenerate": grid.degenerate.T.ravel(),
+        },
     )
 
-    stock_vol = profile_over_stocks(volatility, "stderr", moment_bins, "volatility")
+    stock_vol = profile_over_stocks(volatility, "stderr", moment_bins, "stock_vol")
     dispersion_profile = profile_over_days(
         grid.dispersion, "stderr", grid.bin_numbers, "dispersion"
     )
@@ -265,65 +222,31 @@ def stage_cross_section(
         np.abs(grid.index_return), "stderr", grid.bin_numbers, "abs_index_return"
     )
     ratio = ratio_profile(stock_vol, dispersion_profile, "vol_dispersion_ratio")
-    write_table(
-        _out(config, "fig1.csv"),
-        [
-            "bin",
-            "overnight",
-            "stock_vol",
-            "stock_vol_band",
-            "dispersion",
-            "dispersion_band",
-            "abs_index_return",
-            "abs_index_return_band",
-            "vol_dispersion_ratio",
-            "vol_dispersion_ratio_band",
-        ],
-        _profile_rows([stock_vol, dispersion_profile, abs_index, ratio]),
+    fig1 = _write_profiles(
+        _out(config, "fig1.csv"), [stock_vol, dispersion_profile, abs_index, ratio]
     )
 
-    stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "kurtosis")
+    stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "stock_kurtosis")
     dispersion_kurt = profile_over_days(
         grid.kurtosis, "dispersion", grid.bin_numbers, "dispersion_kurtosis"
     )
-    write_table(
-        _out(config, "fig2.csv"),
-        [
-            "bin",
-            "overnight",
-            "stock_kurtosis",
-            "stock_kurtosis_band",
-            "dispersion_kurtosis",
-            "dispersion_kurtosis_band",
-        ],
-        _profile_rows([stock_kurt, dispersion_kurt]),
-    )
-    values, bands = format_floats([stock_vol.values, stock_vol.band])[1]
-    return _vol_profile(stock_vol.bins, values, bands)
+    _write_profiles(_out(config, "fig2.csv"), [stock_kurt, dispersion_kurt])
+    n = len(stock_vol.bins)  # fig1's intraday rows are its last
+    return _vol_profile(stock_vol.bins, fig1["stock_vol"][-n:], fig1["stock_vol_band"][-n:])
 
 
 def stage_fit(config: RunConfig, profile: IntradayProfile) -> None:
     fit = fit_power_law(profile, config.fit_range_for(int(profile.bins.max())))
     write_table(
         _out(config, "fig1_fit.csv"),
-        [
-            "amplitude",
-            "exponent",
-            "fit_lo",
-            "fit_hi",
-            "residual_rms",
-            "exponent_stderr",
-        ],
-        [
-            [
-                fit.amplitude,
-                fit.exponent,
-                fit.fit_range[0],
-                fit.fit_range[1],
-                fit.residual_rms,
-                fit.exponent_stderr,
-            ]
-        ],
+        {
+            "amplitude": [fit.amplitude],
+            "exponent": [fit.exponent],
+            "fit_lo": [fit.fit_range[0]],
+            "fit_hi": [fit.fit_range[1]],
+            "residual_rms": [fit.residual_rms],
+            "exponent_stderr": [fit.exponent_stderr],
+        },
     )
 
 
@@ -331,21 +254,16 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     npanel = normalize_panel(panel)
     spectra = bin_spectra(npanel)
 
-    fig6_rows = []
-    for spectrum in spectra:
-        mm = market_mode_stats(spectrum)
-        fig6_rows.append(
-            [
-                spectrum.bin,
-                1 if spectrum.bin == 0 else 0,
-                mm.lambda1_over_n,
-                mm.v1_dot_e,
-            ]
-        )
+    modes = [market_mode_stats(spectrum) for spectrum in spectra]
+    bins = np.array([spectrum.bin for spectrum in spectra])
     write_table(
         _out(config, "fig6.csv"),
-        ["bin", "overnight", "lambda1_over_n", "v1_dot_e"],
-        fig6_rows,
+        {
+            "bin": bins,
+            "overnight": bins == 0,
+            "lambda1_over_n": [mm.lambda1_over_n for mm in modes],
+            "v1_dot_e": [mm.v1_dot_e for mm in modes],
+        },
     )
 
     lo, hi = config.eigen_lo, config.eigen_hi
@@ -353,17 +271,13 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
         spectra, reference_bin=config.reference_bin, index_range=(lo, hi)
     )
     by_bin = {s.bin: s for s in spectra}
-    header = ["bin", "overnight"]
-    header += [f"lambda_{i}" for i in range(lo, hi + 1)]
-    header += [f"s_{i}" for i in range(lo, hi + 1)]
-    fig7_rows = []
-    for result in overlaps:
-        spectrum = by_bin[result.bin]
-        row = [result.bin, 1 if result.bin == 0 else 0]
-        row += [float(v) for v in spectrum.eigenvalues[lo - 1 : hi]]
-        row += [float(v) for v in result.singular_values]
-        fig7_rows.append(row)
-    write_table(_out(config, "fig7.csv"), header, fig7_rows)
+    bins = np.array([result.bin for result in overlaps])
+    eigenvalues = np.array([by_bin[r.bin].eigenvalues[lo - 1 : hi] for r in overlaps])
+    singular = np.array([result.singular_values for result in overlaps])
+    columns = {"bin": bins, "overnight": bins == 0}
+    columns.update({f"lambda_{i}": eigenvalues[:, i - lo] for i in range(lo, hi + 1)})
+    columns.update({f"s_{i}": singular[:, i - lo] for i in range(lo, hi + 1)})
+    write_table(_out(config, "fig7.csv"), columns)
 
     threshold = random_overlap_baseline(
         dim=panel.n_stocks,
@@ -374,30 +288,26 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     )
     write_table(
         _out(config, "fig7_null.csv"),
-        ["dim", "subspace_dim", "trials", "quantile", "seed", "threshold"],
-        [
-            [
-                panel.n_stocks,
-                hi - lo + 1,
-                config.null_trials,
-                config.null_quantile,
-                config.null_seed,
-                threshold,
-            ]
-        ],
+        {
+            "dim": [panel.n_stocks],
+            "subspace_dim": [hi - lo + 1],
+            "trials": [config.null_trials],
+            "quantile": [config.null_quantile],
+            "seed": [config.null_seed],
+            "threshold": [threshold],
+        },
     )
 
 
 def _write_curve(config: RunConfig, name: str, curve) -> None:
     write_table(
         _out(config, name),
-        ["bucket_center", "mean", "stderr", "count"],
-        [
-            [float(c), float(m), float(s), int(n)]
-            for c, m, s, n in zip(
-                curve.bucket_centers, curve.means, curve.stderr, curve.counts
-            )
-        ],
+        {
+            "bucket_center": curve.bucket_centers,
+            "mean": curve.means,
+            "stderr": curve.stderr,
+            "count": curve.counts,
+        },
     )
 
 

@@ -38,7 +38,8 @@ def format_float(x: float) -> str:
 def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:
     """Read ``key = value`` lines; duplicate keys are an error."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a file saved with a byte-order mark reads like one without
+        with open(source, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     else:
         text = source.read()

@@ -27,9 +27,10 @@ matrix and divides its columns.
 :func:`load_panel` places every row in one linear (stock, day, bin) index:
 one ``bincount`` finds duplicates and gaps, the load policies are masks over
 the count cube, and one scatter fills the array.
-:func:`write_return_records` formats the columns in blocks of
-:data:`WRITE_BLOCK_ROWS` rows and returns the values parsed back from the
-text it wrote, so a caller can hand on what a reader of the table gets.
+:func:`write_return_records` hands a canonical panel's cells to
+:func:`intraday.tableio.write_table` as columns, already in (date, bin,
+symbol) order, and returns the returns parsed back from the text it wrote,
+so a caller can hand on what a reader of the table gets.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from .errors import (
     PanelFormatError,
     PriceDomainError,
 )
-from .tableio import format_cell, format_floats, open_output, read_columns
+from .tableio import read_columns, write_table
 
-#: Rows formatted per write of a return table.
-WRITE_BLOCK_ROWS = 1 << 16
 _MAX_BIN = 2**63 - 1
 
 #: One bar-return observation: (date, bin, symbol, value).
@@ -223,12 +222,6 @@ class ReturnColumns:
             np.array(values, dtype=np.float64),
         )
 
-    def canonical_keys(self) -> tuple[tuple, np.ndarray, tuple, np.ndarray]:
-        """Sorted distinct dates and symbols, with each row's position in them."""
-        dates, date_pos = _factorize(self.dates)
-        symbols, symbol_pos = _factorize(self.symbols)
-        return dates, date_pos[self.date_index], symbols, symbol_pos[self.symbol_index]
-
 
 def _factorize(keys) -> tuple[tuple, np.ndarray]:
     """Sorted distinct ``keys`` and the position of each key among them."""
@@ -378,7 +371,9 @@ def load_panel(
     if not len(columns):
         raise CompletenessError("no data rows")
 
-    dates, day, symbols, stock = columns.canonical_keys()
+    dates, day = _factorize(columns.dates)
+    symbols, stock = _factorize(columns.symbols)
+    day, stock = day[columns.date_index], stock[columns.symbol_index]
     bins = columns.bins
     if bins.min() < 0:
         raise PanelFormatError(f"negative bin {bins.min()}")
@@ -397,7 +392,9 @@ def load_panel(
     if k_max < 1:
         raise CompletenessError("no intraday bins (only bin 0 present)")
 
+    # Transients go as soon as they are used, to keep the peak low.
     present = counts > 0
+    del counts, day, stock
     keep_stock = np.ones(shape[0], dtype=bool)
     keep_day = np.ones(shape[1], dtype=bool)
     if policy == "strict" and not present.all():
@@ -434,11 +431,13 @@ def load_panel(
                 "no complete days/stocks remain under drop-incomplete"
             )
 
-    array = np.zeros(counts.size)
-    array[cell] = columns.values
-    kept = np.ix_(keep_stock, keep_day)
-    array = array.reshape(shape)[kept]
-    present = present[kept]
+    array = np.zeros(shape)
+    array.reshape(-1)[cell] = columns.values
+    del cell
+    if not (keep_stock.all() and keep_day.all()):
+        kept = np.ix_(keep_stock, keep_day)
+        array = array[kept]
+        present = present[kept]
     symbols = tuple(itertools.compress(symbols, keep_stock))
     dates = tuple(itertools.compress(dates, keep_day))
 
@@ -625,44 +624,21 @@ def panel_to_records(panel: ReturnPanel) -> ReturnColumns:
 
 
 def write_return_records(
-    records: ReturnColumns | Iterable[ReturnRecord],
-    destination: str | os.PathLike | IO[str],
+    panel: ReturnPanel, destination: str | os.PathLike | IO[str]
 ) -> np.ndarray:
-    """Write records as a canonical bar-return table (stable float format).
-
-    Rows are sorted by (date, bin, symbol), keeping input order among equal
-    keys; symbols are quoted only where CSV needs it.  Returns each
-    record's value as the table reads it back, in the records' order.  A
-    value whose text reads back as non-finite raises
-    :class:`PanelFormatError` before a path destination is replaced.
-    """
-    if not isinstance(records, ReturnColumns):
-        records = ReturnColumns.from_records(records)
-    dates, day, symbols, stock = records.canonical_keys()
-    order = np.lexsort((stock, records.bins, day))
-    date_text = [date.isoformat() for date in dates]
-    symbol_text = [format_cell(symbol) for symbol in symbols]
-    written = np.empty(len(order))
-    with open_output(destination) as handle:
-        handle.write("# schema-version: 1\n")
-        handle.write("date,bin,symbol,return\n")
-        for start in range(0, len(order), WRITE_BLOCK_ROWS):
-            block = order[start : start + WRITE_BLOCK_ROWS]
-            value_text, written[block] = format_floats(records.values[block])
-            handle.write(
-                "".join(
-                    [
-                        f"{date_text[t]},{b},{symbol_text[a]},{v}\n"
-                        for t, b, a, v in zip(
-                            day[block].tolist(),
-                            records.bins[block].tolist(),
-                            stock[block].tolist(),
-                            value_text,
-                        )
-                    ]
-                )
-            )
-        if not np.isfinite(written).all():
-            # raised inside the block, so a path destination is left untouched
-            raise PanelFormatError(f"{destination}: a return rounds to a non-finite value")
-    return written
+    """Write a canonical panel (as :func:`load_panel` builds it) as a return
+    table in (date, bin, symbol) order; return its returns as the table reads
+    them back, shaped like ``panel.returns``.  A non-finite return raises."""
+    if not np.isfinite(panel.returns).all():  # the table's reader would reject it
+        raise PanelFormatError(f"{destination}: a return is not finite")
+    n_stocks, n_days, n_cols = panel.returns.shape
+    written = write_table(
+        destination,
+        {
+            "date": np.repeat(np.array(panel.dates, dtype=object), n_cols * n_stocks),
+            "bin": np.tile(np.repeat(panel.bin_numbers, n_stocks), n_days),
+            "symbol": np.tile(np.array(panel.stock_ids, dtype=object), n_days * n_cols),
+            "return": panel.returns.transpose(1, 2, 0).reshape(-1),
+        },
+    )["return"]
+    return written.reshape(n_days, n_cols, n_stocks).transpose(2, 0, 1)

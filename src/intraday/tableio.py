@@ -1,4 +1,4 @@
-"""Delimited text tables: the one table reader, and the table writer.
+"""Delimited text tables: the one table reader and the one table writer.
 
 :func:`read_columns` reads every table with one grammar.  The header is
 the first record that is neither blank nor a comment; a comment is a
@@ -7,10 +7,12 @@ Quoting is RFC 4180 as :mod:`csv` reads it, fields are stripped, extra
 columns are ignored, and a bad row is reported with its line number.
 Stage tables start with ``# schema-version: 1``, checked by a versioned read.
 
-Floats print at 10 significant digits with a ``.`` decimal mark regardless
-of locale, so identical inputs produce byte-identical files.  Text cells
-are quoted CSV-style only when they would otherwise be split or read as a
-comment, and tables written to a path appear there only once complete.
+:func:`write_table` writes every table from columns.  Floats print at 10
+significant digits with a ``.`` decimal mark regardless of locale, so
+identical inputs produce byte-identical files; ints and bools print as
+integers, and text is quoted CSV-style only when it would otherwise be
+split or read as a comment.  A table written to a path appears there only
+once complete.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import csv
 import itertools
 import os
 from contextlib import contextmanager, nullcontext
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .config import FLOAT_FORMAT, format_float
+from .config import FLOAT_FORMAT
 from .errors import PanelFormatError, SchemaError
 
 SCHEMA_VERSION = 1
 #: Text read per parsing chunk, in bytes of whole lines.
 CHUNK_BYTES = 4 << 20
+#: Rows formatted per block of a table write.
+WRITE_BLOCK_ROWS = 1 << 16
 _PREFIX = "# schema-version:"
 _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 #: Characters that a plain comma split does not read the way ``csv`` does.
@@ -36,14 +40,8 @@ _CSV_ONLY = ('"', "\r", "\0")
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if value is None:
-        return "nan"
+    """``str(value)`` as a table cell, quoted CSV-style only when it would
+    otherwise be split or read as a comment."""
     text = str(value)
     if text.startswith("#") or any(c in text for c in _QUOTE_TRIGGERS):
         return '"' + text.replace('"', '""') + '"'
@@ -84,20 +82,51 @@ def open_output(destination: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
         raise
 
 
+class _Cells(dict):
+    """Each distinct value's :func:`format_cell` text, formatted once."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = format_cell(value)
+        return text
+
+
 def write_table(
-    destination: str | os.PathLike | IO[str],
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-) -> None:
+    destination: str | os.PathLike | IO[str], columns: dict[str, Sequence]
+) -> dict[str, np.ndarray]:
+    """Write ``columns``, one 1-D column per header name, as a versioned table.
+
+    A column's dtype decides its format: floats at :data:`FLOAT_FORMAT`,
+    ints and bools as integers, anything else as text by :func:`format_cell`.
+    Rows are formatted in blocks of :data:`WRITE_BLOCK_ROWS`.  Returns each
+    float column as a reader parses it back.  A finite value whose text reads
+    back as non-finite raises :class:`PanelFormatError` before a path
+    destination is replaced.
+    """
+    arrays = {name: np.asarray(values) for name, values in columns.items()}
+    arrays |= {name: a.astype(np.int64) for name, a in arrays.items() if a.dtype == bool}
+    lengths = {len(array) for array in arrays.values()} or {0}
+    if len(lengths) > 1:
+        raise ValueError(f"column lengths differ: {sorted(lengths)}")
+    (n_rows,) = lengths
+    written = {name: np.empty(n_rows) for name, a in arrays.items() if a.dtype.kind == "f"}
+    cells = _Cells()
     with open_output(destination) as handle:
         handle.write(f"{_PREFIX} {SCHEMA_VERSION}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row width {len(row)} does not match header width {len(header)}"
-                )
-            handle.write(",".join(format_cell(v) for v in row) + "\n")
+        handle.write(",".join(arrays) + "\n")
+        for start in range(0, n_rows, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            texts = []
+            for name, array in arrays.items():
+                if name in written:
+                    text, written[name][block] = format_floats(array[block])
+                else:
+                    text = list(map(cells.__getitem__, array[block].tolist()))
+                texts.append(text)
+            handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        for name, values in written.items():
+            if (np.isfinite(arrays[name]) & ~np.isfinite(values)).any():
+                raise PanelFormatError(f"{destination}: a {name} rounds to a non-finite value")
+    return written
 
 
 def _is_comment(line: str) -> bool:
@@ -257,7 +286,8 @@ def read_columns(
     """
     error = SchemaError if versioned else PanelFormatError
     if isinstance(source, (str, os.PathLike)):
-        source = open(source, newline="", encoding="utf-8")
+        # utf-8-sig: a table saved with a byte-order mark reads like one without
+        source = open(source, newline="", encoding="utf-8-sig")
     else:
         source = nullcontext(source)
     with source as handle:

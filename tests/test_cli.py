@@ -453,6 +453,25 @@ class TestNonFiniteInput:
             tmp_path, capsys, cfg, "non-finite price nan for AAA 2024-01-03 11:00"
         )
 
+    def test_price_ratio_that_overflows(self, tmp_path, capsys):
+        rows = ["date,time,symbol,price"]
+        for day in range(2, 12):
+            for symbol in ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF"):
+                for stamp, price in (("10:00", "10.0"), ("11:00", "10.5"), ("12:00", "10.2")):
+                    rows.append(f"2024-01-{day:02d},{stamp},{symbol},{price}")
+        # 1e300 / 1e-300 overflows to an infinite bin-2 return
+        rows[55] = "2024-01-05,10:00,AAA,1e-300"
+        rows[56] = "2024-01-05,11:00,AAA,1e300"
+        prices = tmp_path / "prices.csv"
+        prices.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path, mode="prices", input=str(prices), policy="drop-incomplete"
+        )
+        with np.errstate(over="ignore"):
+            self.assert_ingest_rejects(
+                tmp_path, capsys, cfg, "returns_canonical.csv: a return is not finite"
+            )
+
     def test_return_that_rounds_to_infinity(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         rows = ["date,bin,symbol,return"]

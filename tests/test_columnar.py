@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intraday import cli, panel as panel_module, tableio as tableio_module
+from intraday import cli, tableio as tableio_module
 from intraday.config import format_float, write_kv_lines
 from intraday.errors import (
     CompletenessError,
@@ -457,11 +457,21 @@ def test_panel_to_records_is_canonical_text(tmp_path):
         for b in (0, 1, 2)
     ]
     panel, _ = load_panel(recs)
-    write_return_records(recs, tmp_path / "from_records.csv")
-    write_return_records(panel_to_records(panel), tmp_path / "from_panel.csv")
+    ordered = sorted(recs, key=lambda r: r[:3])
+    write_table(
+        tmp_path / "from_records.csv",
+        {
+            name: [r[i] for r in ordered]
+            for i, name in enumerate(("date", "bin", "symbol", "return"))
+        },
+    )
+    write_return_records(panel, tmp_path / "from_panel.csv")
     text = (tmp_path / "from_panel.csv").read_text()
     assert text == (tmp_path / "from_records.csv").read_text()
     assert text.splitlines()[2] == "2020-01-06,0,A,0"
+    assert list(read_return_records(tmp_path / "from_panel.csv")) == list(
+        panel_to_records(panel)
+    )
 
 
 # --- symbols that need quoting ---------------------------------------------------
@@ -517,18 +527,22 @@ def test_printable_symbols_survive_ingest_moments_cross_section(symbols):
         assert sorted(set(column(header, rows, "symbol", str))) == expected
 
 
+def one_cell_panel(symbol, value=0.5):
+    return load_panel([(dt.date(2020, 1, 6), 1, symbol, value)])[0]
+
+
 def test_plain_symbols_are_written_bare():
     buf = io.StringIO()
-    write_return_records([(dt.date(2020, 1, 6), 1, "AB.C", 0.5)], buf)
+    write_return_records(one_cell_panel("AB.C"), buf)
     assert buf.getvalue().splitlines()[2] == "2020-01-06,1,AB.C,0.5"
     buf = io.StringIO()
-    write_return_records([(dt.date(2020, 1, 6), 1, 'B,"C"', 0.5)], buf)
+    write_return_records(one_cell_panel('B,"C"'), buf)
     assert buf.getvalue().splitlines()[2] == '2020-01-06,1,"B,""C""",0.5'
 
 
 def test_table_cells_quoted_only_when_needed():
     buf = io.StringIO()
-    write_table(buf, ["symbol", "x"], [["#A", 1], ["B,C", 2], ["D", 3]])
+    write_table(buf, {"symbol": ["#A", "B,C", "D"], "x": [1, 2, 3]})
     assert buf.getvalue().splitlines()[2:] == ['"#A",1', '"B,C",2', "D,3"]
     header, rows = read_table(io.StringIO(buf.getvalue()))
     assert rows == [["#A", "1"], ["B,C", "2"], ["D", "3"]]
@@ -556,6 +570,62 @@ def test_format_floats_prints_each_value_at_10_digits(values, rows):
     assert list(map(repr, parsed.ravel().tolist())) == [repr(float(t)) for t in texts]
 
 
+table_floats = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+# Stripped text, often with a character that needs quoting.
+table_texts = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "#", " "]) | st.characters(exclude_categories=("Cs",)),
+    max_size=6,
+).filter(lambda s: s == s.strip())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(table_texts, table_floats, st.integers(-(2**63), 2**63 - 1), st.booleans()),
+        max_size=8,
+    ),
+    block_rows=st.sampled_from([1, 3, tableio_module.WRITE_BLOCK_ROWS]),
+)
+def test_write_table_round_trips_through_read_columns(rows, block_rows):
+    """Text, float, int and bool columns read back as written; a float as its
+    ``format_floats`` read-back, and a finite one that would read back as
+    non-finite stops the write."""
+    text, x, n, flag = (list(column) for column in zip(*rows)) if rows else ([],) * 4
+    columns = {
+        "text": np.array(text, dtype=object),
+        "x": np.array(x, dtype=np.float64),
+        "n": np.array(n, dtype=np.int64),
+        "flag": np.array(flag, dtype=bool),
+    }
+    expected = format_floats(columns["x"])[1]
+    buf = io.StringIO()
+    with mock.patch.object(tableio_module, "WRITE_BLOCK_ROWS", block_rows):
+        if (np.isfinite(columns["x"]) & ~np.isfinite(expected)).any():
+            with pytest.raises(PanelFormatError, match="a x rounds to a non-finite value"):
+                write_table(buf, columns)
+            return
+        written = write_table(buf, columns)
+    assert list(written) == ["x"]
+    assert list(map(repr, written["x"].tolist())) == list(map(repr, expected.tolist()))
+    header, (text_back, x_back, n_back, flag_back) = tableio_module.read_columns(
+        io.StringIO(buf.getvalue()),
+        {"text": str, "x": float, "n": int, "flag": int},
+        versioned=True,
+    )
+    assert header == list(columns)
+    assert text_back.tolist() == text
+    assert list(map(repr, x_back.tolist())) == list(map(repr, expected.tolist()))
+    assert n_back.tolist() == n
+    assert flag_back.tolist() == [int(f) for f in flag]
+
+
+def test_value_that_rounds_to_infinity_leaves_no_table(tmp_path):
+    path = tmp_path / "fig.csv"
+    with pytest.raises(PanelFormatError, match="fig.csv: a kurtosis rounds to a non-finite"):
+        write_table(path, {"bin": [1, 2], "kurtosis": [3.0, 1.7976931348623157e308]})
+    assert os.listdir(tmp_path) == []
+
+
 # --- atomic writes ---------------------------------------------------------------
 
 
@@ -565,15 +635,15 @@ class Boom(Exception):
 
 def test_failed_table_write_keeps_earlier_file(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, ["x"], [[1.5]])
+    write_table(path, {"x": [1.5]})
     before = path.read_bytes()
 
-    def rows():
-        yield [2.5]
-        raise Boom
+    class Unprintable:
+        def __str__(self):
+            raise Boom
 
     with pytest.raises(Boom):
-        write_table(path, ["x"], rows())
+        write_table(path, {"x": [2.5, 3.5], "s": np.array(["A", Unprintable()])})
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["t.csv"]
 
@@ -581,7 +651,8 @@ def test_failed_table_write_keeps_earlier_file(tmp_path):
 def test_failed_return_write_keeps_earlier_file(tmp_path):
     path = tmp_path / "r.csv"
     recs = [(dt.date(2020, 1, 6), b, "A", 0.1 * b) for b in range(1, 6)]
-    write_return_records(recs, path)
+    panel = load_panel(recs)[0]
+    write_return_records(panel, path)
     before = path.read_bytes()
     calls = []
 
@@ -589,13 +660,13 @@ def test_failed_return_write_keeps_earlier_file(tmp_path):
         calls.append(values)
         if len(calls) > 1:
             raise Boom
-        return tableio_module.format_floats(values)
+        return format_floats(values)
 
-    with mock.patch.object(panel_module, "WRITE_BLOCK_ROWS", 2), mock.patch.object(
-        panel_module, "format_floats", failing_formats
+    with mock.patch.object(tableio_module, "WRITE_BLOCK_ROWS", 2), mock.patch.object(
+        tableio_module, "format_floats", failing_formats
     ):
         with pytest.raises(Boom):
-            write_return_records(recs, path)
+            write_return_records(panel, path)
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["r.csv"]

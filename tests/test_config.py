@@ -1,6 +1,7 @@
 """Config parsing, run-config validation and versioned table IO."""
 
 import io
+import math
 
 import pytest
 
@@ -30,6 +31,11 @@ class TestKvLines:
         path = tmp_path / "x.cfg"
         path.write_text("k = v\n")
         assert parse_kv_lines(path) == {"k": "v"}
+
+    def test_parse_reads_files_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("mode = synth\nk = v\n", encoding="utf-8-sig")
+        assert parse_kv_lines(path) == {"mode": "synth", "k": "v"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(PanelFormatError, match="duplicate key") as exc:
@@ -215,7 +221,7 @@ class TestThreadCap:
 class TestTableIO:
     def test_roundtrip_with_types(self):
         buf = io.StringIO()
-        write_table(buf, ["name", "n", "x", "flag"], [["a", 3, 0.5, True]])
+        write_table(buf, {"name": ["a"], "n": [3], "x": [0.5], "flag": [True]})
         text = buf.getvalue()
         assert text.startswith("# schema-version: 1\n")
         header, rows = read_table(io.StringIO(text))
@@ -224,24 +230,24 @@ class TestTableIO:
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ["x"], [[1.5], [2.5]])
+        write_table(path, {"x": [1.5, 2.5]})
         header, rows = read_table(path, expect_columns=["x"])
         assert column(header, rows, "x") == [1.5, 2.5]
 
     def test_floats_write_at_ten_digits(self):
         buf = io.StringIO()
-        write_table(buf, ["x"], [[1.0 / 3.0]])
+        write_table(buf, {"x": [1.0 / 3.0]})
         assert "0.3333333333" in buf.getvalue()
 
-    def test_none_becomes_nan(self):
+    def test_nan_reads_as_nan(self):
         buf = io.StringIO()
-        write_table(buf, ["x"], [[None]])
+        write_table(buf, {"x": [math.nan]})
         header, rows = read_table(io.StringIO(buf.getvalue()))
         assert rows == [["nan"]]
 
-    def test_row_width_mismatch(self):
-        with pytest.raises(ValueError, match="row width"):
-            write_table(io.StringIO(), ["a", "b"], [[1]])
+    def test_column_length_mismatch(self):
+        with pytest.raises(ValueError, match="column lengths differ"):
+            write_table(io.StringIO(), {"a": [1], "b": [1, 2]})
 
     def test_missing_version_line(self):
         with pytest.raises(SchemaError, match="schema-version"):
@@ -283,8 +289,9 @@ class TestTableIO:
             column(header, rows, "z")
 
     def test_format_cell_conventions(self):
-        assert format_cell(True) == "1"
-        assert format_cell(False) == "0"
-        assert format_cell(7) == "7"
-        assert format_cell(None) == "nan"
         assert format_cell("sym") == "sym"
+        assert format_cell(7) == "7"
+        assert format_cell("B,C") == '"B,C"'
+        assert format_cell('say "hi"') == '"say ""hi"""'
+        assert format_cell("#A") == '"#A"'
+        assert format_cell("a\nb") == '"a\nb"'

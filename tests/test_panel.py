@@ -120,11 +120,23 @@ class TestReturnTableParsing:
         for i, r in enumerate(recs):
             recs[i] = (r[0], r[1], r[2], (i - 5) * 1.25e-4)
         path = tmp_path / "r.csv"
-        write_return_records(recs, path)
+        panel, _ = load_panel(recs)
+        written = write_return_records(panel, path)
         text = path.read_text()
         assert text.startswith("# schema-version: 1\n")
         back = read_return_records(path)
         assert sorted(back) == sorted(recs)
+        np.testing.assert_array_equal(written, panel.returns)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # as a spreadsheet's "CSV UTF-8" export saves it
+        recs = records_for(["A", "B"], [D1, D2], [1, 2])
+        lines = ["date,bin,symbol,return"]
+        lines += [f"{d.isoformat()},{b},{s},{v}" for d, b, s, v in recs]
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfdate,")
+        assert sorted(read_return_records(path)) == sorted(recs)
 
     def test_comments_and_column_order(self):
         text = (

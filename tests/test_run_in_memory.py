@@ -184,7 +184,15 @@ def test_ingest_formats_synth_records_that_lose_a_cell(tmp_path, monkeypatch):
 
     staged = tmp_path / "staged"
     staged.mkdir()
-    panel_module.write_return_records(partial, staged / "returns.csv")
+    tableio.write_table(
+        staged / "returns.csv",
+        {
+            "date": np.array(partial.dates, dtype=object)[partial.date_index],
+            "bin": partial.bins,
+            "symbol": np.array(partial.symbols, dtype=object)[partial.symbol_index],
+            "return": partial.values,
+        },
+    )
     staged_cfg = str(write_config(tmp_path, "synth", "staged"))
     assert cli.main(["ingest", "-c", staged_cfg, "--policy", "zero-fill"]) == 0
     ran = digests(tmp_path / "run")
