@@ -460,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: numeric-error: {exc}", file=sys.stderr)
         return 4
-    except (IntradayError, FileNotFoundError) as exc:
+    except (IntradayError, OSError) as exc:
         print(f"error: input-error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

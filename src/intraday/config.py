@@ -39,8 +39,11 @@ def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:
     """Read ``key = value`` lines; duplicate keys are an error."""
     if isinstance(source, (str, os.PathLike)):
         # utf-8-sig: a file saved with a byte-order mark reads like one without
-        with open(source, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
+        try:
+            with open(source, "r", encoding="utf-8-sig") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise PanelFormatError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
     else:
         text = source.read()
     pairs: dict[str, str] = {}

@@ -248,7 +248,7 @@ class _KeyCodes(dict):
         code = self[text] = len(self.parsed) - 1
         return code
 
-    def codes(self, texts: list[str]) -> np.ndarray:
+    def codes(self, texts: np.ndarray) -> np.ndarray:
         return np.fromiter(map(self.__getitem__, texts), np.intp, len(texts))
 
 
@@ -279,8 +279,7 @@ def _symbol_key(text: str) -> str:
     return symbol
 
 
-def _bins(texts: list[str]) -> np.ndarray:
-    bins = np.fromiter(map(int, texts), np.int64, len(texts))
+def _bins(bins: np.ndarray) -> np.ndarray:
     if (bins < 0).any():
         raise ValueError("negative bin")
     return bins
@@ -295,8 +294,7 @@ def _bin(text: str) -> int:
     return bin_number
 
 
-def _returns(texts: list[str]) -> np.ndarray:
-    values = np.fromiter(map(float, texts), np.float64, len(texts))
+def _returns(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("non-finite return")
     return values
@@ -319,10 +317,10 @@ def read_return_records(
     _, (date_index, bins, values, symbol_index) = read_columns(
         source,
         {
-            "date": (dates.codes, dates.parse),
-            "bin": (_bins, _bin),
-            "return": (_returns, _return),
-            "symbol": (symbols.codes, symbols.parse),
+            "date": (str, dates.codes, dates.parse),
+            "bin": (int, _bins, _bin),
+            "return": (float, _returns, _return),
+            "symbol": (str, symbols.codes, symbols.parse),
         },
         versioned=versioned,
     )
@@ -489,10 +487,10 @@ def returns_from_prices(
     _, (date_code, stamp_code, price, symbol_code) = read_columns(
         source,
         {
-            "date": (dates.codes, dates.parse),
-            "time": (stamps.codes, stamps.parse),
+            "date": (str, dates.codes, dates.parse),
+            "time": (str, stamps.codes, stamps.parse),
             "price": float,
-            "symbol": (symbols.codes, symbols.parse),
+            "symbol": (str, symbols.codes, symbols.parse),
         },
     )
     if not len(price):

@@ -6,6 +6,10 @@ record whose raw first line starts with ``#``, so a quoted ``"#A"`` is data.
 Quoting is RFC 4180 as :mod:`csv` reads it, fields are stripped, extra
 columns are ignored, and a bad row is reported with its line number.
 Stage tables start with ``# schema-version: 1``, checked by a versioned read.
+The rows are read in chunks of whole lines: numpy's C parser reads a plain
+chunk (ASCII, no quote, CR or NUL) and :mod:`csv` any other.  A chunk that
+either rejects is read row by row with Python's ``int`` and ``float``, which
+name the first bad row, so the grammar is Python's whichever parser ran.
 
 :func:`write_table` writes every table from columns.  Floats print at 10
 significant digits with a ``.`` decimal mark regardless of locale, so
@@ -18,8 +22,10 @@ once complete.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import os
+import warnings
 from contextlib import contextmanager, nullcontext
 from typing import IO, Callable, Iterator, Sequence
 
@@ -37,6 +43,7 @@ _PREFIX = "# schema-version:"
 _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 #: Characters that a plain comma split does not read the way ``csv`` does.
 _CSV_ONLY = ('"', "\r", "\0")
+_DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
 def format_cell(value) -> str:
@@ -170,20 +177,44 @@ def _positions(header: list[str], names, error: type[Exception]) -> list[int]:
     return [header.index(name) for name in names]
 
 
+def _parsed(kind: type, texts) -> np.ndarray:
+    """``texts`` parsed by Python's ``int``, ``float`` or ``str``."""
+    return np.fromiter(map(kind, texts), _DTYPES[kind], len(texts))
+
+
+def _numpy_fields(lines: list[str], width: int, kinds: dict[int, type]) -> list[np.ndarray]:
+    """Columns ``kinds`` of ``lines``, none blank, each parsed as its kind by
+    numpy's C parser, which raises ValueError for a line or text it rejects."""
+    dtype = np.dtype([(f"f{i}", _DTYPES[kinds.get(i, str)]) for i in range(width)])
+    with warnings.catch_warnings():
+        # numpy 1.x parses an int column's 1.0 through a float, with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    # copies, so that a column does not keep the whole chunk alive
+    return [np.ascontiguousarray(table[f"f{i}"]) for i in kinds]
+
+
+def _python_fields(rows: list, width: int, kinds: dict[int, type]) -> list[np.ndarray]:
+    """Columns ``kinds`` of csv ``rows``, each parsed as its kind by Python."""
+    if any(len(row) != width for _, row in rows):
+        raise ValueError("a row has the wrong field count")
+    return [_parsed(kind, [row[i] for _, row in rows]) for i, kind in kinds.items()]
+
+
 def _table_chunks(
-    handle: IO[str], line_num: int, width: int, order: list[int]
-) -> Iterator[tuple[list[list[str]] | None, Iterator[tuple[int, list[str]]]]]:
-    """Yield the data rows after the header chunk by chunk, as ``(tokens, rows)``.
+    handle: IO[str], line_num: int, width: int, kinds: dict[int, type]
+) -> Iterator[tuple[Callable[[], list[np.ndarray]], Iterator[tuple[int, list[str]]]]]:
+    """Yield the data rows after the header chunk by chunk, as ``(fields, rows)``.
 
     ``rows`` yields ``(line_number, fields)`` for each row that is neither
-    blank nor a comment, the fields stripped and in ``order``, and raises
-    :class:`PanelFormatError` at a row without ``width`` fields.  ``tokens``
-    holds the unstripped text of each column in ``order`` for bulk
-    conversion, or None when some row of the chunk has the wrong width.
+    blank nor a comment.  ``fields()`` parses the columns of the whole chunk
+    that ``kinds`` maps by position, each as its kind (text unstripped), or
+    raises ValueError.
     """
     while lines := handle.readlines(CHUNK_BYTES):
         text = "".join(lines)
-        if any(c in text for c in _CSV_ONLY):
+        # not ASCII: numpy 2.4's int parser can crash on a character past U+FFFF
+        if not text.isascii() or any(c in text for c in _CSV_ONLY):
             # A quoted field may run past the chunk: the reader then takes
             # the lines it needs from the handle.
             reader = csv.reader(itertools.chain(lines, handle))
@@ -196,9 +227,7 @@ def _table_chunks(
                 if start >= len(lines):
                     break
             line_num += reader.line_num
-            tokens = None
-            if all(len(row) == width for _, row in rows):
-                tokens = [[row[i] for _, row in rows] for i in order]
+            fields = functools.partial(_python_fields, rows, width, kinds)
         else:
             first = line_num + 1
             line_num += len(lines)
@@ -210,79 +239,61 @@ def _table_chunks(
                     if line != "\n" and not _is_comment(line)
                 ]
                 lines = [line for _, line in numbered]
-            tokens = _split_columns(lines, width, order)
+                if not lines:
+                    continue
+            fields = functools.partial(_numpy_fields, lines, width, kinds)
             rows = ((num, line.rstrip("\n").split(",")) for num, line in numbered)
-        yield tokens, _checked(rows, width, order)
+        yield fields, rows
 
 
-def _split_columns(lines: list[str], width: int, order: list[int]):
-    """Columns ``order`` of the comma-split ``lines``, or None unless every
-    line has exactly ``width`` fields."""
-    if not lines:
-        return [[] for _ in order]
-    tokens = ",".join(lines).split(",")
-    # Each line holds one newline, at its end; the lines all have ``width``
-    # fields exactly when every newline falls in a last-column token.
-    newlines = len(lines) - (not lines[-1].endswith("\n"))
-    if (
-        len(tokens) != width * len(lines)
-        or "".join(tokens[width - 1 :: width]).count("\n") != newlines
-    ):
-        return None
-    return [tokens[i::width] for i in order]
-
-
-def _checked(rows, width: int, order: list[int]) -> Iterator[tuple[int, list[str]]]:
-    for line_num, row in rows:
-        if len(row) != width:
-            raise PanelFormatError(f"expected {width} fields, got {len(row)}", line_num)
-        yield line_num, [row[i].strip() for i in order]
-
-
-def _typed(kind: type, name: str) -> tuple[Callable, Callable]:
-    """``(convert, parse)`` of a column of ``kind``: int, float or stripped
-    text.  A bad text is reported as ``bad <name> '<text>'``."""
-    cast = str.strip if kind is str else kind
-    dtype = {int: np.int64, float: np.float64, str: object}[kind]
-
-    def convert(texts: list[str]) -> np.ndarray:
-        return np.fromiter(map(cast, texts), dtype, len(texts))
+def _typed(kind: type, name: str) -> tuple[type, Callable, Callable]:
+    """The spec of a column of ``kind``: int, float or stripped text.  A bad
+    text is reported as ``bad <name> '<text>'``."""
 
     def parse(text: str):
         try:
-            return convert([text])
+            return _parsed(kind, [text])
         except (ValueError, OverflowError):
             raise ValueError(f"bad {name} {text!r}") from None
 
-    return convert, parse
+    def strip(texts):
+        return np.fromiter(map(str.strip, texts), object, len(texts))
+
+    return kind, strip if kind is str else np.asarray, parse
 
 
-def _raise_first_bad_row(rows, parses) -> None:
-    """Check rows one at a time and raise for the first bad one."""
-    for line_num, fields in rows:
-        for parse, text in zip(parses, fields):
+def _row_by_row(rows, width: int, order: list[int], specs) -> list[np.ndarray]:
+    """Check rows one at a time, each field stripped, and raise for the first
+    bad one; if none is, the columns as Python's int and float parse them."""
+    columns = [[] for _ in specs]
+    for line_num, row in rows:
+        if len(row) != width:
+            raise PanelFormatError(f"expected {width} fields, got {len(row)}", line_num)
+        for i, (_, _, parse), column in zip(order, specs, columns):
+            column.append(row[i].strip())
             try:
-                parse(text)
+                parse(column[-1])
             except ValueError as exc:
                 raise PanelFormatError(str(exc), line_num) from None
-    raise RuntimeError("a chunk failed its bulk checks but none of its rows did")
+    return [convert(_parsed(kind, texts)) for (kind, convert, _), texts in zip(specs, columns)]
 
 
 def read_columns(
     source: str | os.PathLike | IO[str],
-    columns: dict[str, type | tuple[Callable, Callable]] | None = None,
+    columns: dict[str, type | tuple[type, Callable, Callable]] | None = None,
     versioned: bool = False,
 ) -> tuple[list[str], list[np.ndarray]]:
     """Read a table's header and the named columns, one array each.
 
     ``columns`` maps each name to ``int``, ``float``, ``str`` (stripped
-    text) or a pair ``(convert, parse)``: ``convert`` turns a chunk's texts
-    into an array, ``parse`` one stripped text, and each raises ValueError
-    (``convert`` also OverflowError) on a bad text.  None reads every column
-    as text.  A chunk that fails is checked row by row, and the first bad row
-    raises :class:`PanelFormatError` with its line number.  A ``versioned``
-    table must start with the ``# schema-version`` line, and a missing header
-    or column is then a :class:`SchemaError`.
+    text) or a triple ``(kind, convert, parse)``: ``kind`` is one of those
+    three, ``convert`` turns a chunk's column parsed as ``kind`` (text
+    unstripped, in an object array) into the column's array, and ``parse``
+    checks one stripped text; each raises ValueError on a bad value.  None
+    reads every column as text.  A chunk that fails is checked row by row,
+    and the first bad row raises :class:`PanelFormatError` with its line
+    number.  A ``versioned`` table must start with the ``# schema-version``
+    line, and a missing header or column is then a :class:`SchemaError`.
     """
     error = SchemaError if versioned else PanelFormatError
     if isinstance(source, (str, os.PathLike)):
@@ -290,29 +301,31 @@ def read_columns(
         source = open(source, newline="", encoding="utf-8-sig")
     else:
         source = nullcontext(source)
-    with source as handle:
-        if versioned:
-            _check_version(handle.readline())
-        header, line_num = _header(handle, error)
-        if columns is None:
-            order = list(range(len(header)))
-            specs = [_typed(str, name) for name in header]
-        else:
-            order = _positions(header, columns, error)
-            specs = [
-                spec if isinstance(spec, tuple) else _typed(spec, name)
-                for name, spec in columns.items()
-            ]
-        converts, parses = zip(*specs)
-        parts = [[convert([]) for convert in converts]]
-        line_num += versioned  # the version line is line 1
-        for tokens, rows in _table_chunks(handle, line_num, len(header), order):
-            if tokens is None:
-                _raise_first_bad_row(rows, parses)
-            try:
-                parts.append([convert(texts) for convert, texts in zip(converts, tokens)])
-            except (ValueError, OverflowError):
-                _raise_first_bad_row(rows, parses)
+    try:
+        with source as handle:
+            if versioned:
+                _check_version(handle.readline())
+            header, line_num = _header(handle, error)
+            if columns is None:
+                order = list(range(len(header)))
+                specs = [_typed(str, name) for name in header]
+            else:
+                order = _positions(header, columns, error)
+                specs = [
+                    spec if isinstance(spec, tuple) else _typed(spec, name)
+                    for name, spec in columns.items()
+                ]
+            kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
+            parts = [[convert(_parsed(kind, [])) for kind, convert, _ in specs]]
+            line_num += versioned  # the version line is line 1
+            for fields, rows in _table_chunks(handle, line_num, len(header), kinds):
+                try:
+                    parts.append([convert(f) for (_, convert, _), f in zip(specs, fields())])
+                except (ValueError, OverflowError, DeprecationWarning):
+                    parts.append(_row_by_row(rows, len(header), order, specs))
+    except UnicodeDecodeError as exc:
+        name = getattr(handle, "name", "input")
+        raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
     return header, [np.concatenate(column) for column in zip(*parts)]
 
 

@@ -225,6 +225,40 @@ class TestExitCodes:
         assert cli.main(["ingest", "-c", str(cfg)]) == 2
         self.assert_single_error_line(capsys, "input-error")
 
+    def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"date,bin,symbol,return\n2020-01-06,1,A\xe9,0.1\n")
+        cfg = write_config(tmp_path, mode="returns", input=str(bad))
+        assert cli.main(["ingest", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: input-error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+        )
+
+    def test_stage_table_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        table = tmp_path / "out" / "returns_canonical.csv"
+        table.write_bytes(table.read_bytes().replace(b",S0000,", b",\xff0000,", 1))
+        capsys.readouterr()
+        assert cli.main(["moments", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: input-error: {table}: not UTF-8 text (invalid start byte)\n"
+
+    def test_manifest_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        manifest = tmp_path / "synth.cfg"
+        manifest.write_bytes(MANIFEST.encode() + b"# caf\xe9\n")
+        assert cli.main(["synth", "-c", str(cfg)]) == 2
+        assert f"{manifest}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_input_that_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mode="returns", input=str(tmp_path))
+        assert cli.main(["ingest", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input-error: ")
+        assert str(tmp_path) in err
+
     def test_corrupted_schema_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg)]) == 0

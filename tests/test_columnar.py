@@ -14,6 +14,7 @@ import math
 import os
 import random
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -237,8 +238,42 @@ def same_load(a, b):
 # --- generated tables ------------------------------------------------------------
 
 COLUMNS = ("date", "bin", "symbol", "return")
-BAD_TEXT = ("", "x", "-1", "nan", "inf", "2020-13-01", "1.5", "1e999", "#", " ")
+# Texts where numpy's parser and Python's int/float may disagree are mixed
+# in with plainly bad ones: the reader must follow Python's grammar.
+BAD_TEXT = (
+    "", "x", "-1", "nan", "inf", "2020-13-01", "1.5", "1e999", "#", " ",
+    "1_0", "+1", "\uff11", " 1", "1.0", "9223372036854775808", "1e400",
+    "Infinity", ".5", "5.", "-0", "1\x1c",
+)
 PAD = st.sampled_from(["", " ", "  ", "\t"])
+#: Lines inserted among a generated table's lines; the last holds only spaces.
+EXTRA_LINES = ["# comment", "  # indented, comment", "", "#,,,", "   "]
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def _insert_extra_lines(rng, lines, count):
+    """Insert ``count`` of ``EXTRA_LINES`` at random places in ``lines``.  A
+    spaces-only line goes after the header: before it, it would be read as
+    a header of one empty name, and the reader and the oracle name the
+    missing columns in different orders."""
+    header = lines[0]
+    for _ in range(count):
+        extra = rng.choice(EXTRA_LINES)
+        start = lines.index(header) + 1 if extra.isspace() else 0
+        lines.insert(rng.randrange(start, len(lines) + 1), extra)
+
+
+def _number_text(rng, text):
+    """``text``, or another spelling of its number that Python's int or float
+    reads as the same value: a plus sign, an underscore, fullwidth digits."""
+    spelling = rng.choice(["same", "same", "plus", "underscore", "fullwidth"])
+    if spelling == "plus" and not text.startswith("-"):
+        return "+" + text
+    if spelling == "underscore" and text[-2:-1].isdigit() and text[-1:].isdigit():
+        return text[:-1] + "_" + text[-1]
+    if spelling == "fullwidth":
+        return text.translate(FULLWIDTH)
+    return text
 
 
 def _quote(text):
@@ -270,11 +305,12 @@ def return_tables(draw):
     rows = []
     for date, bin_number, symbol in cells:
         value = rng.choice([0.0, -0.0, 1.25e-4, -0.0375, rng.gauss(0.0, 0.01)])
+        value_text = rng.choice([repr(value), f"{value:.10g}", ".5", "5.", "-0", "1_0"])
         text = {
             "date": date.isoformat(),
-            "bin": str(bin_number),
+            "bin": _number_text(rng, str(bin_number)),
             "symbol": symbol,
-            "return": rng.choice([repr(value), f"{value:.10g}"]),
+            "return": _number_text(rng, value_text),
             "x": rng.choice(["1", "", "a b"]),
             "note": rng.choice(["n", '"q"', "c,d"]),
         }
@@ -299,11 +335,7 @@ def return_tables(draw):
 
     lines = [",".join(field_text(h) for h in header)]
     lines += [",".join(field_text(f) for f in row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(
-            rng.randrange(len(lines) + 1),
-            rng.choice(["# comment", "  # indented, comment", "", "#,,,"]),
-        )
+    _insert_extra_lines(rng, lines, draw(st.integers(0, 3)))
     eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
     return text
@@ -436,6 +468,47 @@ def test_field_counts_are_checked_per_row():
     )
     with pytest.raises(PanelFormatError, match="row 2: expected 4 fields, got 5"):
         read_return_records(io.StringIO(table))
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 4 << 20])
+@pytest.mark.parametrize(
+    "field, text, value",
+    [(1, "1_0", 10), (3, "0.00_1", 0.001), (3, "\uff10.\uff10\uff11", 0.01), (1, "\uff12", 2)],
+)
+def test_texts_only_python_reads_match_the_row_parser(chunk_bytes, field, text, value):
+    """A chunk holding a number that numpy's parser rejects but Python's
+    int or float reads (an underscore, fullwidth digits) reads as the oracle
+    does, whether numpy saw the chunk first or the chunk is not ASCII."""
+    lines = _long_table()
+    row = lines[30].split(",")
+    row[field] = text
+    lines[30] = ",".join(row)
+    table = "\n".join(lines) + "\n"
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
+        got = list(read_return_records(io.StringIO(table)))
+    assert got == oracle_read(io.StringIO(table))
+    assert got[28][field] == value
+
+
+@pytest.mark.parametrize("text", ["1.0", "1e3"])
+def test_int_columns_stay_strict_when_numpy_parses_ints_via_floats(text):
+    """numpy 1.x reads an int column's ``1.0`` through a float with a
+    DeprecationWarning; the reader then falls back to Python's int, which
+    rejects it.  The old behaviour is emulated on the installed numpy."""
+    loadtxt = np.loadtxt
+
+    def old_loadtxt(lines, dtype, **options):
+        try:
+            return loadtxt(lines, dtype, **options)
+        except ValueError:
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            floats = [(n, float if dtype[n] == np.int64 else dtype[n]) for n in dtype.names]
+            return loadtxt(lines, np.dtype(floats), **options).astype(dtype)
+
+    table = f"date,bin,symbol,return\n2020-01-06,1,A,0.1\n2020-01-06,{text},B,0.2\n"
+    with mock.patch.object(np, "loadtxt", old_loadtxt):
+        with pytest.raises(PanelFormatError, match=f"row 3: bad bin '{text}'"):
+            read_return_records(io.StringIO(table))
 
 
 # --- columns -----------------------------------------------------------------------
@@ -815,7 +888,7 @@ def price_tables(draw):
             "date": date.isoformat(),
             "time": stamp,
             "symbol": symbol,
-            "price": rng.choice([repr(price), f"{price:.6g}"]),
+            "price": _number_text(rng, rng.choice([repr(price), f"{price:.6g}", ".5", "5."])),
             "x": rng.choice(["1", "", "a b"]),
             "note": rng.choice(["n", '"q"', "c,d"]),
         }
@@ -840,11 +913,7 @@ def price_tables(draw):
 
     lines = [",".join(field_text(h) for h in header)]
     lines += [",".join(field_text(f) for f in row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(
-            rng.randrange(len(lines) + 1),
-            rng.choice(["# comment", "  # indented, comment", "", "#,,,"]),
-        )
+    _insert_extra_lines(rng, lines, draw(st.integers(0, 3)))
     eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     return eol.join(lines) + (eol if draw(st.booleans()) else "")
 
