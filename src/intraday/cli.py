@@ -2,26 +2,18 @@
 
 Each pipeline stage is one ``stage_*`` function: it takes its inputs as
 arguments, writes its tables to the output directory as column dicts
-through ``tableio.write_table`` and returns what later stages need.
+through ``tableio.write_table`` and returns what later stages need.  The
+README's table lists each subcommand and the files it writes.
 
-    synth          manifest -> returns.csv, manifest_echo.txt
-    ingest         input -> returns_canonical.csv, load_report.txt, validation.txt
-    moments        -> stock_moments.csv
-    cross-section  -> dispersion.csv, fig1.csv, fig2.csv
-    fit            -> fig1_fit.csv
-    spectra        -> fig6.csv, fig7.csv, fig7_null.csv
-    condition      -> fig3.csv, fig4.csv, fig5_index.csv, fig5_dispersion.csv
-    run            all of the above in order, plus run_manifest.txt
-
-``run`` hands each stage's results to the next in memory: the canonical
-panel, the volatility and kurtosis columns of ``stock_moments.csv``, and
-fig1's ``stock_vol`` profile.  Each is a float column that ``write_table``
-returns, what the next stage would read back from the file (floats at 10
-significant digits, -0 read as 0).  A stage subcommand reads those files
-from the output directory instead, so ``run`` and a manual stage sequence
-produce byte-identical tables.  In synth mode, when ingest's load keeps
-every record, ``run`` copies returns.csv to returns_canonical.csv: the
-canonical table would hold the same bytes.
+``run`` runs every stage in one process and hands each stage's results to
+the next in memory: the canonical panel, the columns ``write_table``
+returns for ``stock_moments.csv`` and ``fig1.csv`` (floats as they read
+back, at 10 significant digits with -0 read as 0) and the dispersion grid.
+A stage subcommand reads those tables' columns from the output directory
+instead, and builds the grid from the canonical panel, so ``run`` and a
+manual stage sequence produce byte-identical tables.  In synth mode, when
+ingest's load keeps every record, ``run`` copies returns.csv to
+returns_canonical.csv: the canonical table would hold the same bytes.
 
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
@@ -37,9 +29,11 @@ Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shutil
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -60,12 +54,13 @@ from .config import (
     thread_cap_from_env,
     write_kv_lines,
 )
-from .cross_section import dispersion_grid, normalize_panel
+from .cross_section import DispersionGrid, dispersion_grid, normalize_panel
 from .errors import (
     DegenerateSampleError,
     FeasibilityError,
     InsufficientDataError,
     IntradayError,
+    PanelFormatError,
     SchemaError,
 )
 from .panel import (
@@ -97,6 +92,8 @@ from .tableio import open_output, read_columns, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
+MOMENTS_FILE = "stock_moments.csv"
+FIG1_FILE = "fig1.csv"
 
 
 def _out(config: RunConfig, name: str) -> str:
@@ -108,9 +105,10 @@ def stage_synth(config: RunConfig) -> ReturnColumns:
     manifest = read_manifest(config.synth_manifest)
     panel, echoed = generate_market(manifest)
     os.makedirs(config.output_dir, exist_ok=True)
-    written = write_return_records(panel, _out(config, RETURNS_FILE))
+    # the generated returns go before the records are built
+    panel = replace(panel, returns=write_return_records(panel, _out(config, RETURNS_FILE)))
     write_manifest(echoed, _out(config, "manifest_echo.txt"))
-    return panel_to_records(replace(panel, returns=written))
+    return panel_to_records(panel)
 
 
 def stage_ingest(config: RunConfig, records, written: str | None = None) -> ReturnPanel:
@@ -141,28 +139,17 @@ def stage_ingest(config: RunConfig, records, written: str | None = None) -> Retu
     return panel
 
 
-def stage_moments(config: RunConfig, panel: ReturnPanel) -> tuple[np.ndarray, ...]:
-    """Per (stock, bin) moments; return the bins and the (stock, bin)
-    volatility and kurtosis tables, as stock_moments.csv holds them."""
+def stage_moments(config: RunConfig, panel: ReturnPanel) -> dict[str, np.ndarray]:
+    """Per (stock, bin) moments; return stock_moments.csv's columns."""
     grid = stock_bin_moments(panel)
-    n_stocks, n_bins = grid.volatility.shape
-    bins = np.tile(grid.bin_numbers, n_stocks)
-    written = write_table(
-        _out(config, "stock_moments.csv"),
-        {
-            "symbol": np.repeat(np.array(grid.stock_ids, dtype=object), n_bins),
-            "bin": bins,
-            "overnight": bins == 0,
-            "mean": grid.mean.ravel(),
-            "volatility": grid.volatility.ravel(),
-            "skewness": grid.skewness.ravel(),
-            "kurtosis": grid.kurtosis.ravel(),
-            "median": grid.median.ravel(),
-            "degenerate": grid.degenerate.ravel(),
-        },
+    bins = np.tile(grid.bin_numbers, len(grid.stock_ids))
+    symbols = np.repeat(np.array(grid.stock_ids, dtype=object), len(grid.bin_numbers))
+    stats = ("mean", "volatility", "skewness", "kurtosis", "median", "degenerate")
+    return write_table(
+        _out(config, MOMENTS_FILE),
+        {"symbol": symbols, "bin": bins, "overnight": bins == 0}
+        | {name: getattr(grid, name).ravel() for name in stats},
     )
-    tables = (written[name].reshape(n_stocks, n_bins) for name in ("volatility", "kurtosis"))
-    return grid.bin_numbers, *tables
 
 
 def _write_profiles(path: str, profiles: list[IntradayProfile]) -> dict[str, np.ndarray]:
@@ -177,41 +164,43 @@ def _write_profiles(path: str, profiles: list[IntradayProfile]) -> dict[str, np.
     return write_table(path, columns)
 
 
-def _vol_profile(bins, values, bands) -> IntradayProfile:
-    """fig1's intraday ``stock_vol`` profile, the input of ``fit``."""
-    return IntradayProfile(
-        bins=bins,
-        values=values,
-        band=bands,
-        overnight_value=None,
-        overnight_band=None,
-        statistic_name="stock_vol",
-        band_kind="stderr",
-    )
+def _check_once(config: RunConfig, name: str, label: str, cells, rows) -> None:
+    """Raise unless the stage table ``name``'s ``rows`` hold each of
+    ``cells`` once and nothing else, naming the first cell that fails."""
+    path = _out(config, name)
+    counts = Counter(rows)
+    for cell in cells:
+        count = counts.pop(cell, 0)
+        if count != 1:
+            problem = "no row" if count == 0 else "repeated rows"
+            raise PanelFormatError(f"{path}: {problem} for {label.format(*cell)}")
+    if counts:
+        extra = label.format(*next(iter(counts)))
+        raise PanelFormatError(f"{path}: unexpected row for {extra}")
 
 
 def stage_cross_section(
-    config: RunConfig, panel: ReturnPanel, moment_bins, volatility, kurtosis
-) -> IntradayProfile:
-    """Dispersion grid and the fig1/fig2 profiles; return fig1's stock_vol
-    profile as fig1.csv holds it."""
+    config: RunConfig, panel: ReturnPanel, moments: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], DispersionGrid]:
+    """Dispersion grid and the fig1/fig2 profiles, from the panel and
+    stock_moments.csv's columns; return fig1.csv's columns and the grid."""
+    cells = itertools.product(panel.stock_ids, panel.bin_numbers.tolist())
+    rows = zip(moments["symbol"].tolist(), moments["bin"].tolist())
+    _check_once(config, MOMENTS_FILE, "symbol {}, bin {}", cells, rows)
+    symbols, stock = np.unique(moments["symbol"], return_inverse=True)
+    moment_bins, col = np.unique(moments["bin"], return_inverse=True)
+    volatility, kurtosis = np.empty((2, len(symbols), len(moment_bins)))
+    volatility[stock, col], kurtosis[stock, col] = moments["volatility"], moments["kurtosis"]
+
     grid = dispersion_grid(panel)
     n_bins, n_days = grid.dispersion.shape
     bins = np.tile(grid.bin_numbers, n_days)
+    dates = np.repeat(np.array(grid.dates, dtype=object), n_bins)
+    stats = "index_return", "dispersion", "skewness", "kurtosis", "median", "mad", "degenerate"
     write_table(
         _out(config, "dispersion.csv"),
-        {
-            "date": np.repeat(np.array(grid.dates, dtype=object), n_bins),
-            "bin": bins,
-            "overnight": bins == 0,
-            "index_return": grid.index_return.T.ravel(),
-            "dispersion": grid.dispersion.T.ravel(),
-            "skewness": grid.skewness.T.ravel(),
-            "kurtosis": grid.kurtosis.T.ravel(),
-            "median": grid.median.T.ravel(),
-            "mad": grid.mad.T.ravel(),
-            "degenerate": grid.degenerate.T.ravel(),
-        },
+        {"date": dates, "bin": bins, "overnight": bins == 0}
+        | {name: getattr(grid, name).T.ravel() for name in stats},
     )
 
     stock_vol = profile_over_stocks(volatility, "stderr", moment_bins, "stock_vol")
@@ -223,7 +212,7 @@ def stage_cross_section(
     )
     ratio = ratio_profile(stock_vol, dispersion_profile, "vol_dispersion_ratio")
     fig1 = _write_profiles(
-        _out(config, "fig1.csv"), [stock_vol, dispersion_profile, abs_index, ratio]
+        _out(config, FIG1_FILE), [stock_vol, dispersion_profile, abs_index, ratio]
     )
 
     stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "stock_kurtosis")
@@ -231,12 +220,20 @@ def stage_cross_section(
         grid.kurtosis, "dispersion", grid.bin_numbers, "dispersion_kurtosis"
     )
     _write_profiles(_out(config, "fig2.csv"), [stock_kurt, dispersion_kurt])
-    n = len(stock_vol.bins)  # fig1's intraday rows are its last
-    return _vol_profile(stock_vol.bins, fig1["stock_vol"][-n:], fig1["stock_vol_band"][-n:])
+    return fig1, grid
 
 
-def stage_fit(config: RunConfig, profile: IntradayProfile) -> None:
-    fit = fit_power_law(profile, config.fit_range_for(int(profile.bins.max())))
+def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray]) -> None:
+    """Fit the power law to fig1.csv's intraday stock_vol rows, whose bins
+    must be 1..K once each."""
+    keep = fig1["overnight"] == 0
+    bins = fig1["bin"][keep]
+    cells = ((k,) for k in range(1, len(bins) + 1))
+    _check_once(config, FIG1_FILE, "intraday bin {}", cells, zip(bins.tolist()))
+    config.check_fit_window(len(bins))
+    values, band = fig1["stock_vol"][keep], fig1["stock_vol_band"][keep]
+    profile = IntradayProfile(bins, values, band, None, None, "stock_vol", "stderr")
+    fit = fit_power_law(profile, config.fit_range_for(len(bins)))
     write_table(
         _out(config, "fig1_fit.csv"),
         {
@@ -250,8 +247,8 @@ def stage_fit(config: RunConfig, profile: IntradayProfile) -> None:
     )
 
 
-def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
-    npanel = normalize_panel(panel)
+def stage_spectra(config: RunConfig, panel: ReturnPanel, grid: DispersionGrid) -> None:
+    npanel = normalize_panel(panel, grid)
     spectra = bin_spectra(npanel)
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]
@@ -311,8 +308,7 @@ def _write_curve(config: RunConfig, name: str, curve) -> None:
     )
 
 
-def stage_condition(config: RunConfig, panel: ReturnPanel) -> None:
-    grid = dispersion_grid(panel)
+def stage_condition(config: RunConfig, grid: DispersionGrid) -> None:
     signed, positive = config.bucket_specs()
     common = dict(
         min_count=config.min_count,
@@ -341,10 +337,10 @@ def run_pipeline(config: RunConfig) -> None:
         panel = stage_ingest(config, stage_synth(config), _out(config, RETURNS_FILE))
     else:
         panel = stage_ingest(config, _read_input(config))
-    vol_profile = stage_cross_section(config, panel, *stage_moments(config, panel))
-    stage_fit(config, vol_profile)
-    stage_spectra(config, panel)
-    stage_condition(config, panel)
+    fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
+    stage_fit(config, fig1)
+    stage_spectra(config, panel, grid)
+    stage_condition(config, grid)
     pairs = [
         ("package_version", __version__),
         ("table_schema_version", "1"),
@@ -373,30 +369,15 @@ def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
     return panel
 
 
-def _read_moments(config: RunConfig):
-    """stock_moments.csv as ``stage_moments`` returns it."""
-    _, (symbols, bins, *values) = read_columns(
-        _out(config, "stock_moments.csv"),
-        {"symbol": str, "bin": int, "volatility": float, "kurtosis": float},
-        versioned=True,
-    )
-    order_syms, stock = np.unique(symbols, return_inverse=True)
-    order_bins, col = np.unique(bins, return_inverse=True)
-    tables = np.full((2, len(order_syms), len(order_bins)), np.nan)
-    tables[:, stock, col] = values
-    return order_bins.tolist(), *tables
+def _read_table(config: RunConfig, name: str, kinds: dict) -> dict[str, np.ndarray]:
+    """The ``kinds`` columns of the stage table ``name``, as its stage returns them."""
+    return dict(zip(kinds, read_columns(_out(config, name), kinds, versioned=True)[1]))
 
 
-def _read_vol_profile(config: RunConfig) -> IntradayProfile:
-    """fig1.csv's stock_vol columns as ``stage_cross_section`` returns them."""
-    _, (bins, overnight, values, bands) = read_columns(
-        _out(config, "fig1.csv"),
-        {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float},
-        versioned=True,
-    )
-    keep = overnight == 0
-    config.check_fit_window(int(bins[keep].max()))
-    return _vol_profile(bins[keep], values[keep], bands[keep])
+def _canonical_grid(config: RunConfig) -> tuple[ReturnPanel, DispersionGrid]:
+    """The canonical panel, checked against the config, and its grid."""
+    panel = _read_canonical(config, check=True)
+    return panel, dispersion_grid(panel)
 
 
 _STAGES = {
@@ -405,13 +386,24 @@ _STAGES = {
     "ingest": lambda config: stage_ingest(config, _read_input(config)),
     "moments": lambda config: stage_moments(config, _read_canonical(config)),
     "cross-section": lambda config: stage_cross_section(
-        config, _read_canonical(config), *_read_moments(config)
+        config,
+        _read_canonical(config),
+        _read_table(
+            config,
+            MOMENTS_FILE,
+            {"symbol": str, "bin": int, "volatility": float, "kurtosis": float},
+        ),
     ),
-    "fit": lambda config: stage_fit(config, _read_vol_profile(config)),
-    "spectra": lambda config: stage_spectra(config, _read_canonical(config, check=True)),
-    "condition": lambda config: stage_condition(
-        config, _read_canonical(config, check=True)
+    "fit": lambda config: stage_fit(
+        config,
+        _read_table(
+            config,
+            FIG1_FILE,
+            {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float},
+        ),
     ),
+    "spectra": lambda config: stage_spectra(config, *_canonical_grid(config)),
+    "condition": lambda config: stage_condition(config, _canonical_grid(config)[1]),
 }
 
 
@@ -438,34 +430,29 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return run_config_from(pairs)
 
 
+# (exception classes, category, exit code) of a failure: the first row it matches
+_FAILURES = (
+    (SchemaError, "schema-error", 3),
+    ((DegenerateSampleError, InsufficientDataError, FeasibilityError), "numeric-error", 4),
+    (np.linalg.LinAlgError, "numeric-error", 4),
+    ((IntradayError, OSError), "input-error", 2),
+    (Exception, "internal-error", 5),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # before the stage starts, a ValueError is a bad setting
+    failures = ((ValueError, "input-error", 2), *_FAILURES)
     try:
         apply_thread_cap(thread_cap_from_env())
         config = _resolve_config(args)
-    except (IntradayError, ValueError, OSError) as exc:
-        print(f"error: input-error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        failures = _FAILURES
         _STAGES[args.command](config)
-    except SchemaError as exc:
-        print(f"error: schema-error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        DegenerateSampleError,
-        InsufficientDataError,
-        FeasibilityError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        print(f"error: numeric-error: {exc}", file=sys.stderr)
-        return 4
-    except (IntradayError, OSError) as exc:
-        print(f"error: input-error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: internal-error: {exc}", file=sys.stderr)
-        return 5
+        category, code = next((c, n) for kinds, c, n in failures if isinstance(exc, kinds))
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -117,13 +117,17 @@ class NormalizedPanel(_PanelView):
         object.__setattr__(self, "returns", arr)
 
 
-def normalize_panel(panel: ReturnPanel) -> NormalizedPanel:
-    """Divide each (bin, day) cell by its cross-sectional dispersion.
+def normalize_panel(
+    panel: ReturnPanel, grid: DispersionGrid | None = None
+) -> NormalizedPanel:
+    """Divide each (bin, day) cell by its cross-sectional dispersion, taken
+    from ``grid``, the panel's :func:`dispersion_grid`, when one is given.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair; nothing is silently passed through.
     """
-    grid = dispersion_grid(panel)
+    if grid is None:
+        grid = dispersion_grid(panel)
     if grid.degenerate.any():
         rows, cols = np.nonzero(grid.degenerate)
         pairs = [(int(grid.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]

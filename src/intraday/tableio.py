@@ -104,10 +104,11 @@ def write_table(
 
     A column's dtype decides its format: floats at :data:`FLOAT_FORMAT`,
     ints and bools as integers, anything else as text by :func:`format_cell`.
-    Rows are formatted in blocks of :data:`WRITE_BLOCK_ROWS`.  Returns each
-    float column as a reader parses it back.  A finite value whose text reads
-    back as non-finite raises :class:`PanelFormatError` before a path
-    destination is replaced.
+    Rows are formatted in blocks of :data:`WRITE_BLOCK_ROWS`.  Returns every
+    column as written: a float column as a reader parses it back, any other
+    as given, bools as ints.  A finite value whose text reads back as
+    non-finite raises :class:`PanelFormatError` before a path destination is
+    replaced.
     """
     arrays = {name: np.asarray(values) for name, values in columns.items()}
     arrays |= {name: a.astype(np.int64) for name, a in arrays.items() if a.dtype == bool}
@@ -133,7 +134,7 @@ def write_table(
         for name, values in written.items():
             if (np.isfinite(arrays[name]) & ~np.isfinite(values)).any():
                 raise PanelFormatError(f"{destination}: a {name} rounds to a non-finite value")
-    return written
+    return arrays | written
 
 
 def _is_comment(line: str) -> bool:
@@ -328,22 +329,3 @@ def read_columns(
         raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
     return header, [np.concatenate(column) for column in zip(*parts)]
 
-
-def read_table(
-    source: str | os.PathLike | IO[str], expect_columns: Sequence[str] | None = None
-) -> tuple[list[str], list[list[str]]]:
-    """Read a versioned table as its header and rows of text, every field
-    stripped.  A wrong or missing version line, header or expected column is
-    a :class:`SchemaError`."""
-    header, texts = read_columns(source, versioned=True)
-    _positions(header, expect_columns or (), SchemaError)
-    return header, list(map(list, zip(*(text.tolist() for text in texts))))
-
-
-def column(header: list[str], rows: list[list[str]], name: str, kind=float) -> list:
-    """Extract one typed column from read_table output."""
-    try:
-        i = header.index(name)
-    except ValueError:
-        raise SchemaError(f"no column {name!r} in table") from None
-    return [kind(row[i]) for row in rows]

@@ -3,6 +3,8 @@
 import argparse
 import dataclasses
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from intraday.config import (
     read_run_config,
     write_kv_lines,
 )
-from intraday.tableio import column, read_table
+from intraday.tableio import read_columns
 
 MANIFEST = """\
 n_stocks = 8
@@ -73,6 +75,12 @@ def write_config(tmp_path, name="run.cfg", out_name="out", **overrides):
     return cfg
 
 
+def read_stage_table(path, **kinds):
+    """A stage table's header and its ``kinds`` columns, each as a list."""
+    header, columns = read_columns(path, kinds, versioned=True)
+    return header, {name: column.tolist() for name, column in zip(kinds, columns)}
+
+
 def read_all(out_dir, names=STAGE_FILES):
     return {name: (out_dir / name).read_bytes() for name in names}
 
@@ -119,28 +127,36 @@ class TestPipeline:
     def test_fig7_covers_every_bin_with_requested_indices(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg)]) == 0
-        header, rows = read_table(tmp_path / "out" / "fig7.csv")
+        header, table = read_stage_table(
+            tmp_path / "out" / "fig7.csv", bin=int, overnight=int, s_2=float
+        )
         assert header == [
             "bin", "overnight",
             "lambda_2", "lambda_3", "lambda_4",
             "s_2", "s_3", "s_4",
         ]
-        bins = column(header, rows, "bin", int)
+        bins = table["bin"]
         assert bins == [0, 1, 2, 3, 4, 5, 6]
-        flags = column(header, rows, "overnight", int)
+        flags = table["overnight"]
         assert flags == [1, 0, 0, 0, 0, 0, 0]
         # the reference bin overlaps itself perfectly
-        s_ref = column(header, rows, "s_2", float)[1]
+        s_ref = table["s_2"][1]
         assert s_ref == pytest.approx(1.0, abs=1e-9)
 
     def test_null_threshold_row(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg)]) == 0
-        header, rows = read_table(tmp_path / "out" / "fig7_null.csv")
-        assert column(header, rows, "dim", int) == [8]
-        assert column(header, rows, "subspace_dim", int) == [3]
-        assert column(header, rows, "seed", int) == [3]
-        threshold = column(header, rows, "threshold", float)[0]
+        _, table = read_stage_table(
+            tmp_path / "out" / "fig7_null.csv",
+            dim=int,
+            subspace_dim=int,
+            seed=int,
+            threshold=float,
+        )
+        assert table["dim"] == [8]
+        assert table["subspace_dim"] == [3]
+        assert table["seed"] == [3]
+        threshold = table["threshold"][0]
         assert 0.0 < threshold < 1.0
 
     def test_returns_mode_reuses_synth_output(self, tmp_path):
@@ -165,8 +181,8 @@ class TestPipeline:
             ["run", "-c", str(cfg), "--output-dir", str(other), "--null-seed", "9"]
         )
         assert code == 0
-        header, rows = read_table(other / "fig7_null.csv")
-        assert column(header, rows, "seed", int) == [9]
+        _, table = read_stage_table(other / "fig7_null.csv", seed=int)
+        assert table["seed"] == [9]
 
     def test_condition_stage_accepts_bin_subset(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -184,6 +200,61 @@ class TestPipeline:
             ["condition", "-c", str(cfg), "--include-overnight-conditioning", "true"]
         )
         assert code == 0
+
+
+def readme_stage_table():
+    """Each subcommand in README's stage table, and the files its row names."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            _, name, writes, _ = line.split("|")
+            rows[name.strip().strip("`")] = re.findall(r"`([^`]+)`", writes)
+    return rows
+
+
+def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
+    table = readme_stage_table()
+    assert sorted(table) == sorted(cli._STAGES)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    seen = set()
+    for stage in [name for name in cli._STAGES if name != "run"]:
+        assert cli.main([stage, "-c", str(cfg)]) == 0, stage
+        files = {p.name for p in out.iterdir()}
+        assert files - seen == set(table[stage]), stage
+        seen = files
+    run_cfg = write_config(tmp_path, name="ran.cfg", out_name="ran")
+    assert cli.main(["run", "-c", str(run_cfg)]) == 0
+    assert {p.name for p in (tmp_path / "ran").iterdir()} == seen | set(table["run"])
+
+
+# Damage to a stage table's rows (its lines after the version line and the
+# header), and what the message says about it.
+DAMAGE = {
+    "drop": (lambda rows: rows[:2] + rows[3:], "no row for"),
+    "repeat": (lambda rows: rows + rows[2:3], "repeated rows for"),
+}
+
+
+def drop_where(lost):
+    return lambda rows: [row for row in rows if not lost(row)]
+
+
+# stock_moments.csv damaged as a whole: bin 3 of every symbol lost, every
+# row of S0003 lost, and a row for a symbol the panel does not hold.
+MOMENTS_DAMAGE = [
+    (*DAMAGE["drop"], "symbol S0000, bin 2"),
+    (*DAMAGE["repeat"], "symbol S0000, bin 2"),
+    (drop_where(lambda row: row.split(",")[1] == "3"), "no row for", "symbol S0000, bin 3"),
+    (drop_where(lambda row: row.startswith("S0003,")), "no row for", "symbol S0003, bin 0"),
+    (lambda rows: rows + ["S0099" + rows[2][5:]], "unexpected row for", "symbol S0099, bin 2"),
+]
+
+
+def damage_rows(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + edit(lines[2:])))
 
 
 class TestExitCodes:
@@ -308,6 +379,41 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: input-error: row 4: {message}\n"
 
     @pytest.mark.parametrize(
+        "edit, message, cell",
+        MOMENTS_DAMAGE,
+        ids=["drop", "repeat", "lost-bin", "lost-symbol", "foreign-symbol"],
+    )
+    def test_damaged_stock_moments_cell_is_named(self, tmp_path, capsys, edit, message, cell):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert (out / "stock_moments.csv").read_text().splitlines()[4].startswith("S0000,2,")
+        damage_rows(out / "stock_moments.csv", edit)
+        before = read_all(out)
+        capsys.readouterr()
+        assert cli.main(["cross-section", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input-error: {out / 'stock_moments.csv'}: {message} {cell}\n"
+        )
+        assert read_all(out) == before
+
+    @pytest.mark.parametrize("edit, message", DAMAGE.values(), ids=list(DAMAGE))
+    def test_damaged_fig1_bins_are_named(self, tmp_path, capsys, edit, message):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        lines = (out / "fig1.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[0] for line in lines] == ["0", "1", "2", "3", "4", "5", "6"]
+        damage_rows(out / "fig1.csv", edit)
+        before = read_all(out)
+        capsys.readouterr()
+        assert cli.main(["fit", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input-error: {out / 'fig1.csv'}: {message} intraday bin 2\n"
+        )
+        assert read_all(out) == before
+
+    @pytest.mark.parametrize(
         "stage, name", [("moments", "returns_canonical.csv"), ("ingest", "returns.csv")]
     )
     @pytest.mark.parametrize("version", ["# schema-version: 9", "# a comment"])
@@ -410,8 +516,8 @@ class TestExitCodes:
     def test_fit_window_at_the_panel_edge_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg), "--fit-window", "4:6"]) == 0
-        header, rows = read_table(tmp_path / "out" / "fig1_fit.csv")
-        assert column(header, rows, "fit_hi", int) == [6]
+        _, table = read_stage_table(tmp_path / "out" / "fig1_fit.csv", fit_hi=int)
+        assert table["fit_hi"] == [6]
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -435,9 +541,9 @@ class TestFewerDaysThanStocks:
     def test_run_writes_every_table(self, tmp_path):
         cfg = self.write_wide_config(tmp_path, eigen_hi="7")
         assert cli.main(["run", "-c", str(cfg)]) == 0
-        header, rows = read_table(tmp_path / "out" / "fig7.csv")
+        header, table = read_stage_table(tmp_path / "out" / "fig7.csv", s_2=float)
         assert header[-1] == "s_7"
-        assert column(header, rows, "s_2", float)[1] == pytest.approx(1.0, abs=1e-9)
+        assert table["s_2"][1] == pytest.approx(1.0, abs=1e-9)
 
     def assert_eigen_hi_rejected(self, capsys):
         err = capsys.readouterr().err.strip()

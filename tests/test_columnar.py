@@ -38,7 +38,7 @@ from intraday.panel import (
     returns_from_prices,
     write_return_records,
 )
-from intraday.tableio import column, format_floats, read_table, write_table
+from intraday.tableio import format_floats, read_columns, write_table
 
 
 # --- oracle: the row-by-row reader and assembly --------------------------------
@@ -349,15 +349,15 @@ def return_tables(draw):
 )
 def test_reader_and_assembly_match_the_row_parser(text, chunk_bytes, newline):
     """Same rows, panels, reports and errors as the csv.reader path, under
-    every policy, chunk size and line splitting; and read_table reads the
-    same rows once the table has its version line."""
+    every policy, chunk size and line splitting; and a versioned read_columns
+    reads the same rows once the table has its version line."""
     def source(prefix=""):
         return io.StringIO(prefix + text, newline=newline)
 
     def table_rows(handle):
-        header, rows = read_table(handle)
+        header, texts = read_columns(handle, versioned=True)
         order = [header.index(name) for name in COLUMNS]
-        return [[row[i] for i in order] for row in rows]
+        return [list(row) for row in zip(*(texts[i].tolist() for i in order))]
 
     versioned = "# schema-version: 1\n"
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
@@ -596,8 +596,9 @@ def test_printable_symbols_survive_ingest_moments_cross_section(symbols):
         expected = sorted(s.strip() for s in symbols)
         canonical = read_return_records(os.path.join(out, "returns_canonical.csv"))
         assert sorted(set(canonical.symbols)) == expected
-        header, rows = read_table(os.path.join(out, "stock_moments.csv"))
-        assert sorted(set(column(header, rows, "symbol", str))) == expected
+        moments = os.path.join(out, "stock_moments.csv")
+        _, (symbols,) = read_columns(moments, {"symbol": str}, versioned=True)
+        assert sorted(set(symbols.tolist())) == expected
 
 
 def one_cell_panel(symbol, value=0.5):
@@ -617,8 +618,8 @@ def test_table_cells_quoted_only_when_needed():
     buf = io.StringIO()
     write_table(buf, {"symbol": ["#A", "B,C", "D"], "x": [1, 2, 3]})
     assert buf.getvalue().splitlines()[2:] == ['"#A",1', '"B,C",2', "D,3"]
-    header, rows = read_table(io.StringIO(buf.getvalue()))
-    assert rows == [["#A", "1"], ["B,C", "2"], ["D", "3"]]
+    header, columns = read_columns(io.StringIO(buf.getvalue()), versioned=True)
+    assert list(map(list, zip(*columns))) == [["#A", "1"], ["B,C", "2"], ["D", "3"]]
 
 
 # --- float text ------------------------------------------------------------------
@@ -660,7 +661,8 @@ table_texts = st.text(
     block_rows=st.sampled_from([1, 3, tableio_module.WRITE_BLOCK_ROWS]),
 )
 def test_write_table_round_trips_through_read_columns(rows, block_rows):
-    """Text, float, int and bool columns read back as written; a float as its
+    """Text, float, int and bool columns read back as written, and
+    ``write_table`` returns each as it reads back; a float as its
     ``format_floats`` read-back, and a finite one that would read back as
     non-finite stops the write."""
     text, x, n, flag = (list(column) for column in zip(*rows)) if rows else ([],) * 4
@@ -678,14 +680,18 @@ def test_write_table_round_trips_through_read_columns(rows, block_rows):
                 write_table(buf, columns)
             return
         written = write_table(buf, columns)
-    assert list(written) == ["x"]
     assert list(map(repr, written["x"].tolist())) == list(map(repr, expected.tolist()))
-    header, (text_back, x_back, n_back, flag_back) = tableio_module.read_columns(
+    header, back = read_columns(
         io.StringIO(buf.getvalue()),
         {"text": str, "x": float, "n": int, "flag": int},
         versioned=True,
     )
-    assert header == list(columns)
+    assert header == list(columns) == list(written)
+    # every column comes back as the table reads it, bools as ints
+    for name, column in zip(header, back):
+        assert column.dtype == written[name].dtype, name
+        assert list(map(repr, written[name].tolist())) == list(map(repr, column.tolist())), name
+    text_back, x_back, n_back, flag_back = back
     assert text_back.tolist() == text
     assert list(map(repr, x_back.tolist())) == list(map(repr, expected.tolist()))
     assert n_back.tolist() == n

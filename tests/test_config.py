@@ -15,7 +15,7 @@ from intraday.config import (
     write_kv_lines,
 )
 from intraday.errors import PanelFormatError, SchemaError
-from intraday.tableio import column, format_cell, read_table, write_table
+from intraday.tableio import format_cell, read_columns, write_table
 
 
 class TestKvLines:
@@ -224,15 +224,15 @@ class TestTableIO:
         write_table(buf, {"name": ["a"], "n": [3], "x": [0.5], "flag": [True]})
         text = buf.getvalue()
         assert text.startswith("# schema-version: 1\n")
-        header, rows = read_table(io.StringIO(text))
+        header, columns = read_columns(io.StringIO(text), versioned=True)
         assert header == ["name", "n", "x", "flag"]
-        assert rows == [["a", "3", "0.5", "1"]]
+        assert [column.tolist() for column in columns] == [["a"], ["3"], ["0.5"], ["1"]]
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"
         write_table(path, {"x": [1.5, 2.5]})
-        header, rows = read_table(path, expect_columns=["x"])
-        assert column(header, rows, "x") == [1.5, 2.5]
+        _, (x,) = read_columns(path, {"x": float}, versioned=True)
+        assert x.tolist() == [1.5, 2.5]
 
     def test_floats_write_at_ten_digits(self):
         buf = io.StringIO()
@@ -242,8 +242,8 @@ class TestTableIO:
     def test_nan_reads_as_nan(self):
         buf = io.StringIO()
         write_table(buf, {"x": [math.nan]})
-        header, rows = read_table(io.StringIO(buf.getvalue()))
-        assert rows == [["nan"]]
+        _, (x,) = read_columns(io.StringIO(buf.getvalue()), versioned=True)
+        assert x.tolist() == ["nan"]
 
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError, match="column lengths differ"):
@@ -251,42 +251,43 @@ class TestTableIO:
 
     def test_missing_version_line(self):
         with pytest.raises(SchemaError, match="schema-version"):
-            read_table(io.StringIO("a,b\n1,2\n"))
+            read_columns(io.StringIO("a,b\n1,2\n"), versioned=True)
 
     def test_unsupported_version(self):
         with pytest.raises(SchemaError, match="version 2 unsupported"):
-            read_table(io.StringIO("# schema-version: 2\na\n1\n"))
+            read_columns(io.StringIO("# schema-version: 2\na\n1\n"), versioned=True)
 
     def test_garbled_version(self):
         with pytest.raises(SchemaError, match="bad schema version"):
-            read_table(io.StringIO("# schema-version: next\na\n1\n"))
+            read_columns(io.StringIO("# schema-version: next\na\n1\n"), versioned=True)
 
     def test_empty_table_body(self):
         with pytest.raises(SchemaError, match="no header"):
-            read_table(io.StringIO("# schema-version: 1\n"))
+            read_columns(io.StringIO("# schema-version: 1\n"), versioned=True)
 
     def test_required_columns(self):
         text = "# schema-version: 1\na,b\n1,2\n"
         with pytest.raises(SchemaError, match="required column"):
-            read_table(io.StringIO(text), expect_columns=["a", "z"])
+            read_columns(io.StringIO(text), {"a": str, "z": str}, versioned=True)
 
     def test_comment_rows_skipped(self):
         text = "# schema-version: 1\n# note\na\n# another\n1\n"
-        header, rows = read_table(io.StringIO(text))
+        header, columns = read_columns(io.StringIO(text), versioned=True)
         assert header == ["a"]
-        assert rows == [["1"]]
+        assert [column.tolist() for column in columns] == [["1"]]
         # a quote inside an unquoted cell is a literal: it opens no quoted
         # cell, so the "#" line after it is still a comment
         text = '# schema-version: 1\nsymbol,x\nA"B,1\n# note\nC,2\n'
-        assert read_table(io.StringIO(text)) == (
+        header, columns = read_columns(io.StringIO(text), versioned=True)
+        assert (header, [column.tolist() for column in columns]) == (
             ["symbol", "x"],
-            [['A"B', "1"], ["C", "2"]],
+            [['A"B', "C"], ["1", "2"]],
         )
 
     def test_missing_column_extraction(self):
-        header, rows = read_table(io.StringIO("# schema-version: 1\na\n1\n"))
-        with pytest.raises(SchemaError, match="no column"):
-            column(header, rows, "z")
+        text = "# schema-version: 1\na\n1\n"
+        with pytest.raises(SchemaError, match=r"lacks required column\(s\) \['z'\]"):
+            read_columns(io.StringIO(text), {"z": float}, versioned=True)
 
     def test_format_cell_conventions(self):
         assert format_cell("sym") == "sym"

@@ -1,5 +1,6 @@
 """Cross-sectional dispersion moments and panel normalization."""
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -160,3 +161,19 @@ class TestNormalization:
         assert npanel.bins_per_day == panel.bins_per_day
         assert npanel.overnight_present
         assert npanel.source is panel
+
+    def test_given_grid_is_used_as_is(self):
+        rng = np.random.default_rng(25)
+        panel = panel_from_array(rng.standard_normal((6, 5, 3)) * 0.01, overnight=True)
+        grid = dispersion_grid(panel)
+        assert normalize_panel(panel, grid).returns.tobytes() == (
+            normalize_panel(panel).returns.tobytes()
+        )
+        # the grid's dispersion, not the panel's, sets the scale
+        doubled = dataclasses.replace(grid, dispersion=2 * grid.dispersion)
+        np.testing.assert_allclose(
+            normalize_panel(panel, doubled).returns, normalize_panel(panel).returns / 2
+        )
+        degenerate = dataclasses.replace(grid, degenerate=np.ones_like(grid.degenerate))
+        with pytest.raises(DegenerateCrossSectionError):
+            normalize_panel(panel, degenerate)

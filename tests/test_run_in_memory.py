@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import intraday
-from intraday import cli, panel as panel_module, tableio
+from intraday import cli, cross_section, panel as panel_module, tableio
 from intraday.config import read_run_config
 from intraday.panel import load_panel
 
@@ -213,6 +213,14 @@ def test_run_reads_no_intermediate_file(tmp_path, monkeypatch, mode, parses):
     assert len(tables) == parses
 
 
+def test_run_builds_the_dispersion_grid_once(tmp_path, monkeypatch):
+    """cross-section's grid goes on to spectra and condition."""
+    cfg = write_config(tmp_path, "synth", "out")
+    grids = count_calls(monkeypatch, "dispersion_grid", [cross_section, cli])
+    assert cli.main(["run", "-c", str(cfg)]) == 0
+    assert len(grids) == 1
+
+
 def assert_same_panel(got, want):
     assert got.returns.dtype == want.returns.dtype
     assert got.returns.shape == want.returns.shape
@@ -246,20 +254,30 @@ def test_each_artifact_equals_its_file(tmp_path, monkeypatch, mode):
         assert (np.signbit(loaded) & (loaded == 0)).sum() == 3
     assert not (np.signbit(canonical.returns) & (canonical.returns == 0)).any()
 
-    bins, *moments = cli.stage_moments(config, canonical)
-    file_bins, *file_moments = cli._read_moments(config)
-    assert list(bins) == file_bins
-    assert len(moments) == len(file_moments) == 2
-    for got, want in zip(moments, file_moments):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    moments = cli.stage_moments(config, canonical)
+    assert_same_columns(moments, tmp_path / "out" / "stock_moments.csv")
+    fig1, grid = cli.stage_cross_section(config, canonical, moments)
+    assert_same_columns(fig1, tmp_path / "out" / "fig1.csv")
+    from_file = cli.dispersion_grid(cli._read_canonical(config))
+    for field in dataclasses.fields(grid):
+        got, want = getattr(grid, field.name), getattr(from_file, field.name)
+        if isinstance(got, np.ndarray):
+            got, want = got.tobytes(), want.tobytes()
+        assert got == want, field.name
 
-    profile = cli.stage_cross_section(config, canonical, bins, *moments)
-    from_fig1 = cli._read_vol_profile(config)
-    assert profile.bins.tolist() == from_fig1.bins.tolist()
-    assert profile.values.tobytes() == from_fig1.values.tobytes()
-    assert profile.band.tobytes() == from_fig1.band.tobytes()
-    assert profile.overnight_value is from_fig1.overnight_value is None
+
+def assert_same_columns(columns, path):
+    """Every column a stage hands on is what its table reads back as."""
+    by_dtype = {"f": float, "i": int}
+    kinds = {name: by_dtype.get(a.dtype.kind, str) for name, a in columns.items()}
+    header, from_file = tableio.read_columns(path, kinds, versioned=True)
+    assert header == list(columns)
+    for (name, got), want in zip(columns.items(), from_file):
+        assert got.dtype == want.dtype, name
+        if got.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("cap", [None, "1", "64"])
