@@ -11,9 +11,10 @@ returns for ``stock_moments.csv`` and ``fig1.csv`` (floats as they read
 back, at 10 significant digits with -0 read as 0) and the dispersion grid.
 A stage subcommand reads those tables' columns from the output directory
 instead, and builds the grid from the canonical panel, so ``run`` and a
-manual stage sequence produce byte-identical tables.  In synth mode, when
-ingest's load keeps every record, ``run`` copies returns.csv to
-returns_canonical.csv: the canonical table would hold the same bytes.
+manual stage sequence produce byte-identical tables.  In synth mode ``run``
+hands synth's panel, as returns.csv holds it, straight to ingest: it is
+dense and in canonical order, so ingest loads nothing and copies
+returns.csv to returns_canonical.csv, which would hold the same bytes.
 
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
@@ -64,10 +65,10 @@ from .errors import (
     SchemaError,
 )
 from .panel import (
+    LoadReport,
     ReturnColumns,
     ReturnPanel,
     load_panel,
-    panel_to_records,
     read_return_records,
     returns_from_prices,
     validate_panel,
@@ -100,37 +101,38 @@ def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
-def stage_synth(config: RunConfig) -> ReturnColumns:
-    """Draw the synthetic panel; return its records as returns.csv holds them."""
+def stage_synth(config: RunConfig) -> ReturnPanel:
+    """Draw the synthetic panel; return it as returns.csv holds it."""
     manifest = read_manifest(config.synth_manifest)
     panel, echoed = generate_market(manifest)
     os.makedirs(config.output_dir, exist_ok=True)
-    # the generated returns go before the records are built
     panel = replace(panel, returns=write_return_records(panel, _out(config, RETURNS_FILE)))
     write_manifest(echoed, _out(config, "manifest_echo.txt"))
-    return panel_to_records(panel)
+    return panel
 
 
-def stage_ingest(config: RunConfig, records, written: str | None = None) -> ReturnPanel:
-    """Load, check and validate the input records; return the canonical
-    panel as returns_canonical.csv holds it.
+def stage_ingest(config: RunConfig, source: ReturnPanel | ReturnColumns) -> ReturnPanel:
+    """Check and validate synth's panel or load the input's columns under
+    the policy; return the canonical panel as returns_canonical.csv holds it.
 
-    ``written`` may name the return table that ``records`` were read back
-    from.  When the load keeps every record, returns_canonical.csv would
-    hold that file's bytes, so it is copied instead of formatted again.
+    Synth's panel is dense, in canonical order and holds the values
+    returns.csv reads back as, so returns.csv is copied for it instead of
+    formatted again.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    panel, report = load_panel(records, policy=config.policy)
-    del records
+    synthetic = isinstance(source, ReturnPanel)
+    if synthetic:
+        panel, report = source, LoadReport(rows_read=source.returns.size)
+    else:
+        panel, report = load_panel(source, policy=config.policy)
+    del source
     config.check_panel(panel)
     validation = validate_panel(panel, sanity_bound=config.sanity_bound)
     canonical_path = _out(config, CANONICAL_FILE)
-    if written is not None and report.is_clean:
-        # Each value already reads back as itself, and both tables hold the
-        # same rows in canonical order, so the panel is already canonical.
-        with open(written, newline="", encoding="utf-8") as source:
+    if synthetic:
+        with open(_out(config, RETURNS_FILE), newline="", encoding="utf-8") as table:
             with open_output(canonical_path) as handle:
-                shutil.copyfileobj(source, handle)
+                shutil.copyfileobj(table, handle)
     else:
         panel = replace(panel, returns=write_return_records(panel, canonical_path))
     for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
@@ -332,11 +334,10 @@ def stage_condition(config: RunConfig, grid: DispersionGrid) -> None:
 def run_pipeline(config: RunConfig) -> None:
     """Run every stage in order, handing each stage's results to the next in
     memory, and write the run manifest."""
-    # Passed straight in, the input records die inside ingest once loaded.
-    if config.mode == "synth":
-        panel = stage_ingest(config, stage_synth(config), _out(config, RETURNS_FILE))
-    else:
-        panel = stage_ingest(config, _read_input(config))
+    # Passed straight in, input columns die inside ingest once loaded.
+    panel = stage_ingest(
+        config, stage_synth(config) if config.mode == "synth" else _read_input(config)
+    )
     fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
     stage_fit(config, fig1)
     stage_spectra(config, panel, grid)
@@ -352,8 +353,8 @@ def run_pipeline(config: RunConfig) -> None:
 # Stage subcommands read their inputs from the files earlier stages wrote.
 
 
-def _read_input(config: RunConfig):
-    """``ingest``'s records: the configured input, or returns.csv in synth mode."""
+def _read_input(config: RunConfig) -> ReturnColumns:
+    """``ingest``'s columns: the configured input, or returns.csv in synth mode."""
     if config.mode == "prices":
         return returns_from_prices(config.input, config.price_convention)
     if config.mode == "synth":
@@ -362,8 +363,8 @@ def _read_input(config: RunConfig):
 
 
 def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
-    records = read_return_records(_out(config, CANONICAL_FILE), versioned=True)
-    panel, _ = load_panel(records, policy="strict")
+    columns = read_return_records(_out(config, CANONICAL_FILE), versioned=True)
+    panel, _ = load_panel(columns, policy="strict")
     if check:
         config.check_panel(panel)
     return panel

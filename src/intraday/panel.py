@@ -4,7 +4,7 @@ The central object is a dense three-way array of simple returns indexed by
 (stock, day, bin).  Bins are numbered 1..K within the trading day; bin 0,
 when present, is the overnight return (previous close to open).  The first
 axis follows lexically sorted symbols and the second axis strictly
-increasing dates, so a panel built from the same records is always laid out
+increasing dates, so a panel built from the same rows is always laid out
 identically regardless of row order in the source.
 
 Two tabular inputs are supported:
@@ -21,12 +21,12 @@ row-numbered errors).  This module supplies what the columns mean: dates,
 times and symbols become codes through one dictionary each
 (:class:`_KeyCodes`), kept across chunks, so each distinct text is parsed
 once, and bins, returns and prices become int64 or float64 arrays.  Rows
-move as columns (:class:`ReturnColumns`), not as one tuple per row:
+move as columns (:class:`ReturnColumns`), the one form of return rows:
 :func:`returns_from_prices` scatters the prices into a (symbol-day, stamp)
 matrix and divides its columns.
-:func:`load_panel` places every row in one linear (stock, day, bin) index:
-one ``bincount`` finds duplicates and gaps, the load policies are masks over
-the count cube, and one scatter fills the array.
+:func:`load_panel` places every row of the columns in one linear (stock,
+day, bin) index: one ``bincount`` finds duplicates and gaps, the load
+policies are masks over the count cube, and one scatter fills the array.
 :func:`write_return_records` hands a canonical panel's cells to
 :func:`intraday.tableio.write_table` as columns, already in (date, bin,
 symbol) order, and returns the returns parsed back from the text it wrote,
@@ -38,10 +38,9 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable
 
 import numpy as np
 
@@ -55,9 +54,6 @@ from .errors import (
 from .tableio import read_columns, write_table
 
 _MAX_BIN = 2**63 - 1
-
-#: One bar-return observation: (date, bin, symbol, value).
-ReturnRecord = tuple[dt.date, int, str, float]
 
 
 class _PanelView:
@@ -136,17 +132,13 @@ class ReturnPanel(_PanelView):
 
 @dataclass
 class LoadReport:
-    """What happened while assembling a panel from records."""
+    """What happened while assembling a panel from return rows."""
 
     rows_read: int = 0
     stocks_dropped: list[tuple[str, str]] = field(default_factory=list)
     days_dropped: list[tuple[str, str]] = field(default_factory=list)
     fills_applied: int = 0
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def is_clean(self) -> bool:
-        return not (self.stocks_dropped or self.days_dropped or self.fills_applied)
 
     def lines(self) -> list[str]:
         out = [f"rows_read = {self.rows_read}", f"fills_applied = {self.fills_applied}"]
@@ -183,8 +175,7 @@ class ReturnColumns:
     Row ``i`` is ``(dates[date_index[i]], bins[i], symbols[symbol_index[i]],
     values[i])``.  ``dates`` and ``symbols`` hold the keys the rows point
     into; each is used by some row, but they need not be sorted or
-    distinct.  ``len()`` is the row count, and iteration yields the rows as
-    :data:`ReturnRecord` tuples in order.
+    distinct.  ``len()`` is the row count.
     """
 
     dates: tuple
@@ -196,31 +187,6 @@ class ReturnColumns:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self) -> Iterator[ReturnRecord]:
-        return zip(
-            map(self.dates.__getitem__, self.date_index.tolist()),
-            self.bins.tolist(),
-            map(self.symbols.__getitem__, self.symbol_index.tolist()),
-            self.values.tolist(),
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[ReturnRecord]) -> ReturnColumns:
-        rows = list(records)
-        dates, bins, symbols, values = (
-            list(map(operator.itemgetter(i), rows)) for i in range(4)
-        )
-        date_keys, date_index = _factorize(dates)
-        symbol_keys, symbol_index = _factorize(symbols)
-        return cls(
-            date_keys,
-            symbol_keys,
-            date_index,
-            np.array(bins, dtype=np.int64),
-            symbol_index,
-            np.array(values, dtype=np.float64),
-        )
 
 
 def _factorize(keys) -> tuple[tuple, np.ndarray]:
@@ -338,10 +304,10 @@ def _first_repeat(keys: np.ndarray) -> int:
 
 
 def load_panel(
-    source: str | os.PathLike | IO[str] | Iterable[ReturnRecord],
-    policy: str = "strict",
+    columns: ReturnColumns, policy: str = "strict"
 ) -> tuple[ReturnPanel, LoadReport]:
-    """Assemble a dense panel from a bar-return table, columns or records.
+    """Assemble a dense panel from bar-return columns, as
+    :func:`read_return_records` or :func:`returns_from_prices` return them.
 
     ``policy`` controls how missing (date, bin, symbol) cells are handled:
 
@@ -358,13 +324,6 @@ def load_panel(
     """
     if policy not in LOAD_POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {LOAD_POLICIES}")
-    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
-        columns = read_return_records(source)
-    elif isinstance(source, ReturnColumns):
-        columns = source
-    else:
-        columns = ReturnColumns.from_records(source)
-
     report = LoadReport(rows_read=len(columns))
     if not len(columns):
         raise CompletenessError("no data rows")
@@ -608,19 +567,6 @@ def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationR
     return report
 
 
-def panel_to_records(panel: ReturnPanel) -> ReturnColumns:
-    """The panel's cells as columns, in (day, bin, stock) array order."""
-    n_stocks, n_days, n_cols = panel.returns.shape
-    return ReturnColumns(
-        dates=panel.dates,
-        symbols=panel.stock_ids,
-        date_index=np.repeat(np.arange(n_days), n_cols * n_stocks),
-        bins=np.tile(np.repeat(panel.bin_numbers, n_stocks), n_days),
-        symbol_index=np.tile(np.arange(n_stocks), n_days * n_cols),
-        values=panel.returns.transpose(1, 2, 0).reshape(-1),
-    )
-
-
 def write_return_records(
     panel: ReturnPanel, destination: str | os.PathLike | IO[str]
 ) -> np.ndarray:
@@ -630,7 +576,7 @@ def write_return_records(
     if not np.isfinite(panel.returns).all():  # the table's reader would reject it
         raise PanelFormatError(f"{destination}: a return is not finite")
     n_stocks, n_days, n_cols = panel.returns.shape
-    written = write_table(
+    read_back = write_table(
         destination,
         {
             "date": np.repeat(np.array(panel.dates, dtype=object), n_cols * n_stocks),
@@ -639,4 +585,4 @@ def write_return_records(
             "return": panel.returns.transpose(1, 2, 0).reshape(-1),
         },
     )["return"]
-    return written.reshape(n_days, n_cols, n_stocks).transpose(2, 0, 1)
+    return read_back.reshape(n_days, n_cols, n_stocks).transpose(2, 0, 1)

@@ -187,6 +187,17 @@ def _implied_correlation(manifest: GeneratorManifest, s0: np.ndarray) -> np.ndar
     return num / den
 
 
+def _labels(n_stocks: int, n_days: int) -> tuple[tuple[str, ...], tuple[dt.date, ...]]:
+    """Stock ids, zero-padded to one width so that they sort as text, and
+    consecutive dates from 2000-01-03."""
+    width = max(4, len(str(n_stocks - 1)))
+    start = dt.date(2000, 1, 3)
+    return (
+        tuple(f"S{i:0{width}d}" for i in range(n_stocks)),
+        tuple(start + dt.timedelta(days=i) for i in range(n_days)),
+    )
+
+
 def generate_market(manifest: GeneratorManifest) -> tuple[ReturnPanel, GeneratorManifest]:
     """Draw one synthetic panel; returns it with the manifest echoed back,
     ``implied_correlation`` filled in."""
@@ -234,9 +245,7 @@ def generate_market(manifest: GeneratorManifest) -> tuple[ReturnPanel, Generator
             (s0_cols * coupling)[:, None] * raw
         ).T
 
-    start = dt.date(2000, 1, 3)
-    dates = tuple(start + dt.timedelta(days=i) for i in range(t_days))
-    stock_ids = tuple(f"S{i:04d}" for i in range(n))
+    stock_ids, dates = _labels(n, t_days)
     panel = ReturnPanel(
         returns=out,
         stock_ids=stock_ids,
@@ -265,11 +274,11 @@ def gaussian_iid_panel(
         raise ValueError("need at least 2 stocks and 2 days")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cells = rng.standard_normal((n_stocks, n_days, bins_per_day)) * vols[None, None, :]
-    start = dt.date(2000, 1, 3)
+    stock_ids, dates = _labels(n_stocks, n_days)
     return ReturnPanel(
         returns=cells,
-        stock_ids=tuple(f"S{i:04d}" for i in range(n_stocks)),
-        dates=tuple(start + dt.timedelta(days=i) for i in range(n_days)),
+        stock_ids=stock_ids,
+        dates=dates,
         bins_per_day=bins_per_day,
         overnight_present=False,
     )
@@ -278,17 +287,14 @@ def gaussian_iid_panel(
 # --- manifest (de)serialization: key = value lines, '#' comments -----------
 
 # Every field is a manifest key, in echo order, except the derived
-# implied_correlation; the profile keys are the array-valued ones.
+# implied_correlation; the fields without a default are required, and the
+# profile keys are the array-valued ones.
 _KINDS = get_type_hints(GeneratorManifest)
 _KEYS = tuple(
     f.name for f in fields(GeneratorManifest) if f.name != "implied_correlation"
 )
+_REQUIRED = tuple(f.name for f in fields(GeneratorManifest) if f.default is MISSING)
 _PROFILE_KEYS = tuple(key for key in _KEYS if np.ndarray in get_args(_KINDS[key]))
-_REQUIRED_SCALARS = [
-    f.name
-    for f in fields(GeneratorManifest)
-    if f.default is MISSING and f.name not in _PROFILE_KEYS
-]
 
 
 def _parse_profile(text: str, bins_per_day: int, name: str) -> np.ndarray:
@@ -325,7 +331,7 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> GeneratorManifest:
     from .config import _cast, parse_kv_lines
 
     pairs = parse_kv_lines(source)
-    missing = [k for k in _REQUIRED_SCALARS if k not in pairs]
+    missing = [k for k in _REQUIRED if k not in pairs]
     if missing:
         raise PanelFormatError(f"manifest lacks required key(s) {missing}")
     kwargs = {
@@ -334,8 +340,6 @@ def read_manifest(source: str | os.PathLike | IO[str]) -> GeneratorManifest:
         if key in pairs and key not in _PROFILE_KEYS
     }
     for key in _PROFILE_KEYS:
-        if key not in pairs:
-            raise PanelFormatError(f"manifest lacks required key {key}")
         kwargs[key] = _parse_profile(pairs[key], kwargs["bins_per_day"], key)
     unknown = set(pairs) - set(_KEYS)
     if unknown:

@@ -31,14 +31,15 @@ from intraday.errors import (
     PriceDomainError,
 )
 from intraday.panel import (
-    ReturnColumns,
+    ReturnPanel,
     load_panel,
-    panel_to_records,
     read_return_records,
     returns_from_prices,
     write_return_records,
 )
 from intraday.tableio import format_floats, read_columns, write_table
+
+from return_rows import read_rows, rows_of
 
 
 # --- oracle: the row-by-row reader and assembly --------------------------------
@@ -216,7 +217,7 @@ def outcome(fn):
 
 
 def new_load(source, policy):
-    panel, report = load_panel(source, policy=policy)
+    panel, report = load_panel(read_return_records(source), policy=policy)
     return (
         panel.returns,
         panel.stock_ids,
@@ -361,7 +362,7 @@ def test_reader_and_assembly_match_the_row_parser(text, chunk_bytes, newline):
 
     versioned = "# schema-version: 1\n"
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
-        got = outcome(lambda: list(read_return_records(source())))
+        got = outcome(lambda: rows_of(read_return_records(source())))
         assert got == outcome(lambda: oracle_read(source()))
         got = outcome(lambda: table_rows(source(versioned)))
         want = outcome(lambda: [row for _, row in _parse_table(source(versioned), COLUMNS)])
@@ -443,19 +444,19 @@ def test_late_duplicate_and_gap_are_named():
         with pytest.raises(
             DuplicateRowError, match="^duplicate cell date=2020-01-12 bin=2 symbol=B$"
         ):
-            load_panel(io.StringIO("\n".join(duplicated) + "\n"))
+            load_panel(read_return_records(io.StringIO("\n".join(duplicated) + "\n")))
         gappy = lines[:30] + lines[31:]
         with pytest.raises(
             CompletenessError, match="^missing cell date=2020-01-12 bin=2 symbol=B$"
         ):
-            load_panel(io.StringIO("\n".join(gappy) + "\n"))
+            load_panel(read_return_records(io.StringIO("\n".join(gappy) + "\n")))
 
 
 def test_duplicate_named_at_its_first_repeat():
     day = dt.date(2020, 1, 6)
     recs = [(day, 1, "B", 0.1), (day, 1, "A", 0.1), (day, 1, "A", 0.2), (day, 1, "B", 0.3)]
     with pytest.raises(DuplicateRowError, match="symbol=A$"):
-        load_panel(recs)
+        load_panel(read_rows(recs))
 
 
 def test_field_counts_are_checked_per_row():
@@ -485,7 +486,7 @@ def test_texts_only_python_reads_match_the_row_parser(chunk_bytes, field, text, 
     lines[30] = ",".join(row)
     table = "\n".join(lines) + "\n"
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
-        got = list(read_return_records(io.StringIO(table)))
+        got = rows_of(read_return_records(io.StringIO(table)))
     assert got == oracle_read(io.StringIO(table))
     assert got[28][field] == value
 
@@ -511,25 +512,17 @@ def test_int_columns_stay_strict_when_numpy_parses_ints_via_floats(text):
             read_return_records(io.StringIO(table))
 
 
-# --- columns -----------------------------------------------------------------------
+# --- the canonical return table ----------------------------------------------------
 
 
-def test_columns_len_and_iteration():
-    recs = [(dt.date(2020, 1, 7), 2, "B", -0.5), (dt.date(2020, 1, 6), 1, "A", 0.25)]
-    columns = ReturnColumns.from_records(recs)
-    assert len(columns) == 2
-    assert list(columns) == recs
-    assert len(ReturnColumns.from_records([])) == 0
-
-
-def test_panel_to_records_is_canonical_text(tmp_path):
+def test_written_panel_is_canonical_text(tmp_path):
     recs = [
         (dt.date(2020, 1, 6) + dt.timedelta(days=d), b, s, 0.001 * (d + b) - 0.0)
         for s in ("B", "A")
         for d in (1, 0)
         for b in (0, 1, 2)
     ]
-    panel, _ = load_panel(recs)
+    panel, _ = load_panel(read_rows(recs))
     ordered = sorted(recs, key=lambda r: r[:3])
     write_table(
         tmp_path / "from_records.csv",
@@ -542,9 +535,7 @@ def test_panel_to_records_is_canonical_text(tmp_path):
     text = (tmp_path / "from_panel.csv").read_text()
     assert text == (tmp_path / "from_records.csv").read_text()
     assert text.splitlines()[2] == "2020-01-06,0,A,0"
-    assert list(read_return_records(tmp_path / "from_panel.csv")) == list(
-        panel_to_records(panel)
-    )
+    assert rows_of(read_return_records(tmp_path / "from_panel.csv")) == ordered
 
 
 # --- symbols that need quoting ---------------------------------------------------
@@ -602,7 +593,7 @@ def test_printable_symbols_survive_ingest_moments_cross_section(symbols):
 
 
 def one_cell_panel(symbol, value=0.5):
-    return load_panel([(dt.date(2020, 1, 6), 1, symbol, value)])[0]
+    return ReturnPanel(np.full((1, 1, 1), value), (symbol,), (dt.date(2020, 1, 6),), 1, False)
 
 
 def test_plain_symbols_are_written_bare():
@@ -730,7 +721,7 @@ def test_failed_table_write_keeps_earlier_file(tmp_path):
 def test_failed_return_write_keeps_earlier_file(tmp_path):
     path = tmp_path / "r.csv"
     recs = [(dt.date(2020, 1, 6), b, "A", 0.1 * b) for b in range(1, 6)]
-    panel = load_panel(recs)[0]
+    panel = load_panel(read_rows(recs))[0]
     write_return_records(panel, path)
     before = path.read_bytes()
     calls = []
@@ -934,7 +925,9 @@ def test_price_conversion_matches_the_row_parser(text, chunk_bytes, convention):
     """Same return records and errors as the row-by-row price path, for
     either convention and any chunk size."""
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
-        got = outcome(lambda: record_set(returns_from_prices(io.StringIO(text), convention)))
+        got = outcome(
+            lambda: record_set(rows_of(returns_from_prices(io.StringIO(text), convention)))
+        )
     want = outcome(lambda: record_set(oracle_prices(io.StringIO(text), convention)))
     assert got == want
 
@@ -954,8 +947,8 @@ def test_quoted_hash_first_cell_is_data(chunk_bytes):
         for s in ('"#A"', "B")
     )
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
-        got = list(read_return_records(io.StringIO(returns)))
-        converted = record_set(returns_from_prices(io.StringIO(prices)))
+        got = rows_of(read_return_records(io.StringIO(returns)))
+        converted = record_set(rows_of(returns_from_prices(io.StringIO(prices))))
     assert [(symbol, value) for _, _, symbol, value in got] == [("#A", 0.1), ("B", 0.2)]
     assert got == oracle_read(io.StringIO(returns))
     assert {symbol for _, _, symbol, _ in converted} == {"#A", "B"}

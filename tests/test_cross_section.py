@@ -8,7 +8,7 @@ import pytest
 
 from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.errors import DegenerateCrossSectionError, InsufficientDataError
-from intraday.panel import load_panel
+from intraday.panel import ReturnPanel
 from intraday.robust_moments import (
     low_moment_kurtosis,
     low_moment_skewness,
@@ -18,19 +18,16 @@ from intraday.synth import gaussian_iid_panel
 
 
 def panel_from_array(arr, overnight=False):
-    """Build a panel from a (stock, day, bin) array via records."""
+    """A panel holding a (stock, day, bin) array, from 2021-03-01."""
     n, t, k = arr.shape
     d0 = dt.date(2021, 3, 1)
-    first_bin = 0 if overnight else 1
-    recs = []
-    for i in range(n):
-        for j in range(t):
-            for c in range(k):
-                recs.append(
-                    (d0 + dt.timedelta(days=j), first_bin + c, f"S{i}", float(arr[i, j, c]))
-                )
-    panel, _ = load_panel(recs)
-    return panel
+    return ReturnPanel(
+        returns=arr,
+        stock_ids=tuple(f"S{i:03d}" for i in range(n)),
+        dates=tuple(d0 + dt.timedelta(days=j) for j in range(t)),
+        bins_per_day=k - overnight,
+        overnight_present=overnight,
+    )
 
 
 class TestDispersionMoments:
@@ -79,14 +76,7 @@ class TestDispersionMoments:
         assert not grid.degenerate[0, 1]
 
     def test_needs_two_stocks(self):
-        arr = np.zeros((1, 3, 2))
-        d0 = dt.date(2021, 3, 1)
-        recs = [
-            (d0 + dt.timedelta(days=j), b, "A", 0.01 * (j + b))
-            for j in range(3)
-            for b in (1, 2)
-        ]
-        panel, _ = load_panel(recs)
+        panel = panel_from_array(np.zeros((1, 3, 2)))
         with pytest.raises(InsufficientDataError):
             dispersion_grid(panel)
 

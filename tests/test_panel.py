@@ -15,12 +15,13 @@ from intraday.errors import (
 from intraday.panel import (
     ReturnPanel,
     load_panel,
-    panel_to_records,
     read_return_records,
     returns_from_prices,
     validate_panel,
     write_return_records,
 )
+
+from return_rows import read_rows, rows_of
 
 
 def records_for(symbols, dates, bins, value=0.001):
@@ -40,27 +41,27 @@ D3 = dt.date(2020, 1, 8)
 class TestLoadPanel:
     def test_basic_shape_and_order(self):
         recs = records_for(["B", "A"], [D2, D1], [1, 2, 3])
-        panel, report = load_panel(recs)
+        panel, report = load_panel(read_rows(recs))
         assert panel.stock_ids == ("A", "B")
         assert panel.dates == (D1, D2)
         assert panel.bins_per_day == 3
         assert not panel.overnight_present
         assert panel.returns.shape == (2, 2, 3)
         assert report.rows_read == 12
-        assert report.is_clean
+        assert (report.fills_applied, report.stocks_dropped, report.days_dropped) == (0, [], [])
 
     def test_row_order_irrelevant(self):
         recs = records_for(["A", "B"], [D1, D2], [1, 2])
         for i, r in enumerate(recs):
             recs[i] = (r[0], r[1], r[2], 0.001 * (i + 1))
         shuffled = list(reversed(recs))
-        p1, _ = load_panel(recs)
-        p2, _ = load_panel(shuffled)
+        p1, _ = load_panel(read_rows(recs))
+        p2, _ = load_panel(read_rows(shuffled))
         np.testing.assert_array_equal(p1.returns, p2.returns)
 
     def test_overnight_detection(self):
         recs = records_for(["A", "B"], [D1, D2], [0, 1, 2])
-        panel, _ = load_panel(recs)
+        panel, _ = load_panel(read_rows(recs))
         assert panel.overnight_present
         assert panel.bins_per_day == 2
         assert list(panel.bin_numbers) == [0, 1, 2]
@@ -72,13 +73,13 @@ class TestLoadPanel:
         recs = records_for(["A", "B"], [D1], [1, 2])
         recs.append((D1, 1, "A", 0.5))
         with pytest.raises(DuplicateRowError, match="symbol=A"):
-            load_panel(recs)
+            load_panel(read_rows(recs))
 
     def test_strict_missing_cell(self):
         recs = records_for(["A", "B"], [D1, D2], [1, 2])
         del recs[3]
         with pytest.raises(CompletenessError, match="missing cell"):
-            load_panel(recs, policy="strict")
+            load_panel(read_rows(recs), policy="strict")
 
     def test_drop_incomplete_drops_day_then_stock(self):
         recs = records_for(["A", "B", "C"], [D1, D2, D3], [1, 2])
@@ -86,7 +87,7 @@ class TestLoadPanel:
         recs = [r for r in recs if not (r[0] == D2 and r[1] == 2)]
         # stock C missing one cell on a kept day: stock dropped
         recs = [r for r in recs if not (r[0] == D3 and r[1] == 1 and r[2] == "C")]
-        panel, report = load_panel(recs, policy="drop-incomplete")
+        panel, report = load_panel(read_rows(recs), policy="drop-incomplete")
         assert panel.dates == (D1, D3)
         assert panel.stock_ids == ("A", "B")
         assert [d for d, _ in report.days_dropped] == [D2.isoformat()]
@@ -95,21 +96,21 @@ class TestLoadPanel:
     def test_drop_incomplete_nothing_left(self):
         recs = [(D1, 1, "A", 0.1), (D2, 2, "A", 0.1)]
         with pytest.raises(CompletenessError):
-            load_panel(recs, policy="drop-incomplete")
+            load_panel(read_rows(recs), policy="drop-incomplete")
 
     def test_zero_fill_counts(self):
         recs = records_for(["A", "B"], [D1, D2], [1, 2])
         del recs[0]
-        panel, report = load_panel(recs, policy="zero-fill")
+        panel, report = load_panel(read_rows(recs), policy="zero-fill")
         assert report.fills_applied == 1
         assert panel.returns.shape == (2, 2, 2)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            load_panel(records_for(["A", "B"], [D1, D2], [1]), policy="fast")
+            load_panel(read_rows(records_for(["A", "B"], [D1, D2], [1])), policy="fast")
 
     def test_returns_are_immutable(self):
-        panel, _ = load_panel(records_for(["A", "B"], [D1, D2], [1, 2]))
+        panel, _ = load_panel(read_rows(records_for(["A", "B"], [D1, D2], [1, 2])))
         with pytest.raises(ValueError):
             panel.returns[0, 0, 0] = 1.0
 
@@ -120,12 +121,12 @@ class TestReturnTableParsing:
         for i, r in enumerate(recs):
             recs[i] = (r[0], r[1], r[2], (i - 5) * 1.25e-4)
         path = tmp_path / "r.csv"
-        panel, _ = load_panel(recs)
+        panel, _ = load_panel(read_rows(recs))
         written = write_return_records(panel, path)
         text = path.read_text()
         assert text.startswith("# schema-version: 1\n")
         back = read_return_records(path)
-        assert sorted(back) == sorted(recs)
+        assert sorted(rows_of(back)) == sorted(recs)
         np.testing.assert_array_equal(written, panel.returns)
 
     def test_byte_order_mark_accepted(self, tmp_path):
@@ -136,7 +137,7 @@ class TestReturnTableParsing:
         path = tmp_path / "bom.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbfdate,")
-        assert sorted(read_return_records(path)) == sorted(recs)
+        assert sorted(rows_of(read_return_records(path))) == sorted(recs)
 
     def test_comments_and_column_order(self):
         text = (
@@ -146,7 +147,7 @@ class TestReturnTableParsing:
             "# another\n"
             "B,-0.02,2020-01-06,1\n"
         )
-        recs = list(read_return_records(io.StringIO(text)))
+        recs = rows_of(read_return_records(io.StringIO(text)))
         assert recs == [(D1, 1, "A", 0.01), (D1, 1, "B", -0.02)]
 
     def test_bad_rows_carry_line_numbers(self):
@@ -191,7 +192,7 @@ class TestPriceConversion:
             ("2020-01-07", "11:00", "A", 133.1),
         ]
         recs = returns_from_prices(self.price_csv(rows), "close_to_close")
-        by_key = {(r[0], r[1]): r[3] for r in recs}
+        by_key = {(r[0], r[1]): r[3] for r in rows_of(recs)}
         # day 1 has only the within-day bin; bin 1 of day 2 spans the close
         assert set(by_key) == {(D1, 2), (D2, 1), (D2, 2)}
         assert by_key[(D1, 2)] == pytest.approx(0.10)
@@ -208,7 +209,7 @@ class TestPriceConversion:
             ("2020-01-07", "10:30", "A", 109.242),
         ]
         recs = returns_from_prices(self.price_csv(rows), "bin_open")
-        by_key = {(r[0], r[1]): r[3] for r in recs}
+        by_key = {(r[0], r[1]): r[3] for r in rows_of(recs)}
         assert set(by_key) == {(D1, 1), (D1, 2), (D2, 0), (D2, 1), (D2, 2)}
         assert by_key[(D1, 1)] == pytest.approx(0.02)
         assert by_key[(D2, 0)] == pytest.approx(105.0 / 104.04 - 1)
@@ -240,7 +241,7 @@ class TestPriceConversion:
             ("2020-01-06", "11:00", "A", 121.0),
         ]
         recs = returns_from_prices(self.price_csv(rows), "close_to_close")
-        assert {r[1]: r[3] for r in recs} == pytest.approx({2: 0.10, 3: 0.10})
+        assert {r[1]: r[3] for r in rows_of(recs)} == pytest.approx({2: 0.10, 3: 0.10})
 
     def test_one_instant_written_two_ways_is_a_duplicate(self):
         rows = [
@@ -258,7 +259,7 @@ class TestPriceConversion:
 
 class TestValidation:
     def test_clean_panel_ok(self):
-        panel, _ = load_panel(records_for(["A", "B"], [D1, D2], [1, 2]))
+        panel, _ = load_panel(read_rows(records_for(["A", "B"], [D1, D2], [1, 2])))
         report = validate_panel(panel)
         assert report.ok
         assert report.lines()[0] == "ok = true"
@@ -266,7 +267,7 @@ class TestValidation:
     def test_sanity_bound_flags_wild_returns(self):
         recs = records_for(["A", "B"], [D1, D2], [1, 2])
         recs[0] = (recs[0][0], recs[0][1], recs[0][2], 0.9)
-        panel, _ = load_panel(recs)
+        panel, _ = load_panel(read_rows(recs))
         report = validate_panel(panel, sanity_bound=0.5)
         # wild prints are suspicious, not fatal: the panel stays usable
         assert report.ok
@@ -274,16 +275,6 @@ class TestValidation:
 
 
 class TestRecordsRoundtrip:
-    def test_panel_to_records_inverts_load(self):
-        recs = records_for(["A", "B", "C"], [D1, D2], [0, 1, 2])
-        for i, r in enumerate(recs):
-            recs[i] = (r[0], r[1], r[2], np.sin(i + 1) * 0.01)
-        panel, _ = load_panel(recs)
-        back = panel_to_records(panel)
-        panel2, _ = load_panel(back)
-        np.testing.assert_array_equal(panel.returns, panel2.returns)
-        assert panel.stock_ids == panel2.stock_ids
-
     def test_shape_metadata_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             ReturnPanel(

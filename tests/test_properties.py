@@ -15,6 +15,8 @@ from intraday.panel import load_panel
 from intraday.robust_moments import grid_moments, moment_set
 from intraday.spectral import CorrelationMatrix, eigen_decompose
 
+from return_rows import read_rows
+
 SUITE = settings(max_examples=1000, derandomize=True, deadline=None)
 
 finite = st.floats(
@@ -57,8 +59,8 @@ def test_load_panel_is_order_independent(perm, seed):
         for date in dates:
             for b in (1, 2):
                 records.append((date, b, symbol, float(rng.standard_normal())))
-    panel_a, _ = load_panel(records)
-    panel_b, _ = load_panel([records[i] for i in perm])
+    panel_a, _ = load_panel(read_rows(records))
+    panel_b, _ = load_panel(read_rows([records[i] for i in perm]))
     np.testing.assert_array_equal(panel_a.returns, panel_b.returns)
     assert panel_a.stock_ids == panel_b.stock_ids
     assert panel_a.dates == panel_b.dates

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from intraday.errors import DegenerateSampleError, InsufficientDataError
-from intraday.panel import load_panel
+from intraday.panel import ReturnPanel, load_panel
 from intraday.robust_moments import (
     ROOT_HALF_PI,
     grid_moments,
@@ -28,6 +28,8 @@ from intraday.robust_moments import (
     moment_set,
     stock_bin_moments,
 )
+
+from return_rows import read_rows
 
 LAPLACE_KAPPA = 2.7305537891
 EXPONENTIAL_ZETA = 1.8411169166
@@ -131,22 +133,14 @@ class TestMomentSet:
 class TestGridAgainstScalars:
     def make_panel(self, seed=0, n=4, t=40, k=3, overnight=True):
         rng = np.random.default_rng(seed)
-        recs = []
         d0 = dt.date(2021, 3, 1)
-        bins = range(0 if overnight else 1, k + 1)
-        for i in range(n):
-            for j in range(t):
-                for b in bins:
-                    recs.append(
-                        (
-                            d0 + dt.timedelta(days=j),
-                            b,
-                            f"S{i}",
-                            float(rng.standard_normal() * 0.01),
-                        )
-                    )
-        panel, _ = load_panel(recs)
-        return panel
+        return ReturnPanel(
+            returns=rng.standard_normal((n, t, k + overnight)) * 0.01,
+            stock_ids=tuple(f"S{i}" for i in range(n)),
+            dates=tuple(d0 + dt.timedelta(days=j) for j in range(t)),
+            bins_per_day=k,
+            overnight_present=overnight,
+        )
 
     def test_grid_equals_scalar_kernels_cellwise(self):
         panel = self.make_panel()
@@ -169,7 +163,7 @@ class TestGridAgainstScalars:
                 for b in (1, 2):
                     flat = s == "A" and b == 1
                     recs.append((d, b, s, 0.005 if flat else 0.001 * (j + b)))
-        panel, _ = load_panel(recs)
+        panel, _ = load_panel(read_rows(recs))
         grid = stock_bin_moments(panel)
         assert grid.degenerate[0, 0]
         assert not grid.degenerate[1, 0]

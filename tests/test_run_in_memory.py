@@ -96,12 +96,12 @@ def write_prices_input(path):
         handle.writelines(rows[i] for i in order)
 
 
-def write_config(tmp_path, mode, out_name):
+def write_config(tmp_path, mode, out_name, manifest=MANIFEST, **overrides):
     pairs = {"mode": mode, "output_dir": str(tmp_path / out_name), **ANALYSIS}
     if mode == "synth":
-        manifest = tmp_path / "synth.cfg"
-        manifest.write_text(MANIFEST)
-        pairs["synth_manifest"] = str(manifest)
+        manifest_path = tmp_path / "synth.cfg"
+        manifest_path.write_text(manifest)
+        pairs["synth_manifest"] = str(manifest_path)
     elif mode == "returns":
         pairs["input"] = str(tmp_path / "returns_in.csv")
         if not os.path.exists(pairs["input"]):
@@ -111,6 +111,7 @@ def write_config(tmp_path, mode, out_name):
         pairs["policy"] = "drop-incomplete"
         if not os.path.exists(pairs["input"]):
             write_prices_input(pairs["input"])
+    pairs.update(overrides)
     cfg = tmp_path / f"{out_name}.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
     return cfg
@@ -127,15 +128,29 @@ def digests(out_dir):
 STAGES = ["ingest", "moments", "cross-section", "fit", "spectra", "condition"]
 
 
-@pytest.mark.parametrize("mode", ["returns", "prices", "synth"])
-def test_run_matches_the_staged_subcommands(tmp_path, mode):
-    assert cli.main(["run", "-c", str(write_config(tmp_path, mode, "run"))]) == 0
-    staged_cfg = str(write_config(tmp_path, mode, "staged"))
+def assert_run_matches_the_staged_subcommands(tmp_path, mode, **settings):
+    assert cli.main(["run", "-c", str(write_config(tmp_path, mode, "run", **settings))]) == 0
+    staged_cfg = str(write_config(tmp_path, mode, "staged", **settings))
     for stage in (["synth"] if mode == "synth" else []) + STAGES:
         assert cli.main([stage, "-c", staged_cfg]) == 0, stage
     ran, staged = digests(tmp_path / "run"), digests(tmp_path / "staged")
     assert len(ran) >= 15
     assert ran == staged
+
+
+@pytest.mark.parametrize(
+    "mode, policy",
+    [
+        pytest.param("returns", None, id="returns"),
+        pytest.param("prices", None, id="prices"),
+        pytest.param("synth", "strict", id="synth"),
+        pytest.param("synth", "drop-incomplete", id="synth-drop-incomplete"),
+        pytest.param("synth", "zero-fill", id="synth-zero-fill"),
+    ],
+)
+def test_run_matches_the_staged_subcommands(tmp_path, mode, policy):
+    settings = {} if policy is None else {"policy": policy}
+    assert_run_matches_the_staged_subcommands(tmp_path, mode, **settings)
     if mode == "prices":
         report = (tmp_path / "run" / "load_report.txt").read_text()
         assert "stocks_dropped = 1\n  DDD:" in report
@@ -155,51 +170,48 @@ def count_calls(monkeypatch, name, modules):
     return calls
 
 
+def test_run_matches_the_staged_subcommands_at_10001_stocks(tmp_path):
+    """Synth's ids sort as text past S9999, so the panel run hands to ingest
+    is in canonical order and its returns.csv copy is the canonical table."""
+    manifest = (
+        "n_stocks = 10001\nn_days = 3\nbins_per_day = 3\n"
+        "factor_vol = 0.003\ntarget_correlation = 0.3\nseed = 5\n"
+    )
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        assert_run_matches_the_staged_subcommands(
+            tmp_path, "synth", manifest=manifest, eigen_hi="2", fit_window="1:3"
+        )
+
+
 def test_synth_run_formats_the_returns_once(tmp_path, monkeypatch):
-    """ingest keeps every synth record, so it copies returns.csv."""
+    """run hands synth's panel to ingest, which loads nothing and copies
+    returns.csv."""
     cfg = write_config(tmp_path, "synth", "out")
     writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
+    parses = count_calls(monkeypatch, "read_return_records", [panel_module, cli])
+    loads = count_calls(monkeypatch, "load_panel", [panel_module, cli])
     assert cli.main(["run", "-c", str(cfg)]) == 0
-    assert len(writes) == 1
+    assert (len(writes), len(parses), len(loads)) == (1, 0, 0)
     out = tmp_path / "out"
     assert (out / CANONICAL).read_bytes() == (out / "returns.csv").read_bytes()
 
 
-def test_ingest_formats_synth_records_that_lose_a_cell(tmp_path, monkeypatch):
-    """The copy follows the load report, not the file handed in: with a cell
-    zero-filled, ingest formats the table, as the staged ingest does."""
-    config = read_run_config(write_config(tmp_path, "synth", "run"))
-    config.policy = "zero-fill"
-    records = cli.stage_synth(config)
-    partial = dataclasses.replace(
-        records,
-        **{
-            name: getattr(records, name)[1:]
-            for name in ("date_index", "bins", "symbol_index", "values")
-        },
-    )
+def test_staged_ingest_formats_a_damaged_synth_table(tmp_path, monkeypatch):
+    """A returns.csv that lost a cell is loaded under zero-fill and its
+    canonical table formatted, with the lost cell as 0."""
+    cfg = str(write_config(tmp_path, "synth", "out", policy="zero-fill"))
+    assert cli.main(["synth", "-c", cfg]) == 0
+    table = tmp_path / "out" / "returns.csv"
+    lines = table.read_bytes().splitlines(keepends=True)
+    lost = lines.pop(5)
+    table.write_bytes(b"".join(lines))
     writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
-    cli.stage_ingest(config, partial, str(tmp_path / "run" / "returns.csv"))
+    assert cli.main(["ingest", "-c", cfg]) == 0
     assert len(writes) == 1
-
-    staged = tmp_path / "staged"
-    staged.mkdir()
-    tableio.write_table(
-        staged / "returns.csv",
-        {
-            "date": np.array(partial.dates, dtype=object)[partial.date_index],
-            "bin": partial.bins,
-            "symbol": np.array(partial.symbols, dtype=object)[partial.symbol_index],
-            "return": partial.values,
-        },
-    )
-    staged_cfg = str(write_config(tmp_path, "synth", "staged"))
-    assert cli.main(["ingest", "-c", staged_cfg, "--policy", "zero-fill"]) == 0
-    ran = digests(tmp_path / "run")
-    assert ran[CANONICAL] != ran["returns.csv"]
-    assert "fills_applied = 1\n" in (tmp_path / "run" / "load_report.txt").read_text()
-    for name in (CANONICAL, "load_report.txt", "validation.txt"):
-        assert ran[name] == digests(staged)[name], name
+    out = tmp_path / "out"
+    assert "fills_applied = 1\n" in (out / "load_report.txt").read_text()
+    lines.insert(5, lost.rsplit(b",", 1)[0] + b",0\n")
+    assert (out / CANONICAL).read_bytes() == b"".join(lines)
 
 
 @pytest.mark.parametrize("mode, parses", [("synth", 0), ("returns", 1)])
@@ -234,17 +246,19 @@ def assert_same_panel(got, want):
 @pytest.mark.parametrize("mode", ["returns", "prices", "synth"])
 def test_each_artifact_equals_its_file(tmp_path, monkeypatch, mode):
     config = read_run_config(write_config(tmp_path, mode, "out"))
-    records = cli.stage_synth(config) if mode == "synth" else cli._read_input(config)
-    written = None
     if mode == "synth":
-        written = str(tmp_path / "out" / "returns.csv")
-        from_file = panel_module.read_return_records(written)
-        assert_same_panel(load_panel(records)[0], load_panel(from_file)[0])
-    loaded = load_panel(records, policy=config.policy)[0].returns
+        source = cli.stage_synth(config)
+        # synth's panel is the one its returns.csv loads as
+        from_file = panel_module.read_return_records(tmp_path / "out" / "returns.csv")
+        assert_same_panel(source, load_panel(from_file)[0])
+        loaded = source.returns
+    else:
+        source = cli._read_input(config)
+        loaded = load_panel(source, policy=config.policy)[0].returns
 
     writes = count_calls(monkeypatch, "write_return_records", [panel_module, cli])
-    canonical = cli.stage_ingest(config, records, written)
-    # synth's records load clean, so ingest copies returns.csv
+    canonical = cli.stage_ingest(config, source)
+    # ingest copies synth's returns.csv
     assert len(writes) == (0 if mode == "synth" else 1)
     assert_same_panel(canonical, cli._read_canonical(config))
     if mode != "synth":

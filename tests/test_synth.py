@@ -304,6 +304,12 @@ class TestGaussianIidPanel:
         with pytest.raises(ValueError, match="at least 2"):
             gaussian_iid_panel(1, 10, 2, 0.01)
 
+    def test_ids_sort_as_text_at_any_size(self):
+        assert gaussian_iid_panel(10000, 2, 1, 0.01).stock_ids[-1] == "S9999"
+        ids = gaussian_iid_panel(10001, 2, 1, 0.01).stock_ids
+        assert (ids[0], ids[-1]) == ("S00000", "S10000")
+        assert list(ids) == sorted(ids)
+
 
 class TestManifestIO:
     def test_roundtrip(self):
@@ -393,6 +399,20 @@ class TestManifestIO:
     def test_malformed_manifests(self, text, message):
         with pytest.raises(PanelFormatError, match=message):
             read_manifest(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("n_stocks = 4\nn_days = 10\nbins_per_day = 3\ntarget_correlation = 0.3\n",
+             "['factor_vol']"),
+            ("n_days = 10\nbins_per_day = 3\ntarget_correlation = 0.3\n",
+             "['n_stocks', 'factor_vol']"),
+        ],
+    )
+    def test_missing_keys_are_named_together(self, text, missing):
+        with pytest.raises(PanelFormatError) as exc:
+            read_manifest(io.StringIO(text))
+        assert str(exc.value) == f"manifest lacks required key(s) {missing}"
 
     def test_infeasible_manifest_is_a_format_error(self):
         text = (
