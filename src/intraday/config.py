@@ -171,10 +171,8 @@ class RunConfig:
         )
 
     def check_fit_window(self, bins_per_day: int) -> None:
-        """Reject a ``lo:hi`` fit window that is not 3 or more of the
-        intraday bins 1..``bins_per_day``."""
-        if self.fit_window in FIT_WINDOWS:
-            return
+        """Reject a fit window, named or ``lo:hi``, that is not 3 or more of
+        the intraday bins 1..``bins_per_day``."""
         lo, hi = self.fit_range_for(bins_per_day)
         if hi - lo < 2 or hi > bins_per_day:
             raise PanelFormatError(

@@ -21,12 +21,16 @@ row-numbered errors).  This module supplies what the columns mean: dates,
 times and symbols become codes through one dictionary each
 (:class:`_KeyCodes`), kept across chunks, so each distinct text is parsed
 once, and bins, returns and prices become int64 or float64 arrays.  Rows
-move as columns (:class:`ReturnColumns`), the one form of return rows:
-:func:`returns_from_prices` scatters the prices into a (symbol-day, stamp)
-matrix and divides its columns.
+move as columns (:class:`ReturnColumns`), the one form of return rows.
+:func:`returns_from_prices` places every price row in one linear (symbol,
+day, stamp) index, and one ``bincount`` over it finds repeated stamps,
+uneven time grids and the symbol-days present, with no sort; the prices
+are scattered into a (symbol-day, stamp) matrix whose columns it divides.
 :func:`load_panel` places every row of the columns in one linear (stock,
 day, bin) index: one ``bincount`` finds duplicates and gaps, the load
 policies are masks over the count cube, and one scatter fills the array.
+Both free each transient array after its last use, so that each peaks at
+about one and a half copies of its return columns.
 :func:`write_return_records` hands a canonical panel's cells to
 :func:`intraday.tableio.write_table` as columns, already in (date, bin,
 symbol) order, and returns the returns parsed back from the text it wrote,
@@ -303,6 +307,17 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(order[1:][ordered[1:] == ordered[:-1]].min(initial=len(keys)))
 
 
+def _cells(shape: tuple[int, ...], *axes: tuple) -> np.ndarray:
+    """Each row's linear index into ``shape``, summed in place one axis at a
+    time; per axis ``(positions, codes)`` give ``positions[codes]``, or
+    ``codes`` if ``positions`` is None."""
+    cell = np.zeros(len(axes[0][1]), np.intp)
+    for size, (positions, codes) in zip(shape, axes):
+        cell *= size
+        cell += codes if positions is None else positions[codes]
+    return cell
+
+
 def load_panel(
     columns: ReturnColumns, policy: str = "strict"
 ) -> tuple[ReturnPanel, LoadReport]:
@@ -330,7 +345,6 @@ def load_panel(
 
     dates, day = _factorize(columns.dates)
     symbols, stock = _factorize(columns.symbols)
-    day, stock = day[columns.date_index], stock[columns.symbol_index]
     bins = columns.bins
     if bins.min() < 0:
         raise PanelFormatError(f"negative bin {bins.min()}")
@@ -338,20 +352,21 @@ def load_panel(
     k_max = int(bins.max())
     offset = 0 if overnight else 1
     shape = (len(symbols), len(dates), k_max + 1 - offset)
-    cell = np.ravel_multi_index((stock, day, bins - offset), shape)
+    cell = _cells(shape, (stock, columns.symbol_index), (day, columns.date_index), (None, bins))
+    cell -= offset
     counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
     if counts.max() > 1:
-        row = _first_repeat(cell)
+        a, t, c = np.unravel_index(cell[_first_repeat(cell)], shape)
         raise DuplicateRowError(
-            f"duplicate cell date={dates[day[row]].isoformat()} "
-            f"bin={bins[row]} symbol={symbols[stock[row]]}"
+            f"duplicate cell date={dates[t].isoformat()} "
+            f"bin={c + offset} symbol={symbols[a]}"
         )
     if k_max < 1:
         raise CompletenessError("no intraday bins (only bin 0 present)")
 
     # Transients go as soon as they are used, to keep the peak low.
     present = counts > 0
-    del counts, day, stock
+    del counts
     keep_stock = np.ones(shape[0], dtype=bool)
     keep_day = np.ones(shape[1], dtype=bool)
     if policy == "strict" and not present.all():
@@ -460,55 +475,59 @@ def returns_from_prices(
     date_keys, day = _factorize(dates.parsed)
     stamp_keys, stamp = _factorize(stamps.parsed)
     symbol_keys, stock = _factorize(symbols.parsed)
-    day, stamp, stock = day[date_code], stamp[stamp_code], stock[symbol_code]
-    n_stamps = len(stamp_keys)
-    cell = np.ravel_multi_index(
-        (stock, day, stamp), (len(symbol_keys), len(date_keys), n_stamps)
-    )
+    shape = (len(symbol_keys), len(date_keys), len(stamp_keys))
+    n_stamps = shape[2]
+    cell = _cells(shape, (stock, symbol_code), (day, date_code), (stamp, stamp_code))
+    del symbol_code, date_code
+    # One count per (symbol, day, stamp), one row of them per (symbol, day)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(-1, n_stamps)
     # The first bad row wins; a bad price before a repeated stamp.
     bad = ~(np.isfinite(price) & (price > 0))
     bad_price = np.flatnonzero(bad).min(initial=len(price))
-    row = min(bad_price, _first_repeat(cell))
+    row = min(bad_price, _first_repeat(cell)) if counts.max() > 1 else bad_price
     if row < len(price):
-        where = (
-            f"{symbol_keys[stock[row]]} {date_keys[day[row]].isoformat()} "
-            f"{list(stamps)[stamp_code[row]].strip()}"
-        )
+        a, t, _ = np.unravel_index(cell[row], shape)
+        stamp_text = list(stamps)[stamp_code[row]].strip()
+        where = f"{symbol_keys[a]} {date_keys[t].isoformat()} {stamp_text}"
         if row == bad_price:
             kind = "non-positive" if np.isfinite(price[row]) else "non-finite"
             raise PriceDomainError(f"{kind} price {price[row]} for {where}")
         raise DuplicateRowError(f"duplicate stamp {where}")
 
-    groups, group_index, sizes = np.unique(
-        cell // n_stamps, return_inverse=True, return_counts=True
-    )
-    if (sizes != n_stamps).any():
+    sizes = counts.sum(axis=1)
+    del counts, stamp_code
+    present = sizes > 0
+    if (sizes[present] != n_stamps).any():
         raise CompletenessError(
             "inconsistent time grids across symbol-days "
-            f"(sizes {np.unique(sizes).tolist()}); "
+            f"(sizes {np.unique(sizes[present]).tolist()}); "
             "price ingestion requires one uniform bar clock"
         )
     if n_stamps < 2:
         raise CompletenessError("need at least two stamps per day")
 
-    # One row per (symbol, day) in that order, one column per stamp; from
-    # here on ``stock`` and ``day`` label those rows.
-    prices = np.empty((len(groups), n_stamps))
-    prices[group_index, stamp] = price
-    stock, day = np.divmod(groups, len(date_keys))
+    # One row per present (symbol, day) in that order, one column per stamp;
+    # from here on ``stock`` and ``day`` label those rows.
+    prices = np.empty(math.prod(shape))
+    prices[cell] = price
+    del cell, price, bad
+    prices = prices.reshape(-1, n_stamps)[present]
+    stock, day = np.divmod(np.flatnonzero(present), len(date_keys))
     # Column 0 is the return from the symbol's previous day's last price, in
     # bin 1 (close_to_close) or bin 0 (bin_open); the bins after it are
     # within the day.
     returns = np.empty_like(prices)
     returns[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
     returns[1:, 0] = prices[1:, 0] / prices[:-1, -1] - 1.0
+    del prices
     kept = np.ones(returns.shape, dtype=bool)
     kept[:, 0] = np.r_[False, stock[1:] == stock[:-1]]
-    row, column = np.nonzero(kept)
     first_bin = 1 if convention == "close_to_close" else 0
-    return ReturnColumns(
-        date_keys, symbol_keys, day[row], column + first_bin, stock[row], returns[kept]
+    day, bins, stock = (
+        np.broadcast_to(labels, kept.shape)[kept]
+        for labels in (day[:, None], np.arange(n_stamps) + first_bin, stock[:, None])
     )
+    return ReturnColumns(date_keys, symbol_keys, day, bins, stock, returns[kept])
 
 
 def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationReport:

@@ -6,10 +6,12 @@ record whose raw first line starts with ``#``, so a quoted ``"#A"`` is data.
 Quoting is RFC 4180 as :mod:`csv` reads it, fields are stripped, extra
 columns are ignored, and a bad row is reported with its line number.
 Stage tables start with ``# schema-version: 1``, checked by a versioned read.
-The rows are read in chunks of whole lines: numpy's C parser reads a plain
-chunk (ASCII, no quote, CR or NUL) and :mod:`csv` any other.  A chunk that
-either rejects is read row by row with Python's ``int`` and ``float``, which
-name the first bad row, so the grammar is Python's whichever parser ran.
+The rows are read in chunks of :data:`CHUNK_BYTES` (1 MiB) of whole lines:
+numpy's C parser reads a plain chunk (ASCII, no quote or NUL, and no CR but
+in a CRLF line end) and :mod:`csv` any other.  A chunk that either rejects
+is read row by row with Python's ``int`` and ``float``, which name the first
+bad row, so the grammar is Python's whichever parser ran.  Columns are joined
+one at a time, so a read holds about one copy of them plus one chunk.
 
 :func:`write_table` writes every table from columns.  Floats print at 10
 significant digits with a ``.`` decimal mark regardless of locale, so
@@ -36,13 +38,15 @@ from .errors import PanelFormatError, SchemaError
 
 SCHEMA_VERSION = 1
 #: Text read per parsing chunk, in bytes of whole lines.
-CHUNK_BYTES = 4 << 20
+CHUNK_BYTES = 1 << 20
 #: Rows formatted per block of a table write.
 WRITE_BLOCK_ROWS = 1 << 16
 _PREFIX = "# schema-version:"
 _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
-#: Characters that a plain comma split does not read the way ``csv`` does.
-_CSV_ONLY = ('"', "\r", "\0")
+#: Characters that a plain comma split does not read the way ``csv`` does;
+#: a CR is one of them unless it ends a CRLF line end.
+_CSV_ONLY = ('"', "\0")
+_BLANK = ("\n", "\r\n")
 _DTYPES = {int: np.int64, float: np.float64, str: object}
 
 
@@ -214,8 +218,10 @@ def _table_chunks(
     """
     while lines := handle.readlines(CHUNK_BYTES):
         text = "".join(lines)
-        # not ASCII: numpy 2.4's int parser can crash on a character past U+FFFF
-        if not text.isascii() or any(c in text for c in _CSV_ONLY):
+        # not ASCII: numpy 2.4's int parser can crash on a character past U+FFFF;
+        # numpy strips a CR only as part of a CRLF line end
+        lone_cr = text.count("\r") != text.count("\r\n")
+        if lone_cr or not text.isascii() or any(c in text for c in _CSV_ONLY):
             # A quoted field may run past the chunk: the reader then takes
             # the lines it needs from the handle.
             reader = csv.reader(itertools.chain(lines, handle))
@@ -233,17 +239,17 @@ def _table_chunks(
             first = line_num + 1
             line_num += len(lines)
             numbered = zip(itertools.count(first), lines)
-            if "#" in text or "\n" in lines:
+            if "#" in text or any(blank in lines for blank in _BLANK):
                 numbered = [
                     (num, line)
                     for num, line in numbered
-                    if line != "\n" and not _is_comment(line)
+                    if line not in _BLANK and not _is_comment(line)
                 ]
                 lines = [line for _, line in numbered]
                 if not lines:
                     continue
             fields = functools.partial(_numpy_fields, lines, width, kinds)
-            rows = ((num, line.rstrip("\n").split(",")) for num, line in numbered)
+            rows = ((num, line.rstrip("\r\n").split(",")) for num, line in numbered)
         yield fields, rows
 
 
@@ -317,15 +323,18 @@ def read_columns(
                     for name, spec in columns.items()
                 ]
             kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
-            parts = [[convert(_parsed(kind, [])) for kind, convert, _ in specs]]
+            parts = [[convert(_parsed(kind, []))] for kind, convert, _ in specs]
             line_num += versioned  # the version line is line 1
             for fields, rows in _table_chunks(handle, line_num, len(header), kinds):
                 try:
-                    parts.append([convert(f) for (_, convert, _), f in zip(specs, fields())])
+                    chunk = [convert(f) for (_, convert, _), f in zip(specs, fields())]
                 except (ValueError, OverflowError, DeprecationWarning):
-                    parts.append(_row_by_row(rows, len(header), order, specs))
+                    chunk = _row_by_row(rows, len(header), order, specs)
+                for part, array in zip(parts, chunk):
+                    part.append(array)
     except UnicodeDecodeError as exc:
         name = getattr(handle, "name", "input")
         raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
-    return header, [np.concatenate(column) for column in zip(*parts)]
+    # one column at a time, so that its chunk parts are freed once it is joined
+    return header, [np.concatenate(parts.pop(0)) for _ in specs]
 

@@ -519,6 +519,23 @@ class TestExitCodes:
         _, table = read_stage_table(tmp_path / "out" / "fig1_fit.csv", fit_hi=int)
         assert table["fit_hi"] == [6]
 
+    @pytest.mark.parametrize("window", ["first_half", "first_two_hours"])
+    @pytest.mark.parametrize("stage", ["run", "ingest"])
+    def test_named_fit_window_the_panel_cannot_serve_stops_ingest(
+        self, tmp_path, capsys, stage, window
+    ):
+        # 2 bins a day: either named window covers bins 1..2, too few to fit
+        manifest = MANIFEST.replace("bins_per_day = 6", "bins_per_day = 2")
+        (tmp_path / "synth.cfg").write_text(manifest)
+        cfg = write_config(tmp_path, fit_window=window)
+        if stage == "ingest":
+            assert cli.main(["synth", "-c", str(cfg)]) == 0
+        assert cli.main([stage, "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"fit_window '{window}' must cover at least 3" in err
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["manifest_echo.txt", "returns.csv"]
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -605,7 +622,11 @@ class TestNonFiniteInput:
         prices = tmp_path / "prices.csv"
         prices.write_text("\n".join(rows) + "\n")
         cfg = write_config(
-            tmp_path, mode="prices", input=str(prices), policy="drop-incomplete"
+            tmp_path,
+            mode="prices",
+            input=str(prices),
+            policy="drop-incomplete",
+            fit_window="1:3",
         )
         with np.errstate(over="ignore"):
             self.assert_ingest_rejects(
@@ -622,7 +643,7 @@ class TestNonFiniteInput:
         rows[40] = rows[40].rsplit(",", 1)[0] + ",1.7976931348e308"
         returns = tmp_path / "returns.csv"
         returns.write_text("\n".join(rows) + "\n")
-        cfg = write_config(tmp_path, mode="returns", input=str(returns))
+        cfg = write_config(tmp_path, mode="returns", input=str(returns), fit_window="1:3")
         self.assert_ingest_rejects(
             tmp_path, capsys, cfg, "returns_canonical.csv: a return rounds to a non-finite value"
         )

@@ -421,6 +421,49 @@ def test_late_width_mismatch_reports_its_line():
             read_return_records(io.StringIO("\n".join(lines) + "\n"))
 
 
+def _with_line_ends(lines, ends):
+    """``lines`` joined into a table, line ``i`` ended by ``ends(i)``."""
+    return "".join(line + ends(i) for i, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 4 << 20])
+def test_crlf_copy_reads_as_the_lf_file_through_numpy(chunk_bytes):
+    """A CRLF table, blank lines and comments included, gives the columns of
+    its LF original without the csv reader; a lone CR still takes it."""
+    lines = _long_table()
+    lines[20:20] = ["# a comment inside a later chunk", ""]
+    lf = _with_line_ends(lines, lambda i: "\n")
+    crlf = _with_line_ends(lines, lambda i: "\r\n")
+    lone_cr = _with_line_ends(lines, lambda i: "\r" if i == 30 else "\r\n")
+    python_fields = mock.patch.object(
+        tableio_module, "_python_fields", wraps=tableio_module._python_fields
+    )
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes), python_fields as spy:
+        want = rows_of(read_return_records(io.StringIO(lf, newline="")))
+        assert rows_of(read_return_records(io.StringIO(crlf, newline=""))) == want
+        assert spy.call_count == 0
+        assert rows_of(read_return_records(io.StringIO(lone_cr, newline=""))) == want
+        assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 4 << 20])
+@pytest.mark.parametrize("field, text, message", LATE_ERRORS)
+def test_crlf_bad_row_reports_the_lf_line(chunk_bytes, field, text, message):
+    lines = _long_table()
+    lines[20:20] = ["# a comment inside a later chunk", ""]
+    row = lines[30].split(",")
+    row[field] = text
+    lines[30] = ",".join(row)
+    errors = []
+    with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
+        for end in ("\n", "\r\n"):
+            table = io.StringIO(_with_line_ends(lines, lambda i: end), newline="")
+            with pytest.raises(PanelFormatError, match=f"row 31: {message}") as exc:
+                read_return_records(table)
+            errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
 def test_bin_beyond_int64_is_rejected_with_its_line():
     huge = "9" * 20
     table = f"date,bin,symbol,return\n2020-01-06,1,A,0.1\n2020-01-06,{huge},A,0.1\n"
@@ -552,6 +595,7 @@ min_count = 2
 eigen_lo = 2
 eigen_hi = 2
 null_trials = 1000
+fit_window = 1:3
 """
 
 
@@ -575,7 +619,7 @@ def test_printable_symbols_survive_ingest_moments_cross_section(symbols):
             writer.writerow(COLUMNS)
             for day in range(12):
                 date = (dt.date(2020, 1, 6) + dt.timedelta(days=day)).isoformat()
-                for b in (1, 2):
+                for b in (1, 2, 3):
                     for s in symbols:
                         writer.writerow([date, b, s, f"{rng.normal(0, 0.01):.6f}"])
         cfg = os.path.join(tmp, "run.cfg")
