@@ -24,7 +24,6 @@ from .conditioning import (
 )
 from .cross_section import (
     DispersionGrid,
-    NormalizedPanel,
     dispersion_grid,
     normalize_panel,
 )

@@ -225,17 +225,17 @@ def stage_cross_section(
     return fig1, grid
 
 
-def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray]) -> None:
+def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray], bins_per_day: int) -> None:
     """Fit the power law to fig1.csv's intraday stock_vol rows, whose bins
-    must be 1..K once each."""
+    must be 1..``bins_per_day`` once each."""
     keep = fig1["overnight"] == 0
     bins = fig1["bin"][keep]
-    cells = ((k,) for k in range(1, len(bins) + 1))
+    cells = ((k,) for k in range(1, bins_per_day + 1))
     _check_once(config, FIG1_FILE, "intraday bin {}", cells, zip(bins.tolist()))
-    config.check_fit_window(len(bins))
+    config.check_fit_window(bins_per_day)
     values, band = fig1["stock_vol"][keep], fig1["stock_vol_band"][keep]
     profile = IntradayProfile(bins, values, band, None, None, "stock_vol", "stderr")
-    fit = fit_power_law(profile, config.fit_range_for(len(bins)))
+    fit = fit_power_law(profile, config.fit_range_for(bins_per_day))
     write_table(
         _out(config, "fig1_fit.csv"),
         {
@@ -339,7 +339,7 @@ def run_pipeline(config: RunConfig) -> None:
         config, stage_synth(config) if config.mode == "synth" else _read_input(config)
     )
     fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
-    stage_fit(config, fig1)
+    stage_fit(config, fig1, panel.bins_per_day)
     stage_spectra(config, panel, grid)
     stage_condition(config, grid)
     pairs = [
@@ -395,6 +395,7 @@ _STAGES = {
             {"symbol": str, "bin": int, "volatility": float, "kurtosis": float},
         ),
     ),
+    # fig1's stock_vol comes from stock_moments.csv, whose bins give K
     "fit": lambda config: stage_fit(
         config,
         _read_table(
@@ -402,6 +403,7 @@ _STAGES = {
             FIG1_FILE,
             {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float},
         ),
+        int(_read_table(config, MOMENTS_FILE, {"bin": int})["bin"].max(initial=0)),
     ),
     "spectra": lambda config: stage_spectra(config, *_canonical_grid(config)),
     "condition": lambda config: stage_condition(config, _canonical_grid(config)[1]),

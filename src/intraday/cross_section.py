@@ -12,9 +12,10 @@ statistics, evaluated across stocks instead of across days.  kappa_d
 carries no zeta^2 term.  :class:`DispersionGrid` holds every (bin, day)
 cell at once.
 
-Normalizing each cell by its own sigma_d produces a panel whose
-cross-sectional variance is exactly one at every (bin, day), which is the
-input the correlation-spectrum machinery expects.
+:func:`normalize_panel` divides each cell by its own sigma_d and returns
+another :class:`~intraday.panel.ReturnPanel`, whose cross-sectional
+variance is exactly one at every (bin, day): the input the
+correlation-spectrum machinery expects.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCrossSectionError, InsufficientDataError
-from .panel import ReturnPanel, _PanelView
+from .panel import ReturnPanel
 from .robust_moments import grid_moments
 
 
@@ -76,7 +77,7 @@ def _pooled_rows(bin_numbers, include_overnight: bool, bins) -> np.ndarray:
     return keep
 
 
-def dispersion_grid(panel: ReturnPanel | _PanelView) -> DispersionGrid:
+def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
     """Cross-sectional moments for every (bin, day) cell of a panel."""
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
@@ -96,32 +97,11 @@ def dispersion_grid(panel: ReturnPanel | _PanelView) -> DispersionGrid:
     )
 
 
-@dataclass(frozen=True)
-class NormalizedPanel(_PanelView):
-    """Panel of returns scaled by their own cross-sectional dispersion.
-
-    Every (bin, day) cross-section has population variance exactly one.
-    ``source`` keeps the originating panel reachable.
-    """
-
-    returns: np.ndarray
-    stock_ids: tuple[str, ...]
-    dates: tuple
-    bins_per_day: int
-    overnight_present: bool
-    source: ReturnPanel
-
-    def __post_init__(self):
-        arr = np.asarray(self.returns, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "returns", arr)
-
-
-def normalize_panel(
-    panel: ReturnPanel, grid: DispersionGrid | None = None
-) -> NormalizedPanel:
-    """Divide each (bin, day) cell by its cross-sectional dispersion, taken
-    from ``grid``, the panel's :func:`dispersion_grid`, when one is given.
+def normalize_panel(panel: ReturnPanel, grid: DispersionGrid | None = None) -> ReturnPanel:
+    """The panel with each (bin, day) cell divided by its cross-sectional
+    dispersion, taken from ``grid``, the panel's :func:`dispersion_grid`,
+    when one is given.  Every (bin, day) cross-section of the result has
+    population variance one.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair; nothing is silently passed through.
@@ -134,11 +114,10 @@ def normalize_panel(
         raise DegenerateCrossSectionError(pairs)
     # dispersion rows are (bin, day); panel axes are (stock, day, bin).
     scale = grid.dispersion.T[None, :, :]
-    return NormalizedPanel(
+    return ReturnPanel(
         returns=panel.returns / scale,
         stock_ids=panel.stock_ids,
         dates=panel.dates,
         bins_per_day=panel.bins_per_day,
         overnight_present=panel.overnight_present,
-        source=panel,
     )

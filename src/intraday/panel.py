@@ -60,57 +60,15 @@ from .tableio import read_columns, write_table
 _MAX_BIN = 2**63 - 1
 
 
-class _PanelView:
-    """Shared accessors for objects carrying a (stock, day, bin) array."""
-
-    returns: np.ndarray
-    stock_ids: tuple[str, ...]
-    dates: tuple[dt.date, ...]
-    bins_per_day: int
-    overnight_present: bool
-
-    @property
-    def n_stocks(self) -> int:
-        return len(self.stock_ids)
-
-    @property
-    def n_days(self) -> int:
-        return len(self.dates)
-
-    @property
-    def bin_numbers(self) -> np.ndarray:
-        """Bin labels aligned with the last array axis (0 first if overnight)."""
-        start = 0 if self.overnight_present else 1
-        return np.arange(start, self.bins_per_day + 1)
-
-    def column_of(self, bin_number: int) -> int:
-        """Array column holding ``bin_number``; raises for absent bins."""
-        offset = 0 if self.overnight_present else 1
-        col = bin_number - offset
-        if not 0 <= col < self.returns.shape[2] or bin_number < 0:
-            raise ValueError(f"bin {bin_number} not present in panel")
-        return col
-
-    def intraday_returns(self) -> np.ndarray:
-        """View of bins 1..K, shape (n_stocks, n_days, bins_per_day)."""
-        if self.overnight_present:
-            return self.returns[:, :, 1:]
-        return self.returns
-
-    def overnight_returns(self) -> np.ndarray | None:
-        """View of bin 0, shape (n_stocks, n_days), or None if absent."""
-        if self.overnight_present:
-            return self.returns[:, :, 0]
-        return None
-
-
 @dataclass(frozen=True)
-class ReturnPanel(_PanelView):
-    """Dense panel of simple returns, immutable after construction.
+class ReturnPanel:
+    """Dense (stock, day, bin) panel of returns, immutable after construction.
 
-    ``returns`` has shape (n_stocks, n_days, bins_per_day + 1) when
-    ``overnight_present`` (column 0 is the overnight bin), otherwise
-    (n_stocks, n_days, bins_per_day).
+    ``returns`` holds simple returns as loaded or, in a panel that
+    :func:`~intraday.cross_section.normalize_panel` built, those returns
+    divided by their (bin, day) cross-sectional dispersion.  Its shape is
+    (n_stocks, n_days, bins_per_day + 1) when ``overnight_present`` (column
+    0 is the overnight bin), otherwise (n_stocks, n_days, bins_per_day).
     """
 
     returns: np.ndarray
@@ -132,6 +90,40 @@ class ReturnPanel(_PanelView):
         object.__setattr__(self, "returns", arr)
         object.__setattr__(self, "stock_ids", tuple(self.stock_ids))
         object.__setattr__(self, "dates", tuple(self.dates))
+
+    @property
+    def n_stocks(self) -> int:
+        return len(self.stock_ids)
+
+    @property
+    def n_days(self) -> int:
+        return len(self.dates)
+
+    @property
+    def bin_numbers(self) -> np.ndarray:
+        """Bin labels aligned with the last array axis (0 first if overnight)."""
+        start = 0 if self.overnight_present else 1
+        return np.arange(start, self.bins_per_day + 1)
+
+    def column_of(self, bin_number: int) -> int:
+        """Array column holding ``bin_number``; raises for absent bins."""
+        offset = 0 if self.overnight_present else 1
+        col = bin_number - offset
+        if not 0 <= col < self.returns.shape[2]:
+            raise ValueError(f"bin {bin_number} not present in panel")
+        return col
+
+    def intraday_returns(self) -> np.ndarray:
+        """View of bins 1..K, shape (n_stocks, n_days, bins_per_day)."""
+        if self.overnight_present:
+            return self.returns[:, :, 1:]
+        return self.returns
+
+    def overnight_returns(self) -> np.ndarray | None:
+        """View of bin 0, shape (n_stocks, n_days), or None if absent."""
+        if self.overnight_present:
+            return self.returns[:, :, 0]
+        return None
 
 
 @dataclass
@@ -540,18 +532,10 @@ def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationR
     """
     report = ValidationReport()
     arr = panel.returns
-    n_cols = panel.bins_per_day + (1 if panel.overnight_present else 0)
-    if arr.shape != (panel.n_stocks, panel.n_days, n_cols):
-        report.violations.append(
-            f"array shape {arr.shape} inconsistent with metadata"
-        )
-        return report
     if panel.n_stocks < 2:
         report.violations.append(f"need at least 2 stocks, have {panel.n_stocks}")
     if panel.n_days < 2:
         report.violations.append(f"need at least 2 days, have {panel.n_days}")
-    if panel.bins_per_day < 1:
-        report.violations.append("need at least 1 intraday bin")
 
     bad = ~np.isfinite(arr)
     if bad.any():

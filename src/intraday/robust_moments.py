@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .panel import ReturnPanel, _PanelView
+from .panel import ReturnPanel
 
 ROOT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 
@@ -135,7 +135,7 @@ class MomentGrid:
     sample_count: int
 
 
-def stock_bin_moments(panel: ReturnPanel | _PanelView) -> MomentGrid:
+def stock_bin_moments(panel: ReturnPanel) -> MomentGrid:
     """Evaluate the kernels over days for every (stock, bin) cell.
 
     Includes the overnight bin when the panel carries one.  Degenerate

@@ -31,9 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cross_section import NormalizedPanel
 from .errors import DegenerateSampleError, InsufficientDataError
-from .panel import _PanelView
+from .panel import ReturnPanel
 
 SYMMETRY_TOL = 1e-12
 
@@ -93,9 +92,7 @@ class OverlapResult:
     index_range: tuple[int, int]
 
 
-def _standardized(
-    npanel: NormalizedPanel | _PanelView, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin ``k``'s stocks x days data centered per stock, and each stock's
     population std, with the checks :func:`correlation_matrix` documents."""
     data = npanel.returns[:, :, npanel.column_of(k)]
@@ -131,7 +128,7 @@ def _correlation(centered: np.ndarray, scale: np.ndarray, k: int) -> Correlation
     return CorrelationMatrix(entries=c, bin=int(k), sample_count=n_days)
 
 
-def correlation_matrix(npanel: NormalizedPanel | _PanelView, k: int) -> CorrelationMatrix:
+def correlation_matrix(npanel: ReturnPanel, k: int) -> CorrelationMatrix:
     """Correlation across stocks at bin ``k`` estimated over days.
 
     Per-stock means over days are removed and each row is scaled by its
@@ -182,7 +179,7 @@ def market_mode_stats(spectrum: BinSpectrum) -> MarketMode:
     )
 
 
-def _bin_spectrum(npanel: NormalizedPanel | _PanelView, k: int) -> BinSpectrum:
+def _bin_spectrum(npanel: ReturnPanel, k: int) -> BinSpectrum:
     centered, scale = _standardized(npanel, k)
     n_stocks, n_days = centered.shape
     if n_days < n_stocks:
@@ -200,9 +197,7 @@ def _bin_spectrum(npanel: NormalizedPanel | _PanelView, k: int) -> BinSpectrum:
     return eigen_decompose(_correlation(centered, scale, k))
 
 
-def bin_spectra(
-    npanel: NormalizedPanel | _PanelView, bins: Sequence[int] | None = None
-) -> list[BinSpectrum]:
+def bin_spectra(npanel: ReturnPanel, bins: Sequence[int] | None = None) -> list[BinSpectrum]:
     """Eigen-decompose every requested bin (all panel bins by default):
     ``eigen_decompose(correlation_matrix(npanel, k))``, or the dual Gram
     matrix when the bin has fewer days than stocks (see the module

@@ -202,11 +202,13 @@ class TestPipeline:
         assert code == 0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_stage_table():
     """Each subcommand in README's stage table, and the files its row names."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     rows = {}
-    for line in readme.read_text(encoding="utf-8").splitlines():
+    for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("| `"):
             _, name, writes, _ = line.split("|")
             rows[name.strip().strip("`")] = re.findall(r"`([^`]+)`", writes)
@@ -227,6 +229,16 @@ def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
     run_cfg = write_config(tmp_path, name="ran.cfg", out_name="ran")
     assert cli.main(["run", "-c", str(run_cfg)]) == 0
     assert {p.name for p in (tmp_path / "ran").iterdir()} == seen | set(table["run"])
+
+
+def test_readme_library_example_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    top = namespace["top"]
+    assert len(top) == len(namespace["panel"].bin_numbers)
+    assert all(0.0 < value <= 1.0 for value in top)
 
 
 # Damage to a stage table's rows (its lines after the version line and the
@@ -397,8 +409,12 @@ class TestExitCodes:
         )
         assert read_all(out) == before
 
-    @pytest.mark.parametrize("edit, message", DAMAGE.values(), ids=list(DAMAGE))
-    def test_damaged_fig1_bins_are_named(self, tmp_path, capsys, edit, message):
+    @pytest.mark.parametrize(
+        "edit, message, bin_number",
+        [(*DAMAGE["drop"], 2), (*DAMAGE["repeat"], 2), (lambda rows: rows[:-1], "no row for", 6)],
+        ids=[*DAMAGE, "drop-last"],
+    )
+    def test_damaged_fig1_bins_are_named(self, tmp_path, capsys, edit, message, bin_number):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg)]) == 0
         out = tmp_path / "out"
@@ -409,7 +425,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["fit", "-c", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            f"error: input-error: {out / 'fig1.csv'}: {message} intraday bin 2\n"
+            f"error: input-error: {out / 'fig1.csv'}: {message} intraday bin {bin_number}\n"
         )
         assert read_all(out) == before
 

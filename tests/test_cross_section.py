@@ -150,7 +150,9 @@ class TestNormalization:
         assert npanel.stock_ids == panel.stock_ids
         assert npanel.bins_per_day == panel.bins_per_day
         assert npanel.overnight_present
-        assert npanel.source is panel
+        assert isinstance(npanel, ReturnPanel)
+        with pytest.raises(ValueError):
+            npanel.returns[0, 0, 0] = 1.0
 
     def test_given_grid_is_used_as_is(self):
         rng = np.random.default_rng(25)

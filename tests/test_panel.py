@@ -69,6 +69,15 @@ class TestLoadPanel:
         assert panel.intraday_returns().shape == (2, 2, 2)
         assert panel.overnight_returns().shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        "bins, missing", [([1, 2], 0), ([1, 2], 3), ([0, 1, 2], 3), ([0, 1, 2], -1)]
+    )
+    def test_column_of_rejects_a_bin_the_panel_lacks(self, bins, missing):
+        panel, _ = load_panel(read_rows(records_for(["A", "B"], [D1, D2], bins)))
+        assert [panel.column_of(b) for b in bins] == list(range(len(bins)))
+        with pytest.raises(ValueError, match=f"bin {missing} not present in panel"):
+            panel.column_of(missing)
+
     def test_duplicate_cell_rejected(self):
         recs = records_for(["A", "B"], [D1], [1, 2])
         recs.append((D1, 1, "A", 0.5))
