@@ -8,13 +8,14 @@ README's table lists each subcommand and the files it writes.
 ``run`` runs every stage in one process and hands each stage's results to
 the next in memory: the canonical panel, the columns ``write_table``
 returns for ``stock_moments.csv`` and ``fig1.csv`` (floats as they read
-back, at 10 significant digits with -0 read as 0) and the dispersion grid.
-A stage subcommand reads those tables' columns from the output directory
-instead, and builds the grid from the canonical panel, so ``run`` and a
-manual stage sequence produce byte-identical tables.  In synth mode ``run``
-hands synth's panel, as returns.csv holds it, straight to ingest: it is
-dense and in canonical order, so ingest loads nothing and copies
-returns.csv to returns_canonical.csv, which would hold the same bytes.
+back, at 10 significant digits with -0 read as 0) and the dispersion grid,
+which ``spectra`` does not need.  A stage subcommand reads those tables'
+columns from the output directory instead, and ``condition`` builds the grid
+from the canonical panel, so ``run`` and a manual stage sequence produce
+byte-identical tables.  In synth mode ``run`` hands synth's panel, as
+returns.csv holds it, straight to ingest: it is dense and in canonical
+order, so ingest loads nothing and copies returns.csv to
+returns_canonical.csv, which would hold the same bytes.
 
 Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
@@ -230,6 +231,11 @@ def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray], bins_per_day: int)
     must be 1..``bins_per_day`` once each."""
     keep = fig1["overnight"] == 0
     bins = fig1["bin"][keep]
+    if bins.max(initial=0) > bins_per_day:
+        raise PanelFormatError(
+            f"{_out(config, FIG1_FILE)}: intraday bin {bins.max()} is past the last bin, "
+            f"{bins_per_day}, of {_out(config, MOMENTS_FILE)}"
+        )
     cells = ((k,) for k in range(1, bins_per_day + 1))
     _check_once(config, FIG1_FILE, "intraday bin {}", cells, zip(bins.tolist()))
     config.check_fit_window(bins_per_day)
@@ -249,8 +255,8 @@ def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray], bins_per_day: int)
     )
 
 
-def stage_spectra(config: RunConfig, panel: ReturnPanel, grid: DispersionGrid) -> None:
-    npanel = normalize_panel(panel, grid)
+def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
+    npanel = normalize_panel(panel)
     spectra = bin_spectra(npanel)
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]
@@ -340,7 +346,7 @@ def run_pipeline(config: RunConfig) -> None:
     )
     fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
     stage_fit(config, fig1, panel.bins_per_day)
-    stage_spectra(config, panel, grid)
+    stage_spectra(config, panel)
     stage_condition(config, grid)
     pairs = [
         ("package_version", __version__),
@@ -375,12 +381,6 @@ def _read_table(config: RunConfig, name: str, kinds: dict) -> dict[str, np.ndarr
     return dict(zip(kinds, read_columns(_out(config, name), kinds, versioned=True)[1]))
 
 
-def _canonical_grid(config: RunConfig) -> tuple[ReturnPanel, DispersionGrid]:
-    """The canonical panel, checked against the config, and its grid."""
-    panel = _read_canonical(config, check=True)
-    return panel, dispersion_grid(panel)
-
-
 _STAGES = {
     "run": run_pipeline,
     "synth": stage_synth,
@@ -405,8 +405,10 @@ _STAGES = {
         ),
         int(_read_table(config, MOMENTS_FILE, {"bin": int})["bin"].max(initial=0)),
     ),
-    "spectra": lambda config: stage_spectra(config, *_canonical_grid(config)),
-    "condition": lambda config: stage_condition(config, _canonical_grid(config)[1]),
+    "spectra": lambda config: stage_spectra(config, _read_canonical(config, check=True)),
+    "condition": lambda config: stage_condition(
+        config, dispersion_grid(_read_canonical(config, check=True))
+    ),
 }
 
 

@@ -15,12 +15,13 @@ cell at once.
 :func:`normalize_panel` divides each cell by its own sigma_d and returns
 another :class:`~intraday.panel.ReturnPanel`, whose cross-sectional
 variance is exactly one at every (bin, day): the input the
-correlation-spectrum machinery expects.
+correlation-spectrum machinery expects.  Without a grid it computes
+sigma_d alone, as ``np.std`` across stocks, the bytes ``grid_moments`` gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,25 +100,29 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
 
 def normalize_panel(panel: ReturnPanel, grid: DispersionGrid | None = None) -> ReturnPanel:
     """The panel with each (bin, day) cell divided by its cross-sectional
-    dispersion, taken from ``grid``, the panel's :func:`dispersion_grid`,
-    when one is given.  Every (bin, day) cross-section of the result has
+    dispersion, from ``grid`` as it stands when one is given (it must
+    carry the panel's bins and dates, else ``ValueError``) and otherwise
+    computed alone.  Every (bin, day) cross-section of the result has
     population variance one.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
-    (bin, day) pair; nothing is silently passed through.
+    (bin, day) pair, bin-major; nothing is silently passed through.
     """
     if grid is None:
-        grid = dispersion_grid(panel)
-    if grid.degenerate.any():
-        rows, cols = np.nonzero(grid.degenerate)
-        pairs = [(int(grid.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
+        if panel.n_stocks < 2:
+            raise InsufficientDataError("cross-sections need at least 2 stocks")
+        scale = panel.returns.std(axis=0)  # (day, bin)
+        degenerate = (scale == 0.0).T
+    elif not np.array_equal(grid.bin_numbers, panel.bin_numbers) or grid.dates != panel.dates:
+        raise ValueError(
+            f"grid bins {grid.bin_numbers.tolist()} over {len(grid.dates)} days from "
+            f"{grid.dates[0]} differ from panel bins {panel.bin_numbers.tolist()} over "
+            f"{panel.n_days} days from {panel.dates[0]}"
+        )
+    else:
+        scale, degenerate = grid.dispersion.T, grid.degenerate
+    if degenerate.any():
+        rows, cols = np.nonzero(degenerate)
+        pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
-    # dispersion rows are (bin, day); panel axes are (stock, day, bin).
-    scale = grid.dispersion.T[None, :, :]
-    return ReturnPanel(
-        returns=panel.returns / scale,
-        stock_ids=panel.stock_ids,
-        dates=panel.dates,
-        bins_per_day=panel.bins_per_day,
-        overnight_present=panel.overnight_present,
-    )
+    return replace(panel, returns=panel.returns / scale)

@@ -22,9 +22,11 @@ useless, so shape is measured here through low-order statistics instead:
 ``sigma`` throughout is the population standard deviation (1/T
 normalization).  :func:`grid_moments` is the one kernel, evaluated along
 days for single stocks and along stocks for the dispersion; the scalar
-functions wrap it for one sample.  A zero-dispersion sample has no defined
-shape: the scalar functions raise :class:`DegenerateSampleError`, and the
-grid marks the cell degenerate instead of inventing a value.
+functions wrap it for one sample.  One sort gives the median and one
+centred copy the MAD and sigma, with the bytes of ``np.median``,
+``np.abs(x - mean).mean()`` and ``np.std``.  A zero-dispersion sample has
+no defined shape: the scalar functions raise :class:`DegenerateSampleError`,
+and the grid marks the cell degenerate instead of inventing a value.
 """
 
 from __future__ import annotations
@@ -73,14 +75,22 @@ def grid_moments(values: np.ndarray, axis: int):
     The same kernel backs both time-series and cross-sectional use.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.shape[axis] < 2:
+    n = values.shape[axis]
+    if n < 2:
         raise InsufficientDataError(
             f"need at least 2 observations along axis {axis}"
         )
+    # np.median's formula: mean of the middle one or two, NaN from the top
+    ordered = np.sort(np.moveaxis(values, axis, -1), axis=-1)
+    median = ordered[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1)
+    last = ordered[..., -1]
+    median = np.where(np.isnan(last), last, median)[()]
+    del ordered, last
+    # np.std's own sequence, its centred copy shared with the MAD
     mean = values.mean(axis=axis)
-    vol = values.std(axis=axis)
-    median = np.median(values, axis=axis)
-    mad = np.abs(values - np.expand_dims(mean, axis)).mean(axis=axis)
+    centered = values - np.expand_dims(mean, axis)
+    mad = np.abs(centered).mean(axis=axis)
+    vol = np.sqrt(np.square(centered, out=centered).sum(axis=axis) / n)
     degenerate = vol == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         skew = 6.0 * (mean - median) / vol

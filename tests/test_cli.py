@@ -429,6 +429,21 @@ class TestExitCodes:
         )
         assert read_all(out) == before
 
+    def test_fig1_bin_past_stock_moments_names_both_tables(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        # stock_moments.csv loses every bin-6 row, so its last bin reads as 5
+        damage_rows(out / "stock_moments.csv", drop_where(lambda row: row.split(",")[1] == "6"))
+        before = read_all(out)
+        capsys.readouterr()
+        assert cli.main(["fit", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input-error: {out / 'fig1.csv'}: intraday bin 6 is past the last bin, 5, "
+            f"of {out / 'stock_moments.csv'}\n"
+        )
+        assert read_all(out) == before
+
     @pytest.mark.parametrize(
         "stage, name", [("moments", "returns_canonical.csv"), ("ingest", "returns.csv")]
     )

@@ -154,6 +154,44 @@ class TestNormalization:
         with pytest.raises(ValueError):
             npanel.returns[0, 0, 0] = 1.0
 
+    def test_without_grid_matches_the_grid_bytes_and_pair_order(self):
+        # N > T, with zero-dispersion cells set in no particular order
+        arr = np.random.default_rng(26).standard_normal((40, 6, 4)) * 0.01
+        panel = panel_from_array(arr, overnight=True)
+        assert normalize_panel(panel).returns.tobytes() == (
+            normalize_panel(panel, dispersion_grid(panel)).returns.tobytes()
+        )
+        for day, col in ((5, 0), (1, 3), (1, 0), (4, 2), (0, 3)):
+            arr[:, day, col] = 2.0**-9  # exact mean, so exactly zero dispersion
+        panel = panel_from_array(arr, overnight=True)
+        listed = []
+        for grid in (None, dispersion_grid(panel)):
+            with pytest.raises(DegenerateCrossSectionError) as exc:
+                normalize_panel(panel, grid)
+            listed.append(exc.value.bin_days)
+        assert listed[0] == listed[1] == [(0, 1), (0, 5), (2, 4), (3, 0), (3, 1)]
+
+    def test_one_stock_panel_is_insufficient(self):
+        panel = panel_from_array(np.full((1, 3, 2), 0.01))
+        with pytest.raises(InsufficientDataError):
+            normalize_panel(panel)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda panel: panel_from_array(panel.returns[:, :1]),
+            lambda panel: panel_from_array(panel.returns, overnight=True),
+            lambda panel: dataclasses.replace(
+                panel, dates=tuple(d + dt.timedelta(days=7) for d in panel.dates)
+            ),
+        ],
+        ids=["one-day", "other-bins", "other-dates"],
+    )
+    def test_grid_of_another_panel_is_rejected(self, other):
+        panel = panel_from_array(np.random.default_rng(27).standard_normal((6, 4, 3)) * 0.01)
+        with pytest.raises(ValueError, match="differ from panel bins"):
+            normalize_panel(panel, dispersion_grid(other(panel)))
+
     def test_given_grid_is_used_as_is(self):
         rng = np.random.default_rng(25)
         panel = panel_from_array(rng.standard_normal((6, 5, 3)) * 0.01, overnight=True)

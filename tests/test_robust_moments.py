@@ -17,6 +17,9 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.panel import ReturnPanel, load_panel
@@ -174,3 +177,37 @@ class TestGridAgainstScalars:
     def test_grid_moments_rejects_short_axis(self):
         with pytest.raises(InsufficientDataError):
             grid_moments(np.zeros((3, 1)), axis=1)
+
+
+# Samples that stress the order statistics and the centring: NaN, +-inf,
+# signed zeros and repeated values next to arbitrary finite floats.
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e-300, 2.5])
+ELEMENTS = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def numpy_moments(values, axis):
+    """Mean, sigma, median and MAD as numpy's own reductions give them."""
+    mean = values.mean(axis=axis)
+    mad = np.abs(values - np.expand_dims(mean, axis)).mean(axis=axis)
+    return mean, values.std(axis=axis), np.median(values, axis=axis), mad
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=7),
+        elements=ELEMENTS,
+    ),
+    data=st.data(),
+)
+def test_grid_moments_has_the_bytes_of_numpys_reductions(values, data):
+    axis = data.draw(st.integers(0, values.ndim - 1), label="axis")
+    if data.draw(st.booleans(), label="transposed"):
+        values = values.T
+    with np.errstate(all="ignore"):
+        mean, vol, _, _, median, mad, _ = grid_moments(values, axis)
+        expected = numpy_moments(values, axis)
+    for got, want in zip((mean, vol, median, mad), expected):
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -249,6 +249,24 @@ class TestRandomBaseline:
         small = random_overlap_baseline(60, 2, trials=1000, seed=2)
         assert small < big
 
+    @pytest.mark.parametrize(
+        "dim, p, trials",
+        [(5, 4, 1000), (60, 10, 1001), (97, 1, 1017), (126, 6, 10000), (500, 6, 2000)],
+    )
+    def test_blocks_give_the_bytes_of_one_trial_at_a_time(self, monkeypatch, dim, p, trials):
+        largest = np.empty(trials)
+        for i, ss in enumerate(np.random.SeedSequence(9).spawn(trials)):
+            rng = np.random.default_rng(ss)
+            q1, _ = np.linalg.qr(rng.standard_normal((dim, p)))
+            q2, _ = np.linalg.qr(rng.standard_normal((dim, p)))
+            largest[i] = np.linalg.svd(q1.T @ q2, compute_uv=False)[0]
+        # every trial's value, not only the quantile, must match
+        seen, quantile = [], np.quantile
+        monkeypatch.setattr(np, "quantile", lambda a, q: seen.append(a.copy()) or quantile(a, q))
+        threshold = random_overlap_baseline(dim, p, trials=trials, seed=9)
+        assert seen[0].tobytes() == largest.tobytes()
+        assert threshold == float(quantile(largest, 0.99))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="must be <"):
             random_overlap_baseline(5, 5, trials=1000)
