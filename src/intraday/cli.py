@@ -70,6 +70,7 @@ from .panel import (
     ReturnColumns,
     ReturnPanel,
     load_panel,
+    read_canonical_panel,
     read_return_records,
     returns_from_prices,
     validate_panel,
@@ -369,8 +370,8 @@ def _read_input(config: RunConfig) -> ReturnColumns:
 
 
 def _read_canonical(config: RunConfig, check: bool = False) -> ReturnPanel:
-    columns = read_return_records(_out(config, CANONICAL_FILE), versioned=True)
-    panel, _ = load_panel(columns, policy="strict")
+    path = _out(config, CANONICAL_FILE)
+    panel = read_canonical_panel(path) or load_panel(read_return_records(path, versioned=True))[0]
     if check:
         config.check_panel(panel)
     return panel

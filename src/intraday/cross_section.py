@@ -125,4 +125,4 @@ def normalize_panel(panel: ReturnPanel, grid: DispersionGrid | None = None) -> R
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
-    return replace(panel, returns=panel.returns / scale)
+    return replace(panel, returns=panel.returns / scale, _fresh=True)

@@ -35,6 +35,11 @@ about one and a half copies of its return columns.
 :func:`intraday.tableio.write_table` as columns, already in (date, bin,
 symbol) order, and returns the returns parsed back from the text it wrote,
 so a caller can hand on what a reader of the table gets.
+:func:`read_canonical_panel` reads such a table back without the general
+grammar: it checks the canonical layout chunk by chunk and reshapes the
+returns straight into the panel.  Where the table strays from that layout
+it gives None, and :func:`read_return_records` plus a strict
+:func:`load_panel` read it instead; both give the same panel and errors.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import datetime as dt
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import IO, Callable
 
 import numpy as np
@@ -55,7 +60,7 @@ from .errors import (
     PanelFormatError,
     PriceDomainError,
 )
-from .tableio import read_columns, write_table
+from .tableio import CHUNK_BYTES, VERSION_LINE, load_lines, read_columns, write_table
 
 _MAX_BIN = 2**63 - 1
 
@@ -76,8 +81,11 @@ class ReturnPanel:
     dates: tuple[dt.date, ...]
     bins_per_day: int
     overnight_present: bool
+    # True only for a fresh C-contiguous float64 array this package just
+    # built and holds nowhere else: the panel then takes it without a copy.
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh: bool):
         arr = np.asarray(self.returns, dtype=np.float64)
         n_cols = self.bins_per_day + (1 if self.overnight_present else 0)
         expect = (len(self.stock_ids), len(self.dates), n_cols)
@@ -85,7 +93,7 @@ class ReturnPanel:
             raise ValueError(f"returns shape {arr.shape} does not match metadata {expect}")
         if self.bins_per_day < 1:
             raise ValueError("bins_per_day must be >= 1")
-        arr = arr.copy() if arr is self.returns else arr
+        arr = arr.copy() if arr is self.returns and not _fresh else arr
         arr.flags.writeable = False
         object.__setattr__(self, "returns", arr)
         object.__setattr__(self, "stock_ids", tuple(self.stock_ids))
@@ -411,14 +419,80 @@ def load_panel(
         report.fills_applied = n_missing
         report.warnings.append(f"zero-filled {n_missing} missing cell(s)")
 
-    panel = ReturnPanel(
-        returns=array,
-        stock_ids=symbols,
-        dates=dates,
-        bins_per_day=k_max,
-        overnight_present=overnight,
-    )
+    panel = ReturnPanel(array, symbols, dates, k_max, overnight, _fresh=True)
     return panel, report
+
+
+def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
+    """The panel of a return table in the layout :func:`write_return_records`
+    gives it, or None if the table strays from that layout anywhere: the
+    version line, the header ``date,bin,symbol,return``, one block of
+    symbols (non-empty, strictly increasing) in every (date, bin) group, bins
+    ``offset..K`` on every date (``offset`` 0 or 1, ``K >= 1``), strictly
+    increasing dates, finite returns, and only the characters ``+`` to ``~``,
+    so no text needs stripping.  Where it gives a panel,
+    :func:`read_return_records` plus a strict :func:`load_panel` give the
+    same one; where it gives None, they own the error."""
+    heads, values, block, start = [], [], None, 0
+    # a byte that is not UTF-8 reads as U+FFFD, which the character check rejects
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as handle:
+        if handle.readline() != VERSION_LINE or handle.readline() != "date,bin,symbol,return\n":
+            return None
+        while text := handle.read(CHUNK_BYTES):
+            text += handle.readline()
+            codes = np.frombuffer(text.encode(), np.uint8)
+            # line ends and "+" to "~" only (count_nonzero is far faster than any)
+            if codes.max() > 126 or np.count_nonzero(codes < 43) != np.count_nonzero(codes == 10):
+                return None
+            del codes  # each transient goes before the next one comes
+            lines = text.splitlines()  # blank ones numpy skips, as the general reader does
+            del text
+            if block is None:  # no key is as long as its line
+                width = max(map(len, lines))
+            try:
+                keys = [("d", f"S{width}"), ("b", np.int64), ("s", f"S{width}"), ("r", np.float64)]
+                rows = load_lines(lines, np.dtype(keys))
+            except (ValueError, DeprecationWarning):
+                return None
+            del lines
+            date, bins, symbol = rows["d"], rows["b"], rows["s"]
+            if block is None:
+                n_block = int(np.argmax((date != date[0]) | (bins != bins[0]))) or len(rows)
+                block = symbol[:n_block].copy()
+                # From here a longer key is cut to this width: it then equals
+                # no symbol of the block and fails the date length check.
+                width = 1 + max(len(date[0]), *map(len, block.tolist()))
+            at = np.arange(start, start + len(rows)) % len(block)
+            head = at == 0  # a group's first row; every other row repeats the row before
+            same = (date[1:] == date[:-1]) & (bins[1:] == bins[:-1]) | head[1:]
+            if not (head[0] or (date[0], bins[0]) == previous) or not same.all():
+                return None
+            if not ((symbol == block[at]).all() and np.isfinite(rows["r"]).all()):
+                return None
+            heads.append((date[head], bins[head]))
+            values.append(rows["r"].copy())
+            previous, start = (date[-1], bins[-1]), start + len(rows)
+    if block is None or start % len(block) or block[0] == b"" or (block[1:] <= block[:-1]).any():
+        return None
+    date, bins = (np.concatenate(column) for column in zip(*heads))
+    n_bins = int(np.argmax(date != date[0])) or len(date)
+    n_days, offset, k = len(date) // n_bins, int(bins[0]), int(bins[0]) + n_bins - 1
+    if offset > 1 or k < 1 or len(date) % n_bins or max(map(len, date.tolist())) >= width:
+        return None
+    if (date.reshape(n_days, n_bins) != date[::n_bins, None]).any():
+        return None
+    if (bins != np.tile(np.arange(offset, k + 1), n_days)).any():
+        return None
+    try:
+        dates = [_date_key(text.decode()) for text in date[::n_bins].tolist()]
+    except ValueError:
+        return None
+    if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
+        return None
+    values = np.concatenate(values).reshape(n_days, n_bins, len(block))  # frees the parts
+    returns = np.ascontiguousarray(values.transpose(2, 0, 1))
+    symbols = [symbol.decode() for symbol in block.tolist()]
+    return ReturnPanel(returns, symbols, dates, k, offset == 0, _fresh=True)
 
 
 def returns_from_prices(

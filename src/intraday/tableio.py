@@ -42,6 +42,8 @@ CHUNK_BYTES = 1 << 20
 #: Rows formatted per block of a table write.
 WRITE_BLOCK_ROWS = 1 << 16
 _PREFIX = "# schema-version:"
+#: The first line of every table :func:`write_table` writes.
+VERSION_LINE = f"{_PREFIX} {SCHEMA_VERSION}\n"
 _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 #: Characters that a plain comma split does not read the way ``csv`` does;
 #: a CR is one of them unless it ends a CRLF line end.
@@ -123,7 +125,7 @@ def write_table(
     written = {name: np.empty(n_rows) for name, a in arrays.items() if a.dtype.kind == "f"}
     cells = _Cells()
     with open_output(destination) as handle:
-        handle.write(f"{_PREFIX} {SCHEMA_VERSION}\n")
+        handle.write(VERSION_LINE)
         handle.write(",".join(arrays) + "\n")
         for start in range(0, n_rows, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
@@ -187,14 +189,21 @@ def _parsed(kind: type, texts) -> np.ndarray:
     return np.fromiter(map(kind, texts), _DTYPES[kind], len(texts))
 
 
+def load_lines(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """Plain comma-separated ``lines`` as one record of the structured
+    ``dtype`` each, by numpy's C parser, which skips blank lines.  It raises
+    ValueError for a line or text it rejects, and DeprecationWarning where
+    numpy 1.x would parse an int field's ``1.0`` through a float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
 def _numpy_fields(lines: list[str], width: int, kinds: dict[int, type]) -> list[np.ndarray]:
     """Columns ``kinds`` of ``lines``, none blank, each parsed as its kind by
-    numpy's C parser, which raises ValueError for a line or text it rejects."""
+    :func:`load_lines`."""
     dtype = np.dtype([(f"f{i}", _DTYPES[kinds.get(i, str)]) for i in range(width)])
-    with warnings.catch_warnings():
-        # numpy 1.x parses an int column's 1.0 through a float, with this warning
-        warnings.simplefilter("error", DeprecationWarning)
-        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    table = load_lines(lines, dtype)
     # copies, so that a column does not keep the whole chunk alive
     return [np.ascontiguousarray(table[f"f{i}"]) for i in kinds]
 
@@ -220,7 +229,7 @@ def _table_chunks(
         text = "".join(lines)
         # not ASCII: numpy 2.4's int parser can crash on a character past U+FFFF;
         # numpy strips a CR only as part of a CRLF line end
-        lone_cr = text.count("\r") != text.count("\r\n")
+        lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
         if lone_cr or not text.isascii() or any(c in text for c in _CSV_ONLY):
             # A quoted field may run past the chunk: the reader then takes
             # the lines it needs from the handle.
@@ -239,7 +248,8 @@ def _table_chunks(
             first = line_num + 1
             line_num += len(lines)
             numbered = zip(itertools.count(first), lines)
-            if "#" in text or any(blank in lines for blank in _BLANK):
+            # ("\n\n" in text is slower than this list scan: "\n" is too common)
+            if "#" in text or "\n" in lines or ("\r" in text and "\r\n" in lines):
                 numbered = [
                     (num, line)
                     for num, line in numbered

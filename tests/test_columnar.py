@@ -426,6 +426,30 @@ def _with_line_ends(lines, ends):
     return "".join(line + ends(i) for i, line in enumerate(lines))
 
 
+@pytest.mark.parametrize(
+    "text, parser, numbers",
+    [
+        ("a,1\nb,2\n", "_numpy_fields", [1, 2]),
+        ("a,1\r\nb,2\r\n", "_numpy_fields", [1, 2]),
+        ("a,1\rb,2\n", "_python_fields", [1, 2]),
+        ("a,1\n\nb,2\n", "_numpy_fields", [1, 3]),
+        ("\na,1\nb,2", "_numpy_fields", [2, 3]),
+        ("a,1\r\n\r\nb,2\r\n", "_numpy_fields", [1, 3]),
+        ("\r\na,1\r\nb,2\r\n", "_numpy_fields", [2, 3]),
+        ("a,1\n\r\nb,2\n", "_numpy_fields", [1, 3]),
+    ],
+    ids=["lf", "crlf", "lone-cr", "blank", "leading-blank", "crlf-blank",
+         "leading-crlf-blank", "mixed-blank"],
+)
+def test_chunk_routing_by_line_ends_and_blank_lines(text, parser, numbers):
+    """A chunk with a lone CR goes to csv; LF and CRLF chunks go to numpy,
+    and a blank line in either is dropped with its line number."""
+    ((fields, rows),) = tableio_module._table_chunks(io.StringIO(text, newline=""), 0, 2, {1: int})
+    assert fields.func.__name__ == parser
+    assert list(rows) == [(n, [key, str(i)]) for n, key, i in zip(numbers, "ab", (1, 2))]
+    assert fields()[0].tolist() == [1, 2]
+
+
 @pytest.mark.parametrize("chunk_bytes", [64, 4 << 20])
 def test_crlf_copy_reads_as_the_lf_file_through_numpy(chunk_bytes):
     """A CRLF table, blank lines and comments included, gives the columns of

@@ -3,7 +3,9 @@
 A table read holds about one copy of the columns it returns plus one parse
 chunk of ``CHUNK_BYTES``, and the price conversion about one copy more, so
 on a table many chunks long the tracemalloc peak of either stays within a
-small multiple of the returned columns' bytes.
+small multiple of the returned columns' bytes.  A stage's read of the
+canonical table holds its returns twice at most, as parts and as the
+panel, and ``normalize_panel`` one panel beside its input.
 """
 
 import datetime as dt
@@ -13,8 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from intraday import cli
+from intraday.config import RunConfig
+from intraday.cross_section import normalize_panel
 from intraday.panel import read_return_records, returns_from_prices
-from intraday.tableio import CHUNK_BYTES
+from intraday.synth import gaussian_iid_panel
+from intraday.tableio import CHUNK_BYTES, VERSION_LINE
 
 # 100 symbols x 52 days x 78 five-minute bars: 405,600 rows, about 14 MB
 SYMBOLS = [f"S{i:04d}" for i in range(100)]
@@ -31,14 +37,19 @@ def _write_table(path, header, keys, values):
     assert os.path.getsize(path) > 10 * CHUNK_BYTES
 
 
-def _peak_per_column_byte(read, path):
-    """tracemalloc peak of ``read(path)`` over the bytes of the columns it returns."""
+def _traced(call):
+    """``call()`` and the tracemalloc peak while it ran."""
     tracemalloc.start()
     try:
-        columns = read(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_per_column_byte(read, path):
+    """tracemalloc peak of ``read(path)`` over the bytes of the columns it returns."""
+    columns, peak = _traced(lambda: read(path))
     arrays = (columns.date_index, columns.bins, columns.symbol_index, columns.values)
     return peak / sum(a.nbytes for a in arrays)
 
@@ -59,3 +70,23 @@ def test_price_conversion_holds_one_copy_of_its_columns_and_a_chunk(tmp_path):
     _write_table(path, "date,time,symbol,price", STAMPS, values)
     # 1.7 with one bincount over the cells and no sort
     assert _peak_per_column_byte(returns_from_prices, path) < 2.25
+
+
+def test_canonical_read_holds_at_most_twice_its_panel_and_a_chunk(tmp_path):
+    n_rows = len(DATES) * len(STAMPS) * len(SYMBOLS)
+    values = np.random.default_rng(0).normal(0, 0.01, n_rows).tolist()
+    header = VERSION_LINE + "date,bin,symbol,return"
+    _write_table(tmp_path / "returns_canonical.csv", header, range(1, 79), values)
+    config = RunConfig(output_dir=str(tmp_path))
+    panel, peak = _traced(lambda: cli._read_canonical(config))
+    assert panel.returns.shape == (len(SYMBOLS), len(DATES), len(STAMPS))
+    # 2.6 through the canonical layout check; 6.4 through the general reader
+    assert peak <= 4 * panel.returns.nbytes
+
+
+def test_normalize_panel_holds_one_panel_beside_its_input():
+    panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
+    normalized, peak = _traced(lambda: normalize_panel(panel))
+    assert normalized.returns.flags.c_contiguous and not normalized.returns.flags.writeable
+    # 1.0: the quotient becomes the panel's returns without a copy (2.0 with one)
+    assert peak < 1.25 * panel.returns.nbytes
