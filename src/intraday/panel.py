@@ -35,11 +35,8 @@ about one and a half copies of its return columns.
 :func:`intraday.tableio.write_table` as columns, already in (date, bin,
 symbol) order, and returns the returns parsed back from the text it wrote,
 so a caller can hand on what a reader of the table gets.
-:func:`read_canonical_panel` reads such a table back without the general
-grammar: it checks the canonical layout chunk by chunk and reshapes the
-returns straight into the panel.  Where the table strays from that layout
-it gives None, and :func:`read_return_records` plus a strict
-:func:`load_panel` read it instead; both give the same panel and errors.
+:func:`read_canonical_panel` reads such a table straight into a panel, or
+gives None where the general reader must read it; both give the same panel.
 """
 
 from __future__ import annotations
@@ -425,14 +422,11 @@ def load_panel(
 
 def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
     """The panel of a return table in the layout :func:`write_return_records`
-    gives it, or None if the table strays from that layout anywhere: the
-    version line, the header ``date,bin,symbol,return``, one block of
-    symbols (non-empty, strictly increasing) in every (date, bin) group, bins
-    ``offset..K`` on every date (``offset`` 0 or 1, ``K >= 1``), strictly
-    increasing dates, finite returns, and only the characters ``+`` to ``~``,
-    so no text needs stripping.  Where it gives a panel,
-    :func:`read_return_records` plus a strict :func:`load_panel` give the
-    same one; where it gives None, they own the error."""
+    gives it (one sorted block of symbols in every (date, bin) group, bins
+    ``offset..K`` on every date, increasing dates, finite returns, only the
+    characters ``+`` to ``~``), or None where it strays from that layout and
+    :func:`read_return_records` plus a strict :func:`load_panel` own the
+    panel or the error."""
     heads, values, block, start = [], [], None, 0
     # a byte that is not UTF-8 reads as U+FFFD, which the character check rejects
     with open(path, newline="", encoding="utf-8-sig", errors="replace") as handle:
@@ -445,6 +439,8 @@ def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
             if codes.max() > 126 or np.count_nonzero(codes < 43) != np.count_nonzero(codes == 10):
                 return None
             del codes  # each transient goes before the next one comes
+            if text.isspace():  # blank lines only, which the general reader skips
+                continue
             lines = text.splitlines()  # blank ones numpy skips, as the general reader does
             del text
             if block is None:  # no key is as long as its line
@@ -465,9 +461,8 @@ def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
             at = np.arange(start, start + len(rows)) % len(block)
             head = at == 0  # a group's first row; every other row repeats the row before
             same = (date[1:] == date[:-1]) & (bins[1:] == bins[:-1]) | head[1:]
-            if not (head[0] or (date[0], bins[0]) == previous) or not same.all():
-                return None
-            if not ((symbol == block[at]).all() and np.isfinite(rows["r"]).all()):
+            if not ((head[0] or (date[0], bins[0]) == previous) and same.all()
+                    and (symbol == block[at]).all() and np.isfinite(rows["r"]).all()):
                 return None
             heads.append((date[head], bins[head]))
             values.append(rows["r"].copy())
@@ -477,11 +472,9 @@ def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
     date, bins = (np.concatenate(column) for column in zip(*heads))
     n_bins = int(np.argmax(date != date[0])) or len(date)
     n_days, offset, k = len(date) // n_bins, int(bins[0]), int(bins[0]) + n_bins - 1
-    if offset > 1 or k < 1 or len(date) % n_bins or max(map(len, date.tolist())) >= width:
-        return None
-    if (date.reshape(n_days, n_bins) != date[::n_bins, None]).any():
-        return None
-    if (bins != np.tile(np.arange(offset, k + 1), n_days)).any():
+    if (offset > 1 or k < 1 or len(date) % n_bins or max(map(len, date.tolist())) >= width
+            or (date.reshape(n_days, n_bins) != date[::n_bins, None]).any()
+            or (bins != np.tile(np.arange(offset, k + 1), n_days)).any()):
         return None
     try:
         dates = [_date_key(text.decode()) for text in date[::n_bins].tolist()]

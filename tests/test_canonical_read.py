@@ -98,7 +98,8 @@ def _mutate(kind, rows, rng):
     elif kind == "comment line":
         rows.insert(i, "# note")
     elif kind == "blank line":
-        rows.insert(i, "")
+        # anywhere, the end of the table included
+        rows.insert(rng.randrange(len(rows) + 1), "")
     elif kind == "empty symbol":
         first = rows[0].split(",")[2]
         rows[:] = [_replace_field(r, 2, "") if r.split(",")[2] == first else r for r in rows]
@@ -121,6 +122,7 @@ def _mutate(kind, rows, rng):
                    for r in rows]
     elif kind == "truncated":
         del rows[rng.randrange(len(rows)):]
+        rows.extend([""] * rng.randrange(3))  # perhaps leaving blank lines only
     return rows
 
 
@@ -234,6 +236,26 @@ def test_canonical_read_of_edge_tables(name, chunk_bytes):
     fast, got, want = _reads(EDGE_TABLES[name], chunk_bytes)
     assert got == want
     assert fast is None
+
+
+BLANK_LINE_TABLES = {
+    "a blank line last": _grid(["2020-01-06", "2020-01-13"], [1, 2], "A") + "\n",
+    "blank lines first and last": _grid(["2020-01-06"], [0, 1], "AB").replace(
+        "return\n", "return\n\n\n") + "\n\n",
+    "a header and a blank line": VERSION_LINE + "date,bin,symbol,return\n\n",
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 60, 4 << 20])
+@pytest.mark.parametrize("name", BLANK_LINE_TABLES)
+def test_canonical_read_skips_blank_lines_as_the_general_reader_does(name, chunk_bytes):
+    # a chunk may hold blank lines only
+    fast, got, want = _reads(BLANK_LINE_TABLES[name], chunk_bytes)
+    assert got == want
+    if want[0] == "CompletenessError":  # no data rows
+        assert fast is None
+    elif chunk_bytes > 60:  # (a chunk of one line cannot show a block of two symbols)
+        assert fast is not None
 
 
 def test_demo_canonical_table_takes_the_fast_path(tmp_path, monkeypatch):
