@@ -32,9 +32,9 @@ policies are masks over the count cube, and one scatter fills the array.
 Both free each transient array after its last use, so that each peaks at
 about one and a half copies of its return columns.
 :func:`write_return_records` hands a canonical panel's cells to
-:func:`intraday.tableio.write_table` as columns, already in (date, bin,
-symbol) order, and returns the returns parsed back from the text it wrote,
-so a caller can hand on what a reader of the table gets.
+:func:`intraday.tableio.write_table` in (date, bin, symbol) order, keys as
+codes into the panel's labels, and returns the returns parsed back from the
+text it wrote, so a caller can hand on what a reader of the table gets.
 :func:`read_canonical_panel` reads such a table straight into a panel, or
 gives None where the general reader must read it; both give the same panel.
 """
@@ -646,13 +646,15 @@ def write_return_records(
     if not np.isfinite(panel.returns).all():  # the table's reader would reject it
         raise PanelFormatError(f"{destination}: a return is not finite")
     n_stocks, n_days, n_cols = panel.returns.shape
+    shape = (n_days * n_cols, n_stocks)  # one row of symbols per (date, bin)
     read_back = write_table(
         destination,
         {
-            "date": np.repeat(np.array(panel.dates, dtype=object), n_cols * n_stocks),
-            "bin": np.tile(np.repeat(panel.bin_numbers, n_stocks), n_days),
-            "symbol": np.tile(np.array(panel.stock_ids, dtype=object), n_days * n_cols),
-            "return": panel.returns.transpose(1, 2, 0).reshape(-1),
+            "date": np.broadcast_to(np.repeat(np.arange(n_days), n_cols)[:, None], shape),
+            "bin": np.broadcast_to(np.tile(np.arange(n_cols), n_days)[:, None], shape),
+            "symbol": np.broadcast_to(np.arange(n_stocks), shape),
+            "return": panel.returns.transpose(1, 2, 0).reshape(shape),
         },
+        labels={"date": panel.dates, "bin": panel.bin_numbers, "symbol": panel.stock_ids},
     )["return"]
     return read_back.reshape(n_days, n_cols, n_stocks).transpose(2, 0, 1)

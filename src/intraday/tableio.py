@@ -14,11 +14,11 @@ bad row, so the grammar is Python's whichever parser ran.  Columns are joined
 one at a time, so a read holds about one copy of them plus one chunk.
 
 :func:`write_table` writes every table from columns.  Floats print at 10
-significant digits with a ``.`` decimal mark regardless of locale, so
+significant digits (``%.10g`` byte for byte, from an exact vectorized kernel
+with a per-value fallback) with a ``.`` decimal mark regardless of locale, so
 identical inputs produce byte-identical files; ints and bools print as
-integers, and text is quoted CSV-style only when it would otherwise be
-split or read as a comment.  A table written to a path appears there only
-once complete.
+integers, and text is quoted CSV-style only when it would otherwise be split
+or read as a comment.  A table written to a path appears there only once complete.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 #: Text read per parsing chunk, in bytes of whole lines.
 CHUNK_BYTES = 1 << 20
 #: Rows formatted per block of a table write.
-WRITE_BLOCK_ROWS = 1 << 16
+WRITE_BLOCK_ROWS = 1 << 14
 _PREFIX = "# schema-version:"
 #: The first line of every table :func:`write_table` writes.
 VERSION_LINE = f"{_PREFIX} {SCHEMA_VERSION}\n"
@@ -61,14 +61,66 @@ def format_cell(value) -> str:
     return text
 
 
-def format_floats(values) -> tuple[list[str], np.ndarray]:
-    """Each value's table text, and the values as a reader parses them back
-    from it: 10 significant digits, -0 read as 0, shaped like ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    # ``format_float`` without a Python call per value; + 0.0 folds -0
-    texts = list(map(FLOAT_FORMAT.__mod__, (values.ravel() + 0.0).tolist()))
-    parsed = np.fromiter(map(float, texts), np.float64, len(texts))
-    return texts, parsed.reshape(values.shape)
+def _text_rows(texts, width: int = 0) -> np.ndarray:
+    """UTF-8 rows of ``texts`` padded to ``width`` or more by 0xFF, which no UTF-8 text holds."""
+    encoded = [text.encode() for text in texts]
+    width = max([width, *map(len, encoded)])
+    padded = b"".join(code.ljust(width, b"\xff") for code in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # each exact in float64
+#: Four-byte chunks as uint32: "0000".."9999", then "e-13".."e+31", then "-." and pads.
+_CHUNKS = _text_rows([f"{i:04d}" for i in range(10**4)] + [f"e{i:+03d}" for i in range(-13, 32)]
+                     + ["-."]).view(np.uint32)[:, 0]
+
+
+def _layout(case: int, zeros: int, sign: int) -> list[int]:
+    """A text as positions in chunks ``00ABCDEFGHIJe+XY-.~~``, padded to 17: mantissa digits
+    ``A``..``J`` less the last ``zeros``, in fixed notation at exponent ``case - 4`` for case
+    0..13, in scientific notation for 14, or zero for 15."""
+    body = "0" * max(0, 4 - case) + "ABCDEFGHIJ"
+    point = case - 3 if 4 <= case < 14 else 1  # characters before the point
+    fraction = body[point : len(body) - zeros]
+    text = "-" * sign + body[:point] + "." * bool(fraction) + fraction + "e+XY" * (case == 14)
+    return ["00ABCDEFGHIJe+XY-.~".index(c) for c in ("0" if case == 15 else text).ljust(17, "~")]
+
+
+#: Layout ``20 * case + 2 * zeros + sign``.
+_LAYOUTS = np.array([_layout(*key) for key in itertools.product(range(16), range(10), range(2))])
+
+
+def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :data:`FLOAT_FORMAT` text rows of ``values`` (-0 as 0), and the values they read as.
+
+    With ``s = 9 - floor(log10 |x|)`` and ``|s| <= 22``, ``y = |x| * 10**s`` errs by
+    under 2**-20, as ``10**s`` is exact, so ``m = rint(y)`` is the text's mantissa
+    where ``1e9 <= y``, ``m < 1e10`` and ``y`` is not within 2**-18 of a tie; ``m /
+    10**s`` reads it back exactly (Clinger's fast path).  Other values are formatted
+    and parsed one at a time."""
+    x = np.asarray(values, np.float64).ravel() + 0.0
+    size = np.abs(x)
+    with np.errstate(all="ignore"):
+        exp = np.floor(np.log10(size))
+        fast = np.abs(9 - exp) <= 22
+        exp[~fast] = 0
+        power, up = _POW10[np.abs(9 - exp).astype(np.intp)], exp <= 9
+        y = np.where(up, size * power, size / power)
+        m = np.rint(y)
+        fast = fast & (y >= 1e9) & (m < 1e10) & (np.abs(np.abs(y - m) - 0.5) > 2**-18) | (x == 0)
+        back = np.copysign(np.where(up, m / power, m * power), x)
+    m[~fast] = 1e9
+    case = np.where(x == 0, 15, np.where((exp < -4) | (exp > 9), 14, exp + 4)).astype(np.intp)
+    # the mantissa's digits in chunks of 2, 4 and 4: each quotient's floor is exact
+    high, mid = np.floor(m / 1e8), np.floor(m / 1e4)
+    chunks = [high, mid - high * 1e4, m - mid * 1e4, np.where(case == 14, exp, 0) + 10013]
+    source = _CHUNKS[np.stack(chunks + [np.full_like(m, 10045)], axis=1).astype(np.intp)]
+    zeros = np.argmax(source.view(np.uint8)[:, 11:1:-1] != ord("0"), axis=1)
+    index = np.take(_LAYOUTS, 20 * case + 2 * zeros + (x < 0), axis=0)
+    text = np.take(source.view(np.uint8), index + np.arange(0, 20 * len(x), 20)[:, None])
+    texts = list(map(FLOAT_FORMAT.__mod__, x[~fast].tolist()))
+    text[~fast], back[~fast] = _text_rows(texts, 17), list(map(float, texts))
+    return text, back.reshape(np.shape(values))
 
 
 @contextmanager
@@ -95,48 +147,54 @@ def open_output(destination: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
         raise
 
 
-class _Cells(dict):
-    """Each distinct value's :func:`format_cell` text, formatted once."""
-
-    def __missing__(self, value) -> str:
-        text = self[value] = format_cell(value)
-        return text
+def _cells(values: np.ndarray) -> np.ndarray:
+    """Each value's :func:`format_cell` text row, quoted once per distinct ``str``."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(str(v), len(index)) for v in values.tolist()]
+    return np.take(_text_rows(map(format_cell, index)), codes, axis=0)
 
 
 def write_table(
-    destination: str | os.PathLike | IO[str], columns: dict[str, Sequence]
+    destination: str | os.PathLike | IO[str],
+    columns: dict[str, Sequence],
+    labels: dict[str, Sequence] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Write ``columns``, one 1-D column per header name, as a versioned table.
+    """Write ``columns``, one array per header name, as a versioned table.
 
+    The rows are the cells of columns of one shape in C order, formatted in
+    blocks of whole first-axis entries, about :data:`WRITE_BLOCK_ROWS` rows.
     A column's dtype decides its format: floats at :data:`FLOAT_FORMAT`,
-    ints and bools as integers, anything else as text by :func:`format_cell`.
-    Rows are formatted in blocks of :data:`WRITE_BLOCK_ROWS`.  Returns every
-    column as written: a float column as a reader parses it back, any other
-    as given, bools as ints.  A finite value whose text reads back as
-    non-finite raises :class:`PanelFormatError` before a path destination is
-    replaced.
+    ints and bools as integers, anything else as text by :func:`format_cell`;
+    a column named in ``labels`` holds codes into that name's labels.  Returns
+    every column as written: a float column as a reader parses it back, any
+    other as given, bools as ints.  A finite value whose text reads back as
+    non-finite raises :class:`PanelFormatError` before a path destination is replaced.
     """
     arrays = {name: np.asarray(values) for name, values in columns.items()}
     arrays |= {name: a.astype(np.int64) for name, a in arrays.items() if a.dtype == bool}
-    lengths = {len(array) for array in arrays.values()} or {0}
-    if len(lengths) > 1:
-        raise ValueError(f"column lengths differ: {sorted(lengths)}")
-    (n_rows,) = lengths
-    written = {name: np.empty(n_rows) for name, a in arrays.items() if a.dtype.kind == "f"}
-    cells = _Cells()
+    shapes = {array.shape for array in arrays.values()} or {(0,)}
+    if len(shapes) > 1:
+        raise ValueError(f"column lengths differ: {sorted(shapes)}")
+    (shape,) = shapes
+    written = {name: np.empty(shape) for name, a in arrays.items() if a.dtype.kind == "f"}
+    step = max(1, WRITE_BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
+    label_texts = {name: _text_rows(map(format_cell, v)) for name, v in (labels or {}).items()}
     with open_output(destination) as handle:
-        handle.write(VERSION_LINE)
-        handle.write(",".join(arrays) + "\n")
-        for start in range(0, n_rows, WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
-            texts = []
+        handle.write(VERSION_LINE + ",".join(arrays) + "\n")
+        for start in range(0, shape[0], step):
+            block = slice(start, start + step)
+            fields = []
             for name, array in arrays.items():
                 if name in written:
-                    text, written[name][block] = format_floats(array[block])
+                    text, written[name][block] = _float_texts(array[block])
+                elif name in label_texts:
+                    text = np.take(label_texts[name], array[block].ravel(), axis=0)
                 else:
-                    text = list(map(cells.__getitem__, array[block].tolist()))
-                texts.append(text)
-            handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                    text = _cells(array[block].ravel())
+                fields += [text, np.full((len(text), 1), ord(","), np.uint8)]
+            fields[-1][:] = ord("\n")
+            rows = np.concatenate(fields, axis=1)
+            handle.write(rows[rows != 255].tobytes().decode())
         for name, values in written.items():
             if (np.isfinite(arrays[name]) & ~np.isfinite(values)).any():
                 raise PanelFormatError(f"{destination}: a {name} rounds to a non-finite value")

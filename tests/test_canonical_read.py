@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intraday import cli, panel as panel_module, tableio as tableio_module
-from intraday.config import RunConfig
+from intraday.config import RunConfig, format_float
 from intraday.errors import IntradayError
 from intraday.panel import load_panel, read_canonical_panel, read_return_records
-from intraday.tableio import VERSION_LINE, format_floats
+from intraday.tableio import VERSION_LINE
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CANONICAL = "returns_canonical.csv"
@@ -160,7 +160,7 @@ def canonical_tables(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     cells = [(d, b, s) for d in dates for b in bins for s in symbols]
     values = [rng.choice([0.0, -0.0, 1.25e-4, 0.5, rng.gauss(0.0, 0.01)]) for _ in cells]
-    texts, _ = format_floats(values)
+    texts = list(map(format_float, values))
     rows = [f"{d.strftime(spelling)},{b},{s},{v}" for (d, b, s), v in zip(cells, texts)]
     kind = draw(st.sampled_from(MUTATIONS))
     if kind is not None:

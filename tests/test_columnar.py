@@ -37,7 +37,8 @@ from intraday.panel import (
     returns_from_prices,
     write_return_records,
 )
-from intraday.tableio import format_floats, read_columns, write_table
+from intraday.synth import gaussian_iid_panel
+from intraday.tableio import read_columns, write_table
 
 from return_rows import read_rows, rows_of
 
@@ -105,6 +106,8 @@ def oracle_read(source):
             raise PanelFormatError(f"bad bin {bin_s!r}", line_num) from None
         if bin_number < 0:
             raise PanelFormatError(f"negative bin {bin_number}", line_num)
+        if bin_number > 2**63 - 1:
+            raise PanelFormatError(f"bin {bin_number} out of range", line_num)
         try:
             value = float(value_s)
         except ValueError:
@@ -673,6 +676,20 @@ def test_plain_symbols_are_written_bare():
     assert buf.getvalue().splitlines()[2] == '2020-01-06,1,"B,""C""",0.5'
 
 
+def test_equal_cells_of_different_types_keep_their_own_text():
+    buf = io.StringIO()
+    write_table(
+        buf,
+        {
+            "n": [1, 2, 3],
+            "o": np.array([1, 1.0, True], dtype=object),
+            "p": np.array([True, 2, 1.0], dtype=object),
+            "q": np.array([-0.0, 0.0, -0.0], dtype=object),
+        },
+    )
+    assert buf.getvalue().splitlines()[2:] == ["1,1,True,-0.0", "2,1.0,2,0.0", "3,True,1.0,-0.0"]
+
+
 def test_table_cells_quoted_only_when_needed():
     buf = io.StringIO()
     write_table(buf, {"symbol": ["#A", "B,C", "D"], "x": [1, 2, 3]})
@@ -688,19 +705,116 @@ EDGE_FLOATS = (
 )
 
 
+def kernel_texts(values):
+    """``_float_texts`` of ``values`` as a list of texts, and its read-back."""
+    rows, parsed = tableio_module._float_texts(np.array(values, dtype=np.float64))
+    return [bytes(row[row != 255]).decode() for row in rows], parsed
+
+
+def assert_kernel_matches_format_float(values):
+    texts, parsed = kernel_texts(values)
+    assert texts == [format_float(v) for v in values]
+    assert list(map(repr, parsed.ravel().tolist())) == [repr(float(t)) for t in texts]
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(
     values=st.lists(st.floats(width=64) | st.sampled_from(EDGE_FLOATS), max_size=12),
     rows=st.sampled_from([1, 2, 3]),
 )
-def test_format_floats_prints_each_value_at_10_digits(values, rows):
-    """Any float64, -0 folded to 0, reads back from its own text."""
+def test_float_texts_prints_each_value_at_10_digits(values, rows):
+    """Any float64, -0 folded to 0, gets ``format_float``'s text byte for
+    byte and reads back from it; the read-back keeps the values' shape."""
     values = values[: len(values) // rows * rows]
-    texts, parsed = format_floats(np.reshape(values, (rows, -1)))
+    texts, parsed = kernel_texts(np.reshape(values, (rows, -1)))
     assert texts == [f"{0.0 if v == 0 else v:.10g}" for v in values]
-    assert texts == [format_float(v) for v in values]
     assert parsed.shape == (rows, len(values) // rows)
-    assert list(map(repr, parsed.ravel().tolist())) == [repr(float(t)) for t in texts]
+    assert_kernel_matches_format_float(values)
+
+
+def ulps_away(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+MAX = 1.7976931348623157e308
+# Where the kernel's exponent, rounding or notation could go wrong: within 4
+# ulps of a power of ten, decimal ties of the 11th digit, the switches of %g
+# between fixed and scientific notation, subnormals and the extremes.
+hard_floats = (
+    st.builds(ulps_away, st.integers(-25, 25).map(lambda k: 10.0**k), st.integers(-4, 4))
+    | st.builds(
+        lambda digits, k: float(f"{digits}5e{k - 10}"),
+        st.integers(10**9, 10**10 - 1),
+        st.integers(-25, 25),
+    )
+    | st.builds(
+        ulps_away,
+        st.sampled_from([1e-5, 1e-4, 1e10, 9.9999999995e-6, 9.9999999995e-5, 9.9999999995e9]),
+        st.integers(-4, 4),
+    )
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+    | st.sampled_from([MAX, -MAX, 0.0, -0.0])
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(values=st.lists(st.tuples(hard_floats, st.booleans()), max_size=12))
+def test_float_texts_at_powers_of_ten_ties_and_switches(values):
+    assert_kernel_matches_format_float([-v if negate else v for v, negate in values])
+
+
+@pytest.mark.parametrize("skew", [-1.0, 1.0])
+def test_float_texts_check_the_exponent_log10_gives(skew):
+    """A ``log10`` one off is caught by the mantissa's range, and such
+    values take the per-value path."""
+    values = np.random.default_rng(0).normal(0, 1e-3, 200).tolist() + [1e-5, 1e10, 12345.0]
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + skew):
+        assert_kernel_matches_format_float(values)
+
+
+def test_ordinary_returns_take_the_vectorized_path(tmp_path):
+    """Returns of a realistic size almost never need the per-value fallback
+    (about one in 10**5 lies within 2**-18 of a decimal tie)."""
+    panel = gaussian_iid_panel(20, 50, 79, 0.001, seed=0)
+    fallback = []
+
+    class CountedFormat(str):
+        def __mod__(self, value):
+            fallback.append(value)
+            return str.__mod__(self, value)
+
+    with mock.patch.object(tableio_module, "FLOAT_FORMAT", CountedFormat("%.10g")):
+        write_return_records(panel, tmp_path / "returns.csv")
+        from_returns = len(fallback)
+        kernel_texts([0.0, -0.0, math.nan, 1.25, 5e-324])  # only nan and 5e-324 fall back
+    assert len(fallback) == from_returns + 2
+    assert from_returns <= 1e-4 * panel.returns.size
+
+
+@pytest.mark.parametrize("block_rows", [5, tableio_module.WRITE_BLOCK_ROWS])
+def test_return_table_matches_a_plain_python_writer(tmp_path, block_rows):
+    rng = np.random.default_rng(3)
+    shape = (3, 4, 6)  # symbols, days, bins 0..5
+    returns = np.where(rng.random(shape) < 0.5, -1, 1) * 10.0 ** rng.uniform(-7, 3, shape)
+    returns[0, 0, :2] = 0.0, -0.0
+    returns[2, 3, 5] = -0.0
+    dates = [dt.date(2020, 1, 6) + dt.timedelta(days=d) for d in range(4)]
+    panel = ReturnPanel(returns, ("A", "BB", "C.D"), dates, 5, True)
+    with mock.patch.object(tableio_module, "WRITE_BLOCK_ROWS", block_rows):
+        read_back = write_return_records(panel, tmp_path / "returns.csv")
+    lines = [
+        f"{date},{b},{symbol},{format_float(returns[s, d, b])}\n"
+        for d, date in enumerate(dates)
+        for b in range(6)
+        for s, symbol in enumerate(panel.stock_ids)
+    ]
+    expected = "# schema-version: 1\ndate,bin,symbol,return\n" + "".join(lines)
+    assert (tmp_path / "returns.csv").read_bytes() == expected.encode()
+    parsed = np.vectorize(lambda v: float(format_float(v)))(returns)
+    assert list(map(repr, read_back.ravel().tolist())) == list(map(repr, parsed.ravel().tolist()))
 
 
 table_floats = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
@@ -721,8 +835,8 @@ table_texts = st.text(
 )
 def test_write_table_round_trips_through_read_columns(rows, block_rows):
     """Text, float, int and bool columns read back as written, and
-    ``write_table`` returns each as it reads back; a float as its
-    ``format_floats`` read-back, and a finite one that would read back as
+    ``write_table`` returns each as it reads back; a float as its text
+    reads back, and a finite one that would read back as
     non-finite stops the write."""
     text, x, n, flag = (list(column) for column in zip(*rows)) if rows else ([],) * 4
     columns = {
@@ -731,7 +845,7 @@ def test_write_table_round_trips_through_read_columns(rows, block_rows):
         "n": np.array(n, dtype=np.int64),
         "flag": np.array(flag, dtype=bool),
     }
-    expected = format_floats(columns["x"])[1]
+    expected = np.array([float(format_float(v)) for v in x])
     buf = io.StringIO()
     with mock.patch.object(tableio_module, "WRITE_BLOCK_ROWS", block_rows):
         if (np.isfinite(columns["x"]) & ~np.isfinite(expected)).any():
@@ -794,14 +908,16 @@ def test_failed_return_write_keeps_earlier_file(tmp_path):
     before = path.read_bytes()
     calls = []
 
+    float_texts = tableio_module._float_texts
+
     def failing_formats(values):
         calls.append(values)
         if len(calls) > 1:
             raise Boom
-        return format_floats(values)
+        return float_texts(values)
 
     with mock.patch.object(tableio_module, "WRITE_BLOCK_ROWS", 2), mock.patch.object(
-        tableio_module, "format_floats", failing_formats
+        tableio_module, "_float_texts", failing_formats
     ):
         with pytest.raises(Boom):
             write_return_records(panel, path)

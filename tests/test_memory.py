@@ -5,7 +5,8 @@ chunk of ``CHUNK_BYTES``, and the price conversion about one copy more, so
 on a table many chunks long the tracemalloc peak of either stays within a
 small multiple of the returned columns' bytes.  A stage's read of the
 canonical table holds its returns twice at most, as parts and as the
-panel, and ``normalize_panel`` one panel beside its input.
+panel, and ``normalize_panel`` one panel beside its input.  The canonical
+write holds the returns it reads back and one block of rows.
 """
 
 import datetime as dt
@@ -18,7 +19,7 @@ import pytest
 from intraday import cli
 from intraday.config import RunConfig
 from intraday.cross_section import normalize_panel
-from intraday.panel import read_return_records, returns_from_prices
+from intraday.panel import read_return_records, returns_from_prices, write_return_records
 from intraday.synth import gaussian_iid_panel
 from intraday.tableio import CHUNK_BYTES, VERSION_LINE
 
@@ -90,3 +91,10 @@ def test_normalize_panel_holds_one_panel_beside_its_input():
     assert normalized.returns.flags.c_contiguous and not normalized.returns.flags.writeable
     # 1.0: the quotient becomes the panel's returns without a copy (2.0 with one)
     assert peak < 1.25 * panel.returns.nbytes
+
+
+def test_return_write_holds_its_read_back_and_a_block(tmp_path):
+    panel = gaussian_iid_panel(100, 120, 79, 0.001, seed=0)
+    _, peak = _traced(lambda: write_return_records(panel, tmp_path / "returns.csv"))
+    # 2.1 with key codes per block; 7.0 with full-length key columns
+    assert peak <= 3 * panel.returns.nbytes
