@@ -17,7 +17,7 @@ mean the statistic grows sub-linearly with |x|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,56 +257,33 @@ def odd_even_decompose(
     pos = np.nonzero(c > center_tol)[0]
     neg = np.nonzero(c < -center_tol)[0]
     zero = np.nonzero(np.abs(c) <= center_tol)[0]
-
-    neg_by_center = {float(-c[i]): i for i in neg}
-    unpaired = []
-    pairs = []
-    for i in pos:
-        target = float(c[i])
-        match = None
-        for cx, j in neg_by_center.items():
-            if abs(cx - target) <= center_tol:
-                match = j
-                break
-        if match is None:
-            unpaired.append(target)
-        else:
-            pairs.append((i, match))
-    matched_neg = {j for _, j in pairs}
-    unpaired.extend(float(c[j]) for j in neg if j not in matched_neg)
+    near = np.abs(c[pos, None] + c[neg]) <= center_tol
+    near &= near.cumsum(axis=1) == 1  # each positive bucket pairs with its first hit
+    unpaired = c[pos[~near.any(axis=1)]].tolist() + c[neg[~near.any(axis=0)]].tolist()
     if unpaired:
         shown = ", ".join(f"{u:+.6g}" for u in sorted(unpaired)[:8])
         raise ValueError(f"buckets without a mirror partner at {shown}")
-
-    centers, odd_m, odd_s, even_m, even_s, counts = [], [], [], [], [], []
-    for j in zero:
-        centers.append(0.0)
-        odd_m.append(0.0)
-        odd_s.append(0.0)
-        even_m.append(curve.means[j])
-        even_s.append(curve.stderr[j])
-        counts.append(curve.counts[j])
-    for i, j in sorted(pairs, key=lambda p: c[p[0]]):
-        centers.append(float(c[i]))
-        combined = float(np.hypot(curve.stderr[i], curve.stderr[j]) / 2.0)
-        odd_m.append((curve.means[i] - curve.means[j]) / 2.0)
-        odd_s.append(combined)
-        even_m.append((curve.means[i] + curve.means[j]) / 2.0)
-        even_s.append(combined)
-        counts.append(int(curve.counts[i] + curve.counts[j]))
+    # every row of near now holds one hit: its column is the row's partner
+    order = np.argsort(c[pos], kind="stable")
+    i, j = pos[order], neg[np.nonzero(near)[1]][order]
+    m, s, n = curve.means, curve.stderr, curve.counts
+    combined = np.hypot(s[i], s[j]) / 2.0
+    origin = np.zeros(zero.size)  # center, odd mean and odd error of a zero bucket
 
     def build(means, errs, tag):
-        return ConditionalCurve(
-            bucket_centers=np.asarray(centers),
-            means=np.asarray(means),
-            stderr=np.asarray(errs),
-            counts=np.asarray(counts, dtype=int),
-            conditioning_name=curve.conditioning_name,
+        return replace(
+            curve,
+            bucket_centers=np.concatenate([origin, c[i]]),
+            means=np.concatenate(means),
+            stderr=np.concatenate(errs),
+            counts=np.concatenate([n[zero], n[i] + n[j]]).astype(int),
             statistic_name=f"{tag}[{curve.statistic_name}]",
-            omitted_buckets=curve.omitted_buckets,
         )
 
-    return build(odd_m, odd_s, "odd"), build(even_m, even_s, "even")
+    return (
+        build([origin, (m[i] - m[j]) / 2.0], [origin, combined], "odd"),
+        build([m[zero], (m[i] + m[j]) / 2.0], [s[zero], combined], "even"),
+    )
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ cell at once.
 :func:`normalize_panel` divides each cell by its own sigma_d and returns
 another :class:`~intraday.panel.ReturnPanel`, whose cross-sectional
 variance is exactly one at every (bin, day): the input the
-correlation-spectrum machinery expects.  Without a grid it computes
-sigma_d alone, as ``np.std`` across stocks, the bytes ``grid_moments`` gives.
+correlation-spectrum machinery expects.  It computes sigma_d alone, as
+``np.std`` across stocks, the bytes ``grid_moments`` gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class DispersionGrid:
     """Dispersion moments for every (bin, day); arrays are (n_bins, n_days)
     with rows aligned to ``bin_numbers``."""
 
+    # field order is load-bearing: the first seven are grid_moments' outputs
+    # in its order, and pooled() returns the first six
     index_return: np.ndarray
     dispersion: np.ndarray
     skewness: np.ndarray
@@ -57,14 +59,7 @@ class DispersionGrid:
         """
         keep = _pooled_rows(self.bin_numbers, include_overnight, bins)
         mask = ~self.degenerate[keep]
-        return {
-            "index_return": self.index_return[keep][mask],
-            "dispersion": self.dispersion[keep][mask],
-            "skewness": self.skewness[keep][mask],
-            "kurtosis": self.kurtosis[keep][mask],
-            "median": self.median[keep][mask],
-            "mad": self.mad[keep][mask],
-        }
+        return {f.name: getattr(self, f.name)[keep][mask] for f in fields(self)[:6]}
 
 
 def _pooled_rows(bin_numbers, include_overnight: bool, bins) -> np.ndarray:
@@ -82,45 +77,27 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
     """Cross-sectional moments for every (bin, day) cell of a panel."""
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
-    mean, vol, skew, kurt, median, mad, degenerate = grid_moments(panel.returns, axis=0)
     # grid axes arrive as (day, bin); present them bin-major.
     return DispersionGrid(
-        index_return=mean.T.copy(),
-        dispersion=vol.T.copy(),
-        skewness=skew.T.copy(),
-        kurtosis=kurt.T.copy(),
-        median=median.T.copy(),
-        mad=mad.T.copy(),
-        degenerate=degenerate.T.copy(),
+        *(moment.T.copy() for moment in grid_moments(panel.returns, axis=0)),
         bin_numbers=panel.bin_numbers,
         n_stocks=panel.n_stocks,
         dates=tuple(panel.dates),
     )
 
 
-def normalize_panel(panel: ReturnPanel, grid: DispersionGrid | None = None) -> ReturnPanel:
+def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
     """The panel with each (bin, day) cell divided by its cross-sectional
-    dispersion, from ``grid`` as it stands when one is given (it must
-    carry the panel's bins and dates, else ``ValueError``) and otherwise
-    computed alone.  Every (bin, day) cross-section of the result has
+    dispersion.  Every (bin, day) cross-section of the result has
     population variance one.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair, bin-major; nothing is silently passed through.
     """
-    if grid is None:
-        if panel.n_stocks < 2:
-            raise InsufficientDataError("cross-sections need at least 2 stocks")
-        scale = panel.returns.std(axis=0)  # (day, bin)
-        degenerate = (scale == 0.0).T
-    elif not np.array_equal(grid.bin_numbers, panel.bin_numbers) or grid.dates != panel.dates:
-        raise ValueError(
-            f"grid bins {grid.bin_numbers.tolist()} over {len(grid.dates)} days from "
-            f"{grid.dates[0]} differ from panel bins {panel.bin_numbers.tolist()} over "
-            f"{panel.n_days} days from {panel.dates[0]}"
-        )
-    else:
-        scale, degenerate = grid.dispersion.T, grid.degenerate
+    if panel.n_stocks < 2:
+        raise InsufficientDataError("cross-sections need at least 2 stocks")
+    scale = panel.returns.std(axis=0)  # (day, bin)
+    degenerate = (scale == 0.0).T
     if degenerate.any():
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]

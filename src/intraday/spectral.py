@@ -143,15 +143,11 @@ def correlation_matrix(npanel: ReturnPanel, k: int) -> CorrelationMatrix:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so each sums positive; an exactly zero sum
     falls back to the first nonzero entry being positive."""
+    # contiguous rows give each column's sum the bytes of summing it alone
+    sums = np.ascontiguousarray(vectors.T).sum(axis=1)
+    first = vectors[np.argmax(vectors != 0, axis=0), np.arange(vectors.shape[1])]
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        s = out[:, j].sum()
-        if s < 0.0:
-            out[:, j] = -out[:, j]
-        elif s == 0.0:
-            nz = np.nonzero(out[:, j])[0]
-            if nz.size and out[nz[0], j] < 0.0:
-                out[:, j] = -out[:, j]
+    out[:, (sums < 0.0) | (sums == 0.0) & (first < 0.0)] *= -1.0
     return out
 
 
@@ -198,14 +194,12 @@ def _bin_spectrum(npanel: ReturnPanel, k: int) -> BinSpectrum:
     return eigen_decompose(_correlation(centered, scale, k))
 
 
-def bin_spectra(npanel: ReturnPanel, bins: Sequence[int] | None = None) -> list[BinSpectrum]:
-    """Eigen-decompose every requested bin (all panel bins by default):
+def bin_spectra(npanel: ReturnPanel) -> list[BinSpectrum]:
+    """Eigen-decompose every bin of the panel:
     ``eigen_decompose(correlation_matrix(npanel, k))``, or the dual Gram
     matrix when the bin has fewer days than stocks (see the module
     docstring)."""
-    if bins is None:
-        bins = [int(b) for b in npanel.bin_numbers]
-    return [_bin_spectrum(npanel, k) for k in bins]
+    return [_bin_spectrum(npanel, int(k)) for k in npanel.bin_numbers]
 
 
 def overlap_singular_values(

@@ -71,8 +71,10 @@ def _text_rows(texts, width: int = 0) -> np.ndarray:
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # each exact in float64
 #: Four-byte chunks as uint32: "0000".."9999", then "e-13".."e+31", then "-." and pads.
-_CHUNKS = _text_rows([f"{i:04d}" for i in range(10**4)] + [f"e{i:+03d}" for i in range(-13, 32)]
-                     + ["-."]).view(np.uint32)[:, 0]
+_CHUNKS = np.concatenate([
+    np.arange(10**4, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + ord("0"),
+    _text_rows([f"e{i:+03d}" for i in range(-13, 32)] + ["-."]),
+], dtype=np.uint8).view(np.uint32)[:, 0]
 
 
 def _layout(case: int, zeros: int, sign: int) -> list[int]:

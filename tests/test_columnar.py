@@ -765,6 +765,15 @@ def test_float_texts_at_powers_of_ten_ties_and_switches(values):
     assert_kernel_matches_format_float([-v if negate else v for v, negate in values])
 
 
+def test_digit_chunks_are_the_texts_they_stand_for():
+    """The uint32 chunk table, built by arithmetic, holds the bytes of each
+    four-digit text, each exponent and ``-.``, padded by 0xFF."""
+    texts = [f"{i:04d}" for i in range(10**4)] + [f"e{i:+03d}" for i in range(-13, 32)] + ["-."]
+    want = b"".join(text.encode().ljust(4, b"\xff") for text in texts)
+    assert tableio_module._CHUNKS.dtype == np.uint32
+    assert tableio_module._CHUNKS.tobytes() == want
+
+
 @pytest.mark.parametrize("skew", [-1.0, 1.0])
 def test_float_texts_check_the_exponent_log10_gives(skew):
     """A ``log10`` one off is caught by the mantissa's range, and such

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intraday.conditioning import (
     BucketSpec,
@@ -301,3 +303,107 @@ class TestSublinearityDiagnostic:
         short = make_curve([-0.1, -0.05, 0.05, 0.1], [0.1, 0.05, 0.05, 0.1])
         with pytest.raises(InsufficientDataError, match="branch"):
             sublinearity_diagnostic(short, origin_window=3)
+
+
+def loop_odd_even(curve, center_tol=1e-9):
+    """The pairing loop that ``odd_even_decompose`` replaced, as its reference."""
+    c = curve.bucket_centers
+    pos = np.nonzero(c > center_tol)[0]
+    neg = np.nonzero(c < -center_tol)[0]
+    zero = np.nonzero(np.abs(c) <= center_tol)[0]
+    neg_by_center = {float(-c[i]): i for i in neg}
+    unpaired, pairs = [], []
+    for i in pos:
+        target = float(c[i])
+        match = None
+        for cx, j in neg_by_center.items():
+            if abs(cx - target) <= center_tol:
+                match = j
+                break
+        if match is None:
+            unpaired.append(target)
+        else:
+            pairs.append((i, match))
+    matched_neg = {j for _, j in pairs}
+    unpaired.extend(float(c[j]) for j in neg if j not in matched_neg)
+    if unpaired:
+        shown = ", ".join(f"{u:+.6g}" for u in sorted(unpaired)[:8])
+        raise ValueError(f"buckets without a mirror partner at {shown}")
+    centers, odd_m, odd_s, even_m, even_s, counts = [], [], [], [], [], []
+    for j in zero:
+        centers.append(0.0)
+        odd_m.append(0.0)
+        odd_s.append(0.0)
+        even_m.append(curve.means[j])
+        even_s.append(curve.stderr[j])
+        counts.append(curve.counts[j])
+    for i, j in sorted(pairs, key=lambda p: c[p[0]]):
+        centers.append(float(c[i]))
+        combined = float(np.hypot(curve.stderr[i], curve.stderr[j]) / 2.0)
+        odd_m.append((curve.means[i] - curve.means[j]) / 2.0)
+        odd_s.append(combined)
+        even_m.append((curve.means[i] + curve.means[j]) / 2.0)
+        even_s.append(combined)
+        counts.append(int(curve.counts[i] + curve.counts[j]))
+    return tuple(
+        (np.asarray(centers), np.asarray(m), np.asarray(e), np.asarray(counts, dtype=int))
+        for m, e in ((odd_m, odd_s), (even_m, even_s))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    width=st.floats(1e-4, 0.05),
+    half=st.integers(0, 30),
+    with_zero=st.booleans(),
+    kept=st.floats(0.0, 1.0),
+    lone=st.sampled_from([None, +1, -1]),
+    shuffled=st.booleans(),
+    crowding=st.sampled_from([0.0, 0.7, 1.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_odd_even_is_the_pairing_loop_bit_for_bit(
+    width, half, with_zero, kept, lone, shuffled, crowding, seed
+):
+    """Symmetric bucket grids as ``BucketSpec`` lays them out, with or
+    without a bucket at zero, some mirror pairs left out (as ``min_count``
+    omits them), optionally one bucket left without its mirror, in any order;
+    and a tolerance wide enough for a bucket to meet several mirrors."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-9 + crowding * width
+    lo = -(half + 0.5 * with_zero) * width
+    if lo == 0.0:
+        lo, with_zero = -0.5 * width, True
+    centers = BucketSpec.fixed_width(width, lo, -lo).centers
+    n = centers.size
+    pair_of = n - 1 - np.arange(n)
+    keep = rng.random(n) < kept
+    keep |= keep[pair_of]
+    if lone is not None and (np.abs(centers) > tol).any():
+        side = np.nonzero((np.sign(centers) == lone) & (np.abs(centers) > tol))[0]
+        i = rng.choice(side)
+        keep[i], keep[pair_of[i]] = True, False
+    index = np.nonzero(keep)[0]
+    if shuffled:
+        index = rng.permutation(index)
+    curve = make_curve(
+        centers[index],
+        rng.standard_normal(index.size),
+        stderr=rng.uniform(0.0, 1.0, index.size),
+        counts=rng.integers(1, 1000, index.size),
+        statistic_name="skewness",
+    )
+    try:
+        want = loop_odd_even(curve, tol)
+    except ValueError as error:
+        with pytest.raises(ValueError) as exc:
+            odd_even_decompose(curve, tol)
+        assert str(exc.value) == str(error)
+        return
+    for got, (at, means, stderr, counts) in zip(odd_even_decompose(curve, tol), want):
+        assert got.bucket_centers.tobytes() == at.tobytes()
+        assert got.means.tobytes() == means.tobytes()
+        assert got.stderr.tobytes() == stderr.tobytes()
+        assert got.counts.dtype == counts.dtype
+        assert got.counts.tobytes() == counts.tobytes()
+        assert (got.conditioning_name, got.omitted_buckets) == ("x", 0)

@@ -1,6 +1,5 @@
 """Cross-sectional dispersion moments and panel normalization."""
 
-import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -11,6 +10,7 @@ from intraday.errors import DegenerateCrossSectionError, InsufficientDataError
 from intraday.panel import ReturnPanel
 from intraday.robust_moments import (
     low_moment_kurtosis,
+    grid_moments,
     low_moment_skewness,
     moment_set,
 )
@@ -43,6 +43,16 @@ class TestDispersionMoments:
         assert grid.kurtosis[r, t] == pytest.approx(low_moment_kurtosis(column))
         assert grid.median[r, t] == pytest.approx(float(np.median(column)))
         assert (grid.bin_numbers[r], grid.dates[t]) == (2, dt.date(2021, 3, 2))
+
+    def test_fields_are_the_kernel_outputs_in_order(self):
+        arr = np.random.default_rng(13).standard_normal((7, 5, 3)) * 0.01
+        arr[:, 2, 0] = 2.0**-9  # one degenerate cell, so the mask is not all False
+        grid = dispersion_grid(panel_from_array(arr, overnight=True))
+        names = ["index_return", "dispersion", "skewness", "kurtosis", "median", "mad"]
+        names.append("degenerate")
+        for name, moment in zip(names, grid_moments(arr, axis=0), strict=True):
+            assert getattr(grid, name).tobytes() == moment.T.copy().tobytes(), name
+        assert grid.degenerate.sum() == 1
 
     def test_grid_matches_cells(self):
         rng = np.random.default_rng(4)
@@ -109,6 +119,18 @@ class TestPooled:
         row = list(grid.bin_numbers).index(2)
         np.testing.assert_allclose(only2["dispersion"], grid.dispersion[row])
 
+    def test_pools_the_six_moments_without_degenerate_cells(self):
+        arr = np.random.default_rng(12).standard_normal((10, 7, 3)) * 0.01
+        arr[:, 4, 1] = 2.0**-9  # exact mean: one degenerate cell, in bin 1
+        grid = dispersion_grid(panel_from_array(arr, overnight=True))
+        pooled = grid.pooled()
+        names = ["index_return", "dispersion", "skewness", "kurtosis", "median", "mad"]
+        assert list(pooled) == names
+        keep = ~grid.degenerate[1:]
+        assert keep.sum() == 2 * 7 - 1
+        for name in names:
+            assert pooled[name].tobytes() == getattr(grid, name)[1:][keep].tobytes()
+
     def test_empty_selection_rejected(self):
         grid = self.make_grid()
         with pytest.raises(ValueError, match="no rows"):
@@ -154,56 +176,23 @@ class TestNormalization:
         with pytest.raises(ValueError):
             npanel.returns[0, 0, 0] = 1.0
 
-    def test_without_grid_matches_the_grid_bytes_and_pair_order(self):
+    def test_sigma_matches_the_grid_bytes_and_pair_order(self):
         # N > T, with zero-dispersion cells set in no particular order
         arr = np.random.default_rng(26).standard_normal((40, 6, 4)) * 0.01
         panel = panel_from_array(arr, overnight=True)
         assert normalize_panel(panel).returns.tobytes() == (
-            normalize_panel(panel, dispersion_grid(panel)).returns.tobytes()
+            (panel.returns / dispersion_grid(panel).dispersion.T).tobytes()
         )
         for day, col in ((5, 0), (1, 3), (1, 0), (4, 2), (0, 3)):
             arr[:, day, col] = 2.0**-9  # exact mean, so exactly zero dispersion
         panel = panel_from_array(arr, overnight=True)
-        listed = []
-        for grid in (None, dispersion_grid(panel)):
-            with pytest.raises(DegenerateCrossSectionError) as exc:
-                normalize_panel(panel, grid)
-            listed.append(exc.value.bin_days)
-        assert listed[0] == listed[1] == [(0, 1), (0, 5), (2, 4), (3, 0), (3, 1)]
+        with pytest.raises(DegenerateCrossSectionError) as exc:
+            normalize_panel(panel)
+        rows, days = np.nonzero(dispersion_grid(panel).degenerate)
+        from_grid = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, days)]
+        assert exc.value.bin_days == from_grid == [(0, 1), (0, 5), (2, 4), (3, 0), (3, 1)]
 
     def test_one_stock_panel_is_insufficient(self):
         panel = panel_from_array(np.full((1, 3, 2), 0.01))
         with pytest.raises(InsufficientDataError):
             normalize_panel(panel)
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            lambda panel: panel_from_array(panel.returns[:, :1]),
-            lambda panel: panel_from_array(panel.returns, overnight=True),
-            lambda panel: dataclasses.replace(
-                panel, dates=tuple(d + dt.timedelta(days=7) for d in panel.dates)
-            ),
-        ],
-        ids=["one-day", "other-bins", "other-dates"],
-    )
-    def test_grid_of_another_panel_is_rejected(self, other):
-        panel = panel_from_array(np.random.default_rng(27).standard_normal((6, 4, 3)) * 0.01)
-        with pytest.raises(ValueError, match="differ from panel bins"):
-            normalize_panel(panel, dispersion_grid(other(panel)))
-
-    def test_given_grid_is_used_as_is(self):
-        rng = np.random.default_rng(25)
-        panel = panel_from_array(rng.standard_normal((6, 5, 3)) * 0.01, overnight=True)
-        grid = dispersion_grid(panel)
-        assert normalize_panel(panel, grid).returns.tobytes() == (
-            normalize_panel(panel).returns.tobytes()
-        )
-        # the grid's dispersion, not the panel's, sets the scale
-        doubled = dataclasses.replace(grid, dispersion=2 * grid.dispersion)
-        np.testing.assert_allclose(
-            normalize_panel(panel, doubled).returns, normalize_panel(panel).returns / 2
-        )
-        degenerate = dataclasses.replace(grid, degenerate=np.ones_like(grid.degenerate))
-        with pytest.raises(DegenerateCrossSectionError):
-            normalize_panel(panel, degenerate)

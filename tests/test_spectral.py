@@ -22,6 +22,7 @@ from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.spectral import (
     BinSpectrum,
     CorrelationMatrix,
+    _fix_signs,
     bin_spectra,
     correlation_matrix,
     eigen_decompose,
@@ -408,3 +409,50 @@ def test_dual_spectrum_is_the_primal_spectrum(n, t_share, seed):
     v, g = dual.eigenvectors, dual.eigenvalues[:rank]
     np.testing.assert_allclose(c @ v, v * g, atol=1e-9 * top)
     np.testing.assert_allclose(v.T @ v, np.eye(rank), atol=1e-8)
+
+
+def loop_fix_signs(vectors):
+    """The per-column sign fix that ``_fix_signs`` replaced, as its reference."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        s = out[:, j].sum()
+        if s < 0.0:
+            out[:, j] = -out[:, j]
+        elif s == 0.0:
+            nz = np.nonzero(out[:, j])[0]
+            if nz.size and out[nz[0], j] < 0.0:
+                out[:, j] = -out[:, j]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    shape=st.one_of(st.integers(1, 60).map(lambda n: (n, n)), st.just((500, 119))),
+    layout=st.sampled_from(["C", "F", "reversed"]),
+    special=st.lists(st.sampled_from(["zero-sum", "mirrored", "all-zero", "minus-zero"])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fix_signs_is_the_column_loop_bit_for_bit(shape, layout, special, seed):
+    """Any layout (``eigh`` returns Fortran order, the dual path C order),
+    with columns whose sum is exactly zero, a float sum near zero of either
+    sign, or no nonzero entry at all."""
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    v = rng.standard_normal(shape)
+    for kind, j in zip(special, rng.permutation(m)):
+        if kind == "zero-sum":  # small integers sum exactly; leading zeros
+            col = rng.integers(-4, 5, n).astype(float)
+            col[: rng.integers(0, n)] = 0.0
+            col[-1] -= col.sum()
+        elif kind == "mirrored":  # x and -x in any order: sums within ulps of 0
+            col = rng.permutation(np.resize(np.concatenate([v[: n // 2, j], -v[: n // 2, j]]), n))
+        else:
+            col = np.full(n, 0.0 if kind == "all-zero" else -0.0)
+        v[:, j] = col
+    if layout == "F":
+        v = np.asfortranarray(v)
+    elif layout == "reversed":
+        v = v[:, ::-1]
+    got, want = _fix_signs(v), loop_fix_signs(v)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
