@@ -273,12 +273,11 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     )
 
     lo, hi = config.eigen_lo, config.eigen_hi
+    # one result per spectrum, in the same order, so fig6's bins label fig7's rows
     overlaps = overlap_singular_values(
         spectra, reference_bin=config.reference_bin, index_range=(lo, hi)
     )
-    by_bin = {s.bin: s for s in spectra}
-    bins = np.array([result.bin for result in overlaps])
-    eigenvalues = np.array([by_bin[r.bin].eigenvalues[lo - 1 : hi] for r in overlaps])
+    eigenvalues = np.array([spectrum.eigenvalues[lo - 1 : hi] for spectrum in spectra])
     singular = np.array([result.singular_values for result in overlaps])
     columns = {"bin": bins, "overnight": bins == 0}
     columns.update({f"lambda_{i}": eigenvalues[:, i - lo] for i in range(lo, hi + 1)})
@@ -305,37 +304,25 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     )
 
 
-def _write_curve(config: RunConfig, name: str, curve) -> None:
-    write_table(
-        _out(config, name),
-        {
-            "bucket_center": curve.bucket_centers,
-            "mean": curve.means,
-            "stderr": curve.stderr,
-            "count": curve.counts,
-        },
-    )
-
-
 def stage_condition(config: RunConfig, grid: DispersionGrid) -> None:
+    """Figs. 3-5: dispersion, skewness and kurtosis against the index return
+    and kurtosis against the (std) dispersion, written once all four exist."""
     signed, positive = config.bucket_specs()
     common = dict(
         min_count=config.min_count,
         include_overnight=config.include_overnight_conditioning,
         bins=config.condition_bins,
     )
-    _write_curve(
-        config, "fig3.csv", dispersion_vs_index(grid, signed, **common)
-    )
-    _write_curve(config, "fig4.csv", skew_vs_index(grid, signed, **common))
-    _write_curve(
-        config, "fig5_index.csv", kurtosis_vs_index(grid, signed, **common)
-    )
-    _write_curve(
-        config,
-        "fig5_dispersion.csv",
-        kurtosis_vs_dispersion(grid, positive, dispersion_kind="std", **common),
-    )
+    curves = {
+        "fig3.csv": dispersion_vs_index(grid, signed, **common),
+        "fig4.csv": skew_vs_index(grid, signed, **common),
+        "fig5_index.csv": kurtosis_vs_index(grid, signed, **common),
+        "fig5_dispersion.csv": kurtosis_vs_dispersion(grid, positive, **common),
+    }
+    for name, curve in curves.items():
+        columns = {"bucket_center": curve.bucket_centers, "mean": curve.means}
+        columns.update(stderr=curve.stderr, count=curve.counts)
+        write_table(_out(config, name), columns)
 
 
 def run_pipeline(config: RunConfig) -> None:

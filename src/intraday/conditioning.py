@@ -62,10 +62,6 @@ class BucketSpec:
             raise ValueError("bucket range is not a whole number of widths")
         return cls(edges=lo + width * np.arange(n + 1))
 
-    @classmethod
-    def from_edges(cls, edges) -> "BucketSpec":
-        return cls(edges=np.asarray(list(edges), dtype=np.float64))
-
     @property
     def centers(self) -> np.ndarray:
         return (self.edges[:-1] + self.edges[1:]) / 2.0
@@ -259,9 +255,10 @@ def odd_even_decompose(
     zero = np.nonzero(np.abs(c) <= center_tol)[0]
     near = np.abs(c[pos, None] + c[neg]) <= center_tol
     near &= near.cumsum(axis=1) == 1  # each positive bucket pairs with its first hit
-    unpaired = c[pos[~near.any(axis=1)]].tolist() + c[neg[~near.any(axis=0)]].tolist()
+    unpaired = sorted(c[pos[~near.any(axis=1)]].tolist() + c[neg[~near.any(axis=0)]].tolist())
+    unpaired += c[np.isnan(c)].tolist()  # a NaN center is on neither side of 0
     if unpaired:
-        shown = ", ".join(f"{u:+.6g}" for u in sorted(unpaired)[:8])
+        shown = ", ".join(f"{u:+.6g}" for u in unpaired[:8])
         raise ValueError(f"buckets without a mirror partner at {shown}")
     # every row of near now holds one hit: its column is the row's partner
     order = np.argsort(c[pos], kind="stable")

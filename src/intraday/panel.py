@@ -118,18 +118,6 @@ class ReturnPanel:
             raise ValueError(f"bin {bin_number} not present in panel")
         return col
 
-    def intraday_returns(self) -> np.ndarray:
-        """View of bins 1..K, shape (n_stocks, n_days, bins_per_day)."""
-        if self.overnight_present:
-            return self.returns[:, :, 1:]
-        return self.returns
-
-    def overnight_returns(self) -> np.ndarray | None:
-        """View of bin 0, shape (n_stocks, n_days), or None if absent."""
-        if self.overnight_present:
-            return self.returns[:, :, 0]
-        return None
-
 
 @dataclass
 class LoadReport:
@@ -604,14 +592,19 @@ def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationR
     if panel.n_days < 2:
         report.violations.append(f"need at least 2 days, have {panel.n_days}")
 
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        locs = np.argwhere(bad)
+    def cells(mask, limit, what):
+        """``what``, led by the count of ``mask``'s cells and followed by the
+        first ``limit`` of them, named."""
+        locs = np.argwhere(mask)
         shown = ", ".join(
             f"({panel.stock_ids[a]}, {panel.dates[t].isoformat()}, bin {panel.bin_numbers[c]})"
-            for a, t, c in locs[:5]
+            for a, t, c in locs[:limit]
         )
-        report.violations.append(f"{len(locs)} non-finite cell(s): {shown}")
+        return f"{len(locs)} {what}: {shown}"
+
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        report.violations.append(cells(bad, 5, "non-finite cell(s)"))
 
     for i in range(1, panel.n_days):
         if panel.dates[i] <= panel.dates[i - 1]:
@@ -626,14 +619,7 @@ def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationR
         extreme = np.abs(arr) > sanity_bound
     extreme &= np.isfinite(arr)
     if extreme.any():
-        locs = np.argwhere(extreme)
-        shown = ", ".join(
-            f"({panel.stock_ids[a]}, {panel.dates[t].isoformat()}, bin {panel.bin_numbers[c]})"
-            for a, t, c in locs[:10]
-        )
-        report.warnings.append(
-            f"{len(locs)} cell(s) with |return| > {sanity_bound:g}: {shown}"
-        )
+        report.warnings.append(cells(extreme, 10, f"cell(s) with |return| > {sanity_bound:g}"))
     return report
 
 

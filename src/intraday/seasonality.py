@@ -7,9 +7,10 @@ optional overnight point.  Two band kinds are supported:
 * ``dispersion``: the 1-sigma spread itself (population std).
 
 Seasonal volatility decay is summarized by fitting ``A * k**(-beta)`` in
-log-log coordinates by ordinary least squares over a bin window; the
-overnight bin never enters a fit.  The least-squares line is one helper,
-shared with the sub-linearity diagnostic in :mod:`conditioning`.
+log-log coordinates by ordinary least squares over a bin window, the first
+half of the day or the first two hours of five-minute bars; the overnight
+bin never enters a fit.  The least-squares line is one helper, shared with
+the sub-linearity diagnostic in :mod:`conditioning`.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ class IntradayProfile:
     overnight_band: float | None
     statistic_name: str
     band_kind: str
-
-    def value_at(self, bin_number: int) -> float:
-        if bin_number == 0:
-            if self.overnight_value is None:
-                raise ValueError("profile has no overnight point")
-            return self.overnight_value
-        idx = np.nonzero(self.bins == bin_number)[0]
-        if idx.size == 0:
-            raise ValueError(f"bin {bin_number} not in profile")
-        return float(self.values[idx[0]])
 
 
 def _reduce(samples: np.ndarray, band_kind: str, bin_numbers, statistic_name: str):
@@ -121,41 +112,34 @@ def ratio_profile(
     """Pointwise ratio of two profiles with quadrature error propagation.
 
     band(r)/|r| = sqrt((band_n/n)^2 + (band_d/d)^2).  Bins must agree; a
-    zero denominator value is an error naming the bin.  The overnight point
-    carries through only when both profiles have one.
+    zero denominator value is an error naming the bin, intraday bins before
+    the overnight one.  The overnight point carries through only when both
+    profiles have one, and then goes through the same array arithmetic as
+    the intraday bins.
     """
-    if numerator.bins.shape != denominator.bins.shape or np.any(
-        numerator.bins != denominator.bins
-    ):
+    if not np.array_equal(numerator.bins, denominator.bins):
         raise ValueError("profiles cover different bins")
-    zero = denominator.values == 0.0
-    if zero.any():
-        k = int(numerator.bins[np.nonzero(zero)[0][0]])
-        raise ValueError(f"zero denominator at bin {k}")
-    values = numerator.values / denominator.values
-    band = np.abs(values) * np.sqrt(
-        (numerator.band / numerator.values) ** 2
-        + (denominator.band / denominator.values) ** 2
+    # the overnight point rides along as one more element when both have one
+    both = numerator.overnight_value is not None and denominator.overnight_value is not None
+    (n, n_band), (d, d_band) = (
+        (np.r_[p.values, [p.overnight_value] * both], np.r_[p.band, [p.overnight_band] * both])
+        for p in (numerator, denominator)
     )
-    overnight_value = overnight_band = None
-    if numerator.overnight_value is not None and denominator.overnight_value is not None:
-        if denominator.overnight_value == 0.0:
-            raise ValueError("zero denominator at overnight bin")
-        overnight_value = numerator.overnight_value / denominator.overnight_value
-        overnight_band = abs(overnight_value) * float(
-            np.sqrt(
-                (numerator.overnight_band / numerator.overnight_value) ** 2
-                + (denominator.overnight_band / denominator.overnight_value) ** 2
-            )
-        )
+    k = numerator.bins.size
+    zero = np.nonzero(d == 0.0)[0]
+    if zero.size:
+        at = f"bin {int(numerator.bins[zero[0]])}" if zero[0] < k else "overnight bin"
+        raise ValueError(f"zero denominator at {at}")
+    values = n / d
+    band = np.abs(values) * np.sqrt((n_band / n) ** 2 + (d_band / d) ** 2)
     if statistic_name is None:
         statistic_name = f"{numerator.statistic_name}/{denominator.statistic_name}"
     return IntradayProfile(
         bins=numerator.bins.copy(),
-        values=values,
-        band=band,
-        overnight_value=overnight_value,
-        overnight_band=overnight_band,
+        values=values[:k],
+        band=band[:k],
+        overnight_value=float(values[k]) if both else None,
+        overnight_band=float(band[k]) if both else None,
         statistic_name=statistic_name,
         band_kind=numerator.band_kind,
     )
@@ -171,22 +155,16 @@ class PowerLawFit:
     residual_rms: float
     exponent_stderr: float
 
-    def predict(self, bins) -> np.ndarray:
-        k = np.asarray(bins, dtype=np.float64)
-        return self.amplitude * k ** (-self.exponent)
-
 
 def first_half_range(bins_per_day: int) -> tuple[int, int]:
     """Bins 1 .. K // 2, the default fit window."""
     return (1, max(2, bins_per_day // 2))
 
 
-def first_two_hours_range(
-    bins_per_day: int, bins_per_hour: int = BINS_PER_HOUR_DEFAULT
-) -> tuple[int, int]:
-    """Bins for the first two trading hours (assumes five-minute bars by
-    default); clipped to the day when K is small."""
-    return (1, max(2, min(bins_per_day, 2 * bins_per_hour)))
+def first_two_hours_range(bins_per_day: int) -> tuple[int, int]:
+    """Bins for the first two trading hours of five-minute bars, clipped to
+    the day when K is small."""
+    return (1, max(2, min(bins_per_day, 2 * BINS_PER_HOUR_DEFAULT)))
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray):

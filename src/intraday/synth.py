@@ -105,18 +105,9 @@ class GeneratorManifest:
     implied_correlation: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "factor_vol",
-            _as_profile(self.factor_vol, self.bins_per_day, "factor_vol"),
-        )
-        object.__setattr__(
-            self,
-            "target_correlation",
-            _as_profile(
-                self.target_correlation, self.bins_per_day, "target_correlation"
-            ),
-        )
+        for name in _PROFILE_KEYS:
+            value = _as_profile(getattr(self, name), self.bins_per_day, name)
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
         if self.n_stocks < 2:
@@ -204,17 +195,14 @@ def generate_market(manifest: GeneratorManifest) -> tuple[ReturnPanel, Generator
     manifest.validate()
     n, t_days, k_bins = manifest.n_stocks, manifest.n_days, manifest.bins_per_day
     gamma = manifest.residual_vol_coupling
-    overnight = manifest.overnight_vol_multiplier > 0.0
+    overnight = bool(manifest.overnight_vol_multiplier > 0.0)  # repeats a list below
 
-    f_intraday = manifest.factor_vol
     s0_intraday = _base_scales(manifest)
-    if overnight:
-        mult = manifest.overnight_vol_multiplier
-        f_cols = np.concatenate(([mult * f_intraday[-1]], f_intraday))
-        s0_cols = np.concatenate(([mult * s0_intraday[-1]], s0_intraday))
-    else:
-        f_cols = f_intraday
-        s0_cols = s0_intraday
+    # an overnight bin 0 clones the last intraday bin with both scales multiplied
+    f_cols, s0_cols = (
+        np.r_[[manifest.overnight_vol_multiplier * x[-1]] * overnight, x]
+        for x in (manifest.factor_vol, s0_intraday)
+    )
     n_cols = f_cols.size
 
     root = np.random.SeedSequence(manifest.seed)

@@ -471,6 +471,20 @@ class TestExitCodes:
         assert cli.main(["moments", "-c", str(cfg)]) == 5
         self.assert_single_error_line(capsys, "internal-error")
 
+    def test_a_failing_curve_leaves_no_conditioning_table(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        for stage in STAGE_ORDER[:-1]:
+            assert cli.main([stage, "-c", str(cfg)]) == 0, stage
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("fourth curve failed")
+
+        monkeypatch.setattr(cli, "kurtosis_vs_dispersion", boom)
+        assert cli.main(["condition", "-c", str(cfg)]) == 5
+        self.assert_single_error_line(capsys, "internal-error")
+        tables = ["fig3.csv", "fig4.csv", "fig5_index.csv", "fig5_dispersion.csv"]
+        assert [name for name in tables if (tmp_path / "out" / name).exists()] == []
+
     def test_thread_cap_env_is_validated(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("SEASONALITY_THREADS", "plenty")

