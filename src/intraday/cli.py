@@ -22,7 +22,8 @@ Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 Settings that need the panel (eigen window, reference bin, fit window,
 conditioning bins) are checked by ``ingest`` before it writes, and again
 by the stage subcommands that use them.  ``SEASONALITY_THREADS`` caps the
-threads of numpy's bundled OpenBLAS.
+package's kernel threads (at most 2) and numpy's bundled OpenBLAS; each BLAS
+call inside a kernel is single-threaded, so the outputs do not depend on it.
 
 Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 5 internal error.  Failures print one machine-parsable line to stderr.

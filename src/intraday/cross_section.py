@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import slab_map
 from .errors import DegenerateCrossSectionError, InsufficientDataError
 from .panel import ReturnPanel
 from .robust_moments import grid_moments
@@ -74,12 +75,15 @@ def _pooled_rows(bin_numbers, include_overnight: bool, bins) -> np.ndarray:
 
 
 def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
-    """Cross-sectional moments for every (bin, day) cell of a panel."""
+    """Cross-sectional moments for every (bin, day) cell of a panel; slabs
+    of days run on the kernel threads."""
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
-    # grid axes arrive as (day, bin); present them bin-major.
+    returns = panel.returns
+    slabs = slab_map(lambda days: grid_moments(returns[:, days], axis=0), returns.shape[1])
+    # each slab's axes arrive as (day, bin); present them bin-major.
     return DispersionGrid(
-        *(moment.T.copy() for moment in grid_moments(panel.returns, axis=0)),
+        *(np.concatenate([m.T for m in moment], axis=1) for moment in zip(*slabs)),
         bin_numbers=panel.bin_numbers,
         n_stocks=panel.n_stocks,
         dates=tuple(panel.dates),
@@ -89,17 +93,22 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
 def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
     """The panel with each (bin, day) cell divided by its cross-sectional
     dispersion.  Every (bin, day) cross-section of the result has
-    population variance one.
+    population variance one.  Slabs of days run on the kernel threads.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair, bin-major; nothing is silently passed through.
     """
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
-    scale = panel.returns.std(axis=0)  # (day, bin)
+    returns = panel.returns
+    n_days = returns.shape[1]
+    # (day, bin), each slab's centred copy freed before the quotient exists
+    scale = np.concatenate(slab_map(lambda days: returns[:, days].std(axis=0), n_days))
     degenerate = (scale == 0.0).T
     if degenerate.any():
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
-    return replace(panel, returns=panel.returns / scale, _fresh=True)
+    out = np.empty_like(returns)
+    slab_map(lambda days: np.divide(returns[:, days], scale[days], out=out[:, days]), n_days)
+    return replace(panel, returns=out, _fresh=True)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import slab_map
 from .errors import DegenerateSampleError, InsufficientDataError
 from .panel import ReturnPanel
 
@@ -150,16 +151,19 @@ def stock_bin_moments(panel: ReturnPanel) -> MomentGrid:
 
     Includes the overnight bin when the panel carries one.  Degenerate
     cells (a stock flat across all days in a bin) propagate as markers
-    without aborting the rest of the grid.
+    without aborting the rest of the grid.  Stock slabs run on the kernel
+    threads (:func:`~intraday.config.slab_map`).
     """
-    mean, vol, skew, kurt, median, _, degenerate = grid_moments(panel.returns, axis=1)
+    returns = panel.returns
+    slabs = slab_map(lambda stocks: grid_moments(returns[stocks], axis=1), returns.shape[0])
+    mean, vol, skew, kurt, median, _, degenerate = zip(*slabs)
     return MomentGrid(
-        mean=mean,
-        volatility=vol,
-        skewness=skew,
-        kurtosis=kurt,
-        median=median,
-        degenerate=degenerate,
+        mean=np.concatenate(mean),
+        volatility=np.concatenate(vol),
+        skewness=np.concatenate(skew),
+        kurtosis=np.concatenate(kurt),
+        median=np.concatenate(median),
+        degenerate=np.concatenate(degenerate),
         bin_numbers=panel.bin_numbers,
         stock_ids=panel.stock_ids,
         sample_count=panel.n_days,

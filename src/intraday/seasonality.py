@@ -111,7 +111,8 @@ def ratio_profile(
 ) -> IntradayProfile:
     """Pointwise ratio of two profiles with quadrature error propagation.
 
-    band(r)/|r| = sqrt((band_n/n)^2 + (band_d/d)^2).  Bins must agree; a
+    band(r)/|r| = sqrt((band_n/n)^2 + (band_d/d)^2), and band_n/|d| where
+    the numerator value is 0.  Bins must agree; a
     zero denominator value is an error naming the bin, intraday bins before
     the overnight one.  The overnight point carries through only when both
     profiles have one, and then goes through the same array arithmetic as
@@ -131,7 +132,10 @@ def ratio_profile(
         at = f"bin {int(numerator.bins[zero[0]])}" if zero[0] < k else "overnight bin"
         raise ValueError(f"zero denominator at {at}")
     values = n / d
-    band = np.abs(values) * np.sqrt((n_band / n) ** 2 + (d_band / d) ** 2)
+    # at n = 0 the quadrature form is 0 * inf; its limit is band_n / |d|
+    n_safe = np.where(n == 0.0, 1.0, n)
+    band = np.abs(values) * np.sqrt((n_band / n_safe) ** 2 + (d_band / d) ** 2)
+    band = np.where(n == 0.0, n_band / np.abs(d), band)
     if statistic_name is None:
         statistic_name = f"{numerator.statistic_name}/{denominator.statistic_name}"
     return IntradayProfile(

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import single_threaded_blas, thread_map
 from .errors import DegenerateSampleError, InsufficientDataError
 from .panel import ReturnPanel
 
@@ -93,11 +94,10 @@ class OverlapResult:
     index_range: tuple[int, int]
 
 
-def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin ``k``'s stocks x days data centered per stock, and each stock's
-    population std, with the checks :func:`correlation_matrix` documents."""
-    data = npanel.returns[:, :, npanel.column_of(k)]
-    n_stocks, n_days = data.shape
+def _check_days(npanel: ReturnPanel, k: int) -> None:
+    """The day-count checks :func:`correlation_matrix` documents for bin
+    ``k``: fewer than 2 days raise, fewer days than stocks warn."""
+    n_stocks, n_days = npanel.returns.shape[:2]
     if n_days < 2:
         raise InsufficientDataError("need at least 2 days for correlations")
     if n_days < n_stocks:
@@ -106,6 +106,12 @@ def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
             "is rank-deficient",
             stacklevel=3,
         )
+
+
+def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin ``k``'s stocks x days data centered per stock, and each stock's
+    population std; a stock flat over the days is an error naming it."""
+    data = npanel.returns[:, :, npanel.column_of(k)]
     centered = data - data.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=1))
     # constant rows must be caught exactly; mean subtraction can leave an
@@ -137,6 +143,7 @@ def correlation_matrix(npanel: ReturnPanel, k: int) -> CorrelationMatrix:
     variance at this bin is an error naming the stock; fewer days than
     stocks only warns (the matrix is then rank-deficient but well defined).
     """
+    _check_days(npanel, k)
     return _correlation(*_standardized(npanel, k), k)
 
 
@@ -198,8 +205,12 @@ def bin_spectra(npanel: ReturnPanel) -> list[BinSpectrum]:
     """Eigen-decompose every bin of the panel:
     ``eigen_decompose(correlation_matrix(npanel, k))``, or the dual Gram
     matrix when the bin has fewer days than stocks (see the module
-    docstring)."""
-    return [_bin_spectrum(npanel, int(k)) for k in npanel.bin_numbers]
+    docstring).  The bins run through :func:`~intraday.config.thread_map`,
+    after every bin's day-count check and warning on the calling thread."""
+    bins = [int(k) for k in npanel.bin_numbers]
+    for k in bins:
+        _check_days(npanel, k)
+    return thread_map(lambda k: _bin_spectrum(npanel, k), bins)
 
 
 def overlap_singular_values(
@@ -264,8 +275,8 @@ def random_overlap_baseline(
     overlap.  Trials use independent substreams spawned from ``seed``, so
     the result does not depend on evaluation order: blocks of
     ``NULL_BLOCK`` trials share one stacked QR, product and SVD, bit for
-    bit as one trial at a time.  At least 1000 trials are required for a
-    stable tail estimate.
+    bit as one trial at a time, on a single-threaded BLAS.  At least 1000
+    trials are required for a stable tail estimate.
     """
     if subspace_dim >= dim:
         raise ValueError(f"subspace dimension {subspace_dim} must be < {dim}")
@@ -278,13 +289,14 @@ def random_overlap_baseline(
     streams = np.random.SeedSequence(seed).spawn(trials)
     largest = np.empty(trials)
     frames = np.empty((NULL_BLOCK, 2, dim, subspace_dim))
-    for start in range(0, trials, NULL_BLOCK):
-        block = frames[: trials - start]
-        for pair, ss in zip(block, streams[start : start + NULL_BLOCK]):
-            rng = np.random.default_rng(ss)
-            for frame in pair:
-                rng.standard_normal(out=frame)
-        q, _ = np.linalg.qr(block)
-        overlap = np.swapaxes(q[:, 0], 1, 2) @ q[:, 1]
-        largest[start : start + len(block)] = np.linalg.svd(overlap, compute_uv=False)[:, 0]
+    with single_threaded_blas():
+        for start in range(0, trials, NULL_BLOCK):
+            block = frames[: trials - start]
+            for pair, ss in zip(block, streams[start : start + NULL_BLOCK]):
+                rng = np.random.default_rng(ss)
+                for frame in pair:
+                    rng.standard_normal(out=frame)
+            q, _ = np.linalg.qr(block)
+            overlap = np.swapaxes(q[:, 0], 1, 2) @ q[:, 1]
+            largest[start : start + len(block)] = np.linalg.svd(overlap, compute_uv=False)[:, 0]
     return float(np.quantile(largest, quantile))

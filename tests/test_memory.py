@@ -5,8 +5,9 @@ chunk of ``CHUNK_BYTES``, and the price conversion about one copy more, so
 on a table many chunks long the tracemalloc peak of either stays within a
 small multiple of the returned columns' bytes.  A stage's read of the
 canonical table holds its returns twice at most, as parts and as the
-panel, and ``normalize_panel`` one panel beside its input.  The canonical
-write holds the returns it reads back and one block of rows.
+panel, and ``normalize_panel`` one panel beside its input; the moment
+kernels hold a sorted and a centred copy of one slab per kernel thread.
+The canonical write holds the returns it reads back and one block of rows.
 """
 
 import datetime as dt
@@ -18,8 +19,9 @@ import pytest
 
 from intraday import cli
 from intraday.config import RunConfig
-from intraday.cross_section import normalize_panel
+from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.panel import read_return_records, returns_from_prices, write_return_records
+from intraday.robust_moments import stock_bin_moments
 from intraday.synth import gaussian_iid_panel
 from intraday.tableio import CHUNK_BYTES, VERSION_LINE
 
@@ -91,6 +93,14 @@ def test_normalize_panel_holds_one_panel_beside_its_input():
     assert normalized.returns.flags.c_contiguous and not normalized.returns.flags.writeable
     # 1.0: the quotient becomes the panel's returns without a copy (2.0 with one)
     assert peak < 1.25 * panel.returns.nbytes
+
+
+@pytest.mark.parametrize("kernel", [stock_bin_moments, dispersion_grid])
+def test_moment_kernels_hold_slabs_not_panels(kernel):
+    panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
+    _, peak = _traced(lambda: kernel(panel))
+    # 0.4-0.6: two copies of a slab on each of W threads, 4 W slabs; 2.0 unslabbed
+    assert peak < panel.returns.nbytes
 
 
 def test_return_write_holds_its_read_back_and_a_block(tmp_path):

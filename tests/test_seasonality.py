@@ -1,6 +1,7 @@
 """Profiles, error bands, ratio propagation, and power-law fits."""
 
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -222,6 +223,20 @@ class TestRatioProfile:
         assert r.overnight_value is None
         both = ratio_profile(num, make_profile([2.0], overnight=4.0))
         assert both.overnight_value == pytest.approx(0.5)
+
+    def test_zero_numerator_takes_the_limit_band(self):
+        num = make_profile([0.0, 1.0, 0.0], band=[0.0, 0.1, 0.3], overnight=0.0)
+        den = make_profile([1.0, 1.0, -2.0], band=[0.1, 0.1, 0.2], overnight=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = ratio_profile(num, den)
+        # band_n / |d| where n = 0; the quadrature form elsewhere, as before
+        assert r.band.tolist() == [0.0, np.sqrt(0.1**2 + 0.1**2), 0.15]
+        day = [make_profile(p.values, band=p.band) for p in (num, den)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the old NaN bins
+            assert r.band[1] == reference_ratio_profile(*day).band[1]
+        assert r.values.tolist() == [0.0, 1.0, -0.0]
+        assert (r.overnight_value, r.overnight_band) == (0.0, 0.0)
 
     def test_zero_denominator_names_bin(self):
         num = make_profile([1.0, 1.0])
