@@ -18,19 +18,19 @@ Two tabular inputs are supported:
 Both are read by :func:`intraday.tableio.read_columns`, which owns the
 table grammar (header search, comments, quoting, field counts and
 row-numbered errors).  This module supplies what the columns mean: dates,
-times and symbols become codes through one dictionary each
+times and symbols become int32 codes through one dictionary each
 (:class:`_KeyCodes`), kept across chunks, so each distinct text is parsed
 once, and bins, returns and prices become int64 or float64 arrays.  Rows
 move as columns (:class:`ReturnColumns`), the one form of return rows.
 :func:`returns_from_prices` places every price row in one linear (symbol,
-day, stamp) index, and one ``bincount`` over it finds repeated stamps,
-uneven time grids and the symbol-days present, with no sort; the prices
-are scattered into a (symbol-day, stamp) matrix whose columns it divides.
+day, stamp) index, and one boolean occupancy array over it finds repeated
+stamps, uneven time grids and the symbol-days present, with no sort; the
+prices fill a (symbol-day, stamp) matrix that becomes the returns in place.
 :func:`load_panel` places every row of the columns in one linear (stock,
-day, bin) index: one ``bincount`` finds duplicates and gaps, the load
-policies are masks over the count cube, and one scatter fills the array.
-Both free each transient array after its last use, so that each peaks at
-about one and a half copies of its return columns.
+day, bin) index: one occupancy cube finds duplicates and gaps, the load
+policies are masks over it, and a scatter by blocks of rows fills the array.
+Indices are 32-bit where they fit and each transient goes after its last
+use, so each peaks at about 1.5 copies of its 20-byte rows, a chunk aside.
 :func:`write_return_records` hands a canonical panel's cells to
 :func:`intraday.tableio.write_table` in (date, bin, symbol) order, keys as
 codes into the panel's labels, and returns the returns parsed back from the
@@ -182,7 +182,7 @@ def _factorize(keys) -> tuple[tuple, np.ndarray]:
     """Sorted distinct ``keys`` and the position of each key among them."""
     distinct = sorted(set(keys))
     position = {key: i for i, key in enumerate(distinct)}
-    codes = np.fromiter(map(position.__getitem__, keys), np.intp, len(keys))
+    codes = np.fromiter(map(position.__getitem__, keys), np.int32, len(keys))
     return tuple(distinct), codes
 
 
@@ -204,7 +204,7 @@ class _KeyCodes(dict):
         return code
 
     def codes(self, texts: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, texts), np.intp, len(texts))
+        return np.fromiter(map(self.__getitem__, texts), np.int32, len(texts))
 
 
 def _parse(kind: Callable[[str], object], name: str, text: str):
@@ -292,14 +292,14 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(order[1:][ordered[1:] == ordered[:-1]].min(initial=len(keys)))
 
 
-def _cells(shape: tuple[int, ...], *axes: tuple) -> np.ndarray:
-    """Each row's linear index into ``shape``, summed in place one axis at a
-    time; per axis ``(positions, codes)`` give ``positions[codes]``, or
-    ``codes`` if ``positions`` is None."""
-    cell = np.zeros(len(axes[0][1]), np.intp)
+def _cells(shape: tuple[int, ...], *axes: tuple, rows=slice(None)) -> np.ndarray:
+    """The linear index into ``shape`` of each of ``rows``, int32 where every
+    index fits, summed in place one axis at a time; per axis ``(positions,
+    codes)`` give ``positions[codes]``, or ``codes`` if ``positions`` is None."""
+    cell = np.zeros(len(axes[0][1][rows]), np.int32 if math.prod(shape) < 2**31 else np.intp)
     for size, (positions, codes) in zip(shape, axes):
         cell *= size
-        cell += codes if positions is None else positions[codes]
+        cell += codes[rows] if positions is None else positions[codes[rows]]
     return cell
 
 
@@ -337,10 +337,12 @@ def load_panel(
     k_max = int(bins.max())
     offset = 0 if overnight else 1
     shape = (len(symbols), len(dates), k_max + 1 - offset)
-    cell = _cells(shape, (stock, columns.symbol_index), (day, columns.date_index), (None, bins))
+    axes = (stock, columns.symbol_index), (day, columns.date_index), (None, bins)
+    cell = _cells(shape, *axes)
     cell -= offset
-    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
-    if counts.max() > 1:
+    present = np.zeros(shape, bool)
+    present.reshape(-1)[cell] = True
+    if np.count_nonzero(present) < len(cell):
         a, t, c = np.unravel_index(cell[_first_repeat(cell)], shape)
         raise DuplicateRowError(
             f"duplicate cell date={dates[t].isoformat()} "
@@ -349,11 +351,7 @@ def load_panel(
     if k_max < 1:
         raise CompletenessError("no intraday bins (only bin 0 present)")
 
-    # Transients go as soon as they are used, to keep the peak low.
-    present = counts > 0
-    del counts
-    keep_stock = np.ones(shape[0], dtype=bool)
-    keep_day = np.ones(shape[1], dtype=bool)
+    keep_stock, keep_day = np.ones(shape[0], dtype=bool), np.ones(shape[1], dtype=bool)
     if policy == "strict" and not present.all():
         # the first gap in (date, bin, symbol) order
         t, c, a = np.unravel_index(
@@ -369,32 +367,36 @@ def load_panel(
         day_gaps = ~present.any(axis=0)
         keep_day = ~day_gaps.any(axis=1)
         bin_numbers = np.arange(offset, k_max + 1)
-        for t in np.flatnonzero(~keep_day):
-            report.days_dropped.append(
-                (
-                    dates[t].isoformat(),
-                    f"no symbol has bin(s) {bin_numbers[day_gaps[t]].tolist()}",
-                )
-            )
+        report.days_dropped += [
+            (dates[t].isoformat(), f"no symbol has bin(s) {bin_numbers[day_gaps[t]].tolist()}")
+            for t in np.flatnonzero(~keep_day)
+        ]
         if keep_day.any():
             missing = (~present[:, keep_day]).sum(axis=(1, 2))
             keep_stock = missing == 0
-            for a in np.flatnonzero(~keep_stock):
-                report.stocks_dropped.append(
-                    (symbols[a], f"{missing[a]} missing cell(s) on kept days")
-                )
+            report.stocks_dropped += [
+                (symbols[a], f"{missing[a]} missing cell(s) on kept days")
+                for a in np.flatnonzero(~keep_stock)
+            ]
         if not keep_day.any() or not keep_stock.any():
-            raise CompletenessError(
-                "no complete days/stocks remain under drop-incomplete"
-            )
+            raise CompletenessError("no complete days/stocks remain under drop-incomplete")
 
-    array = np.zeros(shape)
-    array.reshape(-1)[cell] = columns.values
+    # The cells again, a block of rows at a time, so that no index over all
+    # the rows is alive beside the array.
     del cell
+    array = np.zeros(math.prod(shape))
+    for start in range(0, len(columns), 1 << 16):
+        rows = slice(start, start + (1 << 16))
+        array[_cells(shape, *axes, rows=rows) - offset] = columns.values[rows]
     if not (keep_stock.all() and keep_day.all()):
-        kept = np.ix_(keep_stock, keep_day)
-        array = array[kept]
-        present = present[kept]
+        # The kept cells move to the front in place, stock by stock: no stock
+        # moves past its own start, so no cell is overwritten before it moves.
+        present = present[np.ix_(keep_stock, keep_day)]
+        size = present[0].size
+        for to, a in enumerate(np.flatnonzero(keep_stock)):
+            array[to * size : (to + 1) * size] = array.reshape(shape)[a, keep_day].ravel()
+        array.resize(present.size, refcheck=False)
+    array = array.reshape(present.shape)
     symbols = tuple(itertools.compress(symbols, keep_stock))
     dates = tuple(itertools.compress(dates, keep_day))
 
@@ -526,12 +528,14 @@ def returns_from_prices(
     n_stamps = shape[2]
     cell = _cells(shape, (stock, symbol_code), (day, date_code), (stamp, stamp_code))
     del symbol_code, date_code
-    # One count per (symbol, day, stamp), one row of them per (symbol, day)
-    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(-1, n_stamps)
+    # Whether each (symbol, day, stamp) has a row, one row per (symbol, day)
+    occupied = np.zeros((shape[0] * shape[1], n_stamps), bool)
+    occupied.reshape(-1)[cell] = True
     # The first bad row wins; a bad price before a repeated stamp.
     bad = ~(np.isfinite(price) & (price > 0))
     bad_price = np.flatnonzero(bad).min(initial=len(price))
-    row = min(bad_price, _first_repeat(cell)) if counts.max() > 1 else bad_price
+    repeated = np.count_nonzero(occupied) < len(cell)  # fewer cells than rows
+    row = min(bad_price, _first_repeat(cell)) if repeated else bad_price
     if row < len(price):
         a, t, _ = np.unravel_index(cell[row], shape)
         stamp_text = list(stamps)[stamp_code[row]].strip()
@@ -541,8 +545,8 @@ def returns_from_prices(
             raise PriceDomainError(f"{kind} price {price[row]} for {where}")
         raise DuplicateRowError(f"duplicate stamp {where}")
 
-    sizes = counts.sum(axis=1)
-    del counts, stamp_code
+    sizes = np.count_nonzero(occupied, axis=1)
+    del stamp_code, bad
     present = sizes > 0
     if (sizes[present] != n_stamps).any():
         raise CompletenessError(
@@ -553,28 +557,31 @@ def returns_from_prices(
     if n_stamps < 2:
         raise CompletenessError("need at least two stamps per day")
 
-    # One row per present (symbol, day) in that order, one column per stamp;
-    # from here on ``stock`` and ``day`` label those rows.
-    prices = np.empty(math.prod(shape))
-    prices[cell] = price
-    del cell, price, bad
-    prices = prices.reshape(-1, n_stamps)[present]
-    stock, day = np.divmod(np.flatnonzero(present), len(date_keys))
-    # Column 0 is the return from the symbol's previous day's last price, in
-    # bin 1 (close_to_close) or bin 0 (bin_open); the bins after it are
-    # within the day.
-    returns = np.empty_like(prices)
-    returns[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
-    returns[1:, 0] = prices[1:, 0] / prices[:-1, -1] - 1.0
-    del prices
-    kept = np.ones(returns.shape, dtype=bool)
-    kept[:, 0] = np.r_[False, stock[1:] == stock[:-1]]
-    first_bin = 1 if convention == "close_to_close" else 0
+    # The prices in one row per (symbol, day), one column per stamp, turned
+    # into returns in place; an absent row holds ones and is never read out.
+    returns = np.ones(occupied.shape)
+    returns.reshape(-1)[cell] = price
+    del cell, price
+    # Column 0 is the return from the symbol's previous present day's last
+    # price, in bin 1 (close_to_close) or bin 0 (bin_open); the bins after it
+    # are within the day.
+    stock, day = np.divmod(np.arange(len(returns), dtype=np.int32), len(date_keys))
+    rows = np.flatnonzero(present)
+    first = returns[rows[1:], 0] / returns[rows[:-1], -1] - 1.0
+    for k in range(n_stamps - 1, 0, -1):  # last first, so each divides by a price
+        returns[:, k] = returns[:, k] / returns[:, k - 1] - 1.0
+    returns[rows[1:], 0] = first
+    # the returns read out: every stamp of a present row, but column 0 of a
+    # symbol's first one
+    occupied[rows, 0] = np.r_[False, stock[rows[1:]] == stock[rows[:-1]]]
+    values = returns[occupied]
+    del returns
+    bins = np.arange(n_stamps, dtype=np.int32) + (1 if convention == "close_to_close" else 0)
     day, bins, stock = (
-        np.broadcast_to(labels, kept.shape)[kept]
-        for labels in (day[:, None], np.arange(n_stamps) + first_bin, stock[:, None])
+        np.broadcast_to(labels, occupied.shape)[occupied]
+        for labels in (day[:, None], bins, stock[:, None])
     )
-    return ReturnColumns(date_keys, symbol_keys, day, bins, stock, returns[kept])
+    return ReturnColumns(date_keys, symbol_keys, day, bins, stock, values)
 
 
 def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationReport:

@@ -203,10 +203,12 @@ def _bin_spectrum(npanel: ReturnPanel, k: int) -> BinSpectrum:
 
 def bin_spectra(npanel: ReturnPanel) -> list[BinSpectrum]:
     """Eigen-decompose every bin of the panel:
-    ``eigen_decompose(correlation_matrix(npanel, k))``, or the dual Gram
-    matrix when the bin has fewer days than stocks (see the module
-    docstring).  The bins run through :func:`~intraday.config.thread_map`,
-    after every bin's day-count check and warning on the calling thread."""
+    ``eigen_decompose(correlation_matrix(npanel, k))`` run under
+    :func:`~intraday.config.single_threaded_blas` (outside it they use the
+    multi-threaded BLAS, whose last bits can differ), or the dual Gram matrix
+    when the bin has fewer days than stocks (see the module docstring).  The
+    bins run through :func:`~intraday.config.thread_map`, after every bin's
+    day-count check and warning on the calling thread."""
     bins = [int(k) for k in npanel.bin_numbers]
     for k in bins:
         _check_days(npanel, k)

@@ -6,12 +6,12 @@ record whose raw first line starts with ``#``, so a quoted ``"#A"`` is data.
 Quoting is RFC 4180 as :mod:`csv` reads it, fields are stripped, extra
 columns are ignored, and a bad row is reported with its line number.
 Stage tables start with ``# schema-version: 1``, checked by a versioned read.
-The rows are read in chunks of :data:`CHUNK_BYTES` (1 MiB) of whole lines:
+The rows are read in chunks of :data:`CHUNK_BYTES` (256 KiB) of whole lines:
 numpy's C parser reads a plain chunk (ASCII, no quote or NUL, and no CR but
 in a CRLF line end) and :mod:`csv` any other.  A chunk that either rejects
 is read row by row with Python's ``int`` and ``float``, which name the first
-bad row, so the grammar is Python's whichever parser ran.  Columns are joined
-one at a time, so a read holds about one copy of them plus one chunk.
+bad row, so the grammar is Python's whichever parser ran.  Columns grow in
+place chunk by chunk, so a read holds one copy of them plus one chunk.
 
 :func:`write_table` writes every table from columns.  Floats print at 10
 significant digits (``%.10g`` byte for byte, from an exact vectorized kernel
@@ -38,7 +38,7 @@ from .errors import PanelFormatError, SchemaError
 
 SCHEMA_VERSION = 1
 #: Text read per parsing chunk, in bytes of whole lines.
-CHUNK_BYTES = 1 << 20
+CHUNK_BYTES = 1 << 18
 #: Rows formatted per block of a table write.
 WRITE_BLOCK_ROWS = 1 << 14
 _PREFIX = "# schema-version:"
@@ -366,7 +366,8 @@ def read_columns(
     text) or a triple ``(kind, convert, parse)``: ``kind`` is one of those
     three, ``convert`` turns a chunk's column parsed as ``kind`` (text
     unstripped, in an object array) into the column's array, and ``parse``
-    checks one stripped text; each raises ValueError on a bad value.  None
+    checks one stripped text; each raises ValueError on a bad value, and
+    ``convert`` gives one dtype for every chunk, its empty column's.  None
     reads every column as text.  A chunk that fails is checked row by row,
     and the first bad row raises :class:`PanelFormatError` with its line
     number.  A ``versioned`` table must start with the ``# schema-version``
@@ -393,18 +394,18 @@ def read_columns(
                     for name, spec in columns.items()
                 ]
             kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
-            parts = [[convert(_parsed(kind, []))] for kind, convert, _ in specs]
+            result = [convert(_parsed(kind, [])) for kind, convert, _ in specs]
             line_num += versioned  # the version line is line 1
             for fields, rows in _table_chunks(handle, line_num, len(header), kinds):
                 try:
                     chunk = [convert(f) for (_, convert, _), f in zip(specs, fields())]
                 except (ValueError, OverflowError, DeprecationWarning):
                     chunk = _row_by_row(rows, len(header), order, specs)
-                for part, array in zip(parts, chunk):
-                    part.append(array)
+                for column, part in zip(result, chunk):
+                    column.resize(len(column) + len(part), refcheck=False)
+                    column[len(column) - len(part) :] = part
     except UnicodeDecodeError as exc:
         name = getattr(handle, "name", "input")
         raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
-    # one column at a time, so that its chunk parts are freed once it is joined
-    return header, [np.concatenate(parts.pop(0)) for _ in specs]
+    return header, result
 

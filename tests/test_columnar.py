@@ -8,6 +8,7 @@ or raise the same error with the same row number.
 """
 
 import csv
+import dataclasses
 import datetime as dt
 import io
 import math
@@ -1123,6 +1124,77 @@ def test_price_conversion_matches_the_row_parser(text, chunk_bytes, convention):
         )
     want = outcome(lambda: record_set(oracle_prices(io.StringIO(text), convention)))
     assert got == want
+
+
+@st.composite
+def gappy_tables(draw):
+    """``(kind, text)``: a small table of returns, or of prices for the
+    convention ``kind``, with symbol-days or cells missing, repeated cells
+    and bad prices, and no other fault."""
+    kind = draw(st.sampled_from(["returns", "close_to_close", "bin_open"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    symbols = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    dates = [dt.date(2020, 1, 6) + dt.timedelta(days=i) for i in range(draw(st.integers(1, 4)))]
+    if kind == "returns":
+        keys = list(range(draw(st.integers(0, 1)), draw(st.integers(1, 3)) + 1))
+    else:
+        keys = list(STAMPS[: draw(st.integers(2, 4))])
+    gap = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    cells = [(d, k, s) for d in dates for s in symbols if rng.random() >= gap for k in keys]
+    if cells and kind == "returns" and rng.random() < 0.5:
+        cells.remove(rng.choice(cells))
+    cells += rng.sample(cells, min(len(cells), draw(st.integers(0, 2))))
+    rng.shuffle(cells)
+    bad = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    lines = ["date,bin,symbol,return" if kind == "returns" else "date,time,symbol,price"]
+    for date, key, symbol in cells:
+        if kind == "returns":
+            value = repr(rng.gauss(0.0, 0.01))
+        elif rng.random() < bad:
+            value = rng.choice(["0", "-0.0", "-1.5", "nan", "inf"])
+        else:
+            value = repr(rng.uniform(1.0, 200.0))
+        lines.append(f"{date.isoformat()},{key},{symbol},{value}")
+    return kind, "\n".join(lines) + "\n"
+
+
+def _loaded(columns, policy):
+    """What :func:`load_panel` makes of ``columns``: the panel's bytes and
+    labels and the report's lines."""
+    panel, report = load_panel(columns, policy)
+    labels = (panel.stock_ids, panel.dates, panel.bins_per_day, panel.overnight_present)
+    return panel.returns.shape, panel.returns.tobytes(), labels, report.lines()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(table=gappy_tables(), policy=st.sampled_from(["strict", "drop-incomplete", "zero-fill"]))
+def test_load_panel_takes_int32_and_intp_codes_alike(table, policy):
+    """The readers give int32 key codes (and bin labels, from prices), and
+    the first bad row still wins with the row-by-row message; load_panel
+    gives the same panel bytes and report, or the same error, from int32
+    codes as from intp ones."""
+    kind, text = table
+    if kind == "returns":
+        read = lambda: read_return_records(io.StringIO(text))  # noqa: E731
+        oracle = lambda: oracle_load(io.StringIO(text), policy)  # noqa: E731
+    else:
+        read = lambda: returns_from_prices(io.StringIO(text), kind)  # noqa: E731
+        oracle = lambda: oracle_prices(io.StringIO(text), kind)  # noqa: E731
+    got = outcome(read)
+    if got[0] != "ok":
+        assert got == outcome(oracle)
+        return
+    columns = got[1]
+    assert columns.date_index.dtype == columns.symbol_index.dtype == np.int32
+    assert columns.bins.dtype == (np.int64 if kind == "returns" else np.int32)
+    codes = ("date_index", "bins", "symbol_index")
+    wide = dataclasses.replace(
+        columns, **{name: getattr(columns, name).astype(np.intp) for name in codes}
+    )
+    loaded = outcome(lambda: _loaded(columns, policy))
+    assert loaded == outcome(lambda: _loaded(wide, policy))
+    if kind == "returns" and loaded[0] != "ok":
+        assert loaded == outcome(oracle)
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 4 << 20])

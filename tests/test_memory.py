@@ -1,13 +1,15 @@
 """Peak memory of the staged data path's reads.
 
-A table read holds about one copy of the columns it returns plus one parse
-chunk of ``CHUNK_BYTES``, and the price conversion about one copy more, so
-on a table many chunks long the tracemalloc peak of either stays within a
-small multiple of the returned columns' bytes.  A stage's read of the
-canonical table holds its returns twice at most, as parts and as the
-panel, and ``normalize_panel`` one panel beside its input; the moment
-kernels hold a sorted and a centred copy of one slab per kernel thread.
-The canonical write holds the returns it reads back and one block of rows.
+A table read holds one copy of the columns it returns (20 bytes a row from
+prices: 32-bit codes and labels and a float64 return; 24 from returns,
+whose bins are int64) plus one parse chunk of ``CHUNK_BYTES``, and the
+price conversion and the panel load about half a copy more, so on a table
+many chunks long the tracemalloc peak of each stays within a bound in
+bytes per row.  A stage's read of the canonical table holds its returns
+twice at most, as parts and as the panel, and ``normalize_panel`` one panel
+beside its input; the moment kernels hold a sorted and a centred copy of
+one slab per kernel thread.  The canonical write holds the returns it reads
+back and one block of rows.
 """
 
 import datetime as dt
@@ -20,7 +22,12 @@ import pytest
 from intraday import cli
 from intraday.config import RunConfig
 from intraday.cross_section import dispersion_grid, normalize_panel
-from intraday.panel import read_return_records, returns_from_prices, write_return_records
+from intraday.panel import (
+    load_panel,
+    read_return_records,
+    returns_from_prices,
+    write_return_records,
+)
 from intraday.robust_moments import stock_bin_moments
 from intraday.synth import gaussian_iid_panel
 from intraday.tableio import CHUNK_BYTES, VERSION_LINE
@@ -50,29 +57,44 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def _peak_per_column_byte(read, path):
-    """tracemalloc peak of ``read(path)`` over the bytes of the columns it returns."""
-    columns, peak = _traced(lambda: read(path))
-    arrays = (columns.date_index, columns.bins, columns.symbol_index, columns.values)
-    return peak / sum(a.nbytes for a in arrays)
+N_ROWS = len(DATES) * len(STAMPS) * len(SYMBOLS)
+
+
+def _prices(tmp_path):
+    path = tmp_path / "prices.csv"
+    values = np.random.default_rng(0).uniform(10, 20, N_ROWS).tolist()
+    _write_table(path, "date,time,symbol,price", STAMPS, values)
+    return path
 
 
 def test_return_read_holds_one_copy_of_its_columns_and_a_chunk(tmp_path):
     path = tmp_path / "returns.csv"
-    n_rows = len(DATES) * len(STAMPS) * len(SYMBOLS)
-    values = np.random.default_rng(0).normal(0, 0.01, n_rows).tolist()
+    values = np.random.default_rng(0).normal(0, 0.01, N_ROWS).tolist()
     _write_table(path, "date,bin,symbol,return", range(1, len(STAMPS) + 1), values)
-    # 1.6 with 1 MiB chunks joined column by column
-    assert _peak_per_column_byte(read_return_records, path) < 2.0
+    columns, peak = _traced(lambda: read_return_records(path))
+    assert len(columns) == N_ROWS
+    # 29.7 with columns grown in place by 256 KiB chunks and 32-bit key
+    # codes; 51.0 with 1 MiB chunks joined column by column and 64-bit codes
+    assert peak / N_ROWS < 36
 
 
 def test_price_conversion_holds_one_copy_of_its_columns_and_a_chunk(tmp_path):
-    path = tmp_path / "prices.csv"
-    n_rows = len(DATES) * len(STAMPS) * len(SYMBOLS)
-    values = np.random.default_rng(0).uniform(10, 20, n_rows).tolist()
-    _write_table(path, "date,time,symbol,price", STAMPS, values)
-    # 1.7 with one bincount over the cells and no sort
-    assert _peak_per_column_byte(returns_from_prices, path) < 2.25
+    path = _prices(tmp_path)
+    columns, peak = _traced(lambda: returns_from_prices(path))
+    assert len(columns) == N_ROWS - len(SYMBOLS)  # each symbol's first stamp has no return
+    # 28.2 with a boolean occupancy array and 32-bit codes and cells; 55.1
+    # with one bincount over the cells, 64-bit codes and 1 MiB chunks
+    assert peak / N_ROWS < 36
+
+
+def test_price_conversion_and_pruning_load_hold_one_and_a_half_copies(tmp_path):
+    path = _prices(tmp_path)
+    (panel, report), peak = _traced(lambda: load_panel(returns_from_prices(path), "drop-incomplete"))
+    # the first day has no bin 1, so it goes, and its cells move in place
+    assert report.days_dropped and panel.returns.shape == (len(SYMBOLS), len(DATES) - 1, 78)
+    # 30.5 with the panel scattered a block of rows at a time and pruned in
+    # place; 55.1 with a count cube and a pruned copy of the panel
+    assert peak / N_ROWS < 34
 
 
 def test_canonical_read_holds_at_most_twice_its_panel_and_a_chunk(tmp_path):

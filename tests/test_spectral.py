@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intraday.config import single_threaded_blas
 from intraday.cross_section import normalize_panel
 from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.spectral import (
@@ -354,6 +355,17 @@ class TestDualPath:
         for dual, primal in zip(quietly(bin_spectra, view), quietly(primal_spectra, view)):
             np.testing.assert_array_equal(dual.eigenvalues, primal.eigenvalues)
             np.testing.assert_array_equal(dual.eigenvectors, primal.eigenvectors)
+
+    def test_primal_held_to_one_blas_thread_is_bin_spectra_bit_for_bit(self):
+        # Big enough that a multi-threaded BLAS splits the correlation product
+        # and eigh, so that a call on its own can differ in the last bits;
+        # bin_spectra holds the BLAS to one thread.
+        view = factor_view(100, 150, bins=2)
+        with single_threaded_blas():
+            primal = primal_spectra(view)
+        for spectrum, alone in zip(bin_spectra(view), primal):
+            np.testing.assert_array_equal(spectrum.eigenvalues, alone.eigenvalues)
+            np.testing.assert_array_equal(spectrum.eigenvectors, alone.eigenvectors)
 
     def test_flat_stock_named(self):
         view = factor_view(30, 10)
