@@ -1,18 +1,19 @@
 """Command-line interface: staged pipeline over bar-return panels.
 
-Each pipeline stage is one ``stage_*`` function: it takes its inputs as
-arguments, writes its tables to the output directory as column dicts
-through ``tableio.write_table`` and returns what later stages need.  The
-README's table lists each subcommand and the files it writes.
+Each subcommand but ``run`` is its ``stage_*`` function: it takes its
+inputs as arguments, reads from the output directory each one it is not
+handed, writes its tables there as column dicts through
+``tableio.write_table`` and returns what later stages need.  The README's
+table lists each subcommand and the files it writes.
 
 ``run`` runs every stage in one process and hands each stage's results to
 the next in memory: the canonical panel, the columns ``write_table``
 returns for ``stock_moments.csv`` and ``fig1.csv`` (floats as they read
 back, at 10 significant digits with -0 read as 0) and the dispersion grid,
-which ``spectra`` does not need.  A stage subcommand reads those tables'
-columns from the output directory instead, and ``condition`` builds the grid
-from the canonical panel, so ``run`` and a manual stage sequence produce
-byte-identical tables.  In synth mode ``run`` hands synth's panel, as
+which ``spectra`` does not need.  A stage subcommand is handed none of
+them, so it reads those tables' columns from the output directory, and
+``condition`` builds the grid from the canonical panel, so ``run`` and a
+manual stage sequence produce byte-identical tables.  In synth mode ``run`` hands synth's panel, as
 returns.csv holds it, straight to ingest: it is dense and in canonical
 order, so ingest loads nothing and copies returns.csv to
 returns_canonical.csv, which would hold the same bytes.
@@ -114,7 +115,9 @@ def stage_synth(config: RunConfig) -> ReturnPanel:
     return panel
 
 
-def stage_ingest(config: RunConfig, source: ReturnPanel | ReturnColumns) -> ReturnPanel:
+def stage_ingest(
+    config: RunConfig, source: ReturnPanel | ReturnColumns | None = None
+) -> ReturnPanel:
     """Check and validate synth's panel or load the input's columns under
     the policy; return the canonical panel as returns_canonical.csv holds it.
 
@@ -122,6 +125,7 @@ def stage_ingest(config: RunConfig, source: ReturnPanel | ReturnColumns) -> Retu
     returns.csv reads back as, so returns.csv is copied for it instead of
     formatted again.
     """
+    source = _read_input(config) if source is None else source
     os.makedirs(config.output_dir, exist_ok=True)
     synthetic = isinstance(source, ReturnPanel)
     if synthetic:
@@ -144,9 +148,9 @@ def stage_ingest(config: RunConfig, source: ReturnPanel | ReturnColumns) -> Retu
     return panel
 
 
-def stage_moments(config: RunConfig, panel: ReturnPanel) -> dict[str, np.ndarray]:
+def stage_moments(config: RunConfig, panel: ReturnPanel | None = None) -> dict[str, np.ndarray]:
     """Per (stock, bin) moments; return stock_moments.csv's columns."""
-    grid = stock_bin_moments(panel)
+    grid = stock_bin_moments(_read_canonical(config) if panel is None else panel)
     bins = np.tile(grid.bin_numbers, len(grid.stock_ids))
     symbols = np.repeat(np.array(grid.stock_ids, dtype=object), len(grid.bin_numbers))
     stats = ("mean", "volatility", "skewness", "kurtosis", "median", "degenerate")
@@ -185,10 +189,16 @@ def _check_once(config: RunConfig, name: str, label: str, cells, rows) -> None:
 
 
 def stage_cross_section(
-    config: RunConfig, panel: ReturnPanel, moments: dict[str, np.ndarray]
+    config: RunConfig,
+    panel: ReturnPanel | None = None,
+    moments: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], DispersionGrid]:
     """Dispersion grid and the fig1/fig2 profiles, from the panel and
     stock_moments.csv's columns; return fig1.csv's columns and the grid."""
+    panel = _read_canonical(config) if panel is None else panel
+    if moments is None:
+        kinds = {"symbol": str, "bin": int, "volatility": float, "kurtosis": float}
+        moments = _read_table(config, MOMENTS_FILE, kinds)
     cells = itertools.product(panel.stock_ids, panel.bin_numbers.tolist())
     rows = zip(moments["symbol"].tolist(), moments["bin"].tolist())
     _check_once(config, MOMENTS_FILE, "symbol {}, bin {}", cells, rows)
@@ -228,9 +238,17 @@ def stage_cross_section(
     return fig1, grid
 
 
-def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray], bins_per_day: int) -> None:
+def stage_fit(
+    config: RunConfig, fig1: dict[str, np.ndarray] | None = None, bins_per_day: int | None = None
+) -> None:
     """Fit the power law to fig1.csv's intraday stock_vol rows, whose bins
-    must be 1..``bins_per_day`` once each."""
+    must be 1..``bins_per_day`` once each: by default the K of
+    stock_moments.csv, whence fig1's stock_vol comes."""
+    if fig1 is None:
+        kinds = {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float}
+        fig1 = _read_table(config, FIG1_FILE, kinds)
+    if bins_per_day is None:
+        bins_per_day = int(_read_table(config, MOMENTS_FILE, {"bin": int})["bin"].max(initial=0))
     keep = fig1["overnight"] == 0
     bins = fig1["bin"][keep]
     if bins.max(initial=0) > bins_per_day:
@@ -257,7 +275,8 @@ def stage_fit(config: RunConfig, fig1: dict[str, np.ndarray], bins_per_day: int)
     )
 
 
-def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
+def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
+    panel = _read_canonical(config, check=True) if panel is None else panel
     npanel = normalize_panel(panel)
     spectra = bin_spectra(npanel)
 
@@ -305,9 +324,11 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel) -> None:
     )
 
 
-def stage_condition(config: RunConfig, grid: DispersionGrid) -> None:
+def stage_condition(config: RunConfig, grid: DispersionGrid | None = None) -> None:
     """Figs. 3-5: dispersion, skewness and kurtosis against the index return
     and kurtosis against the (std) dispersion, written once all four exist."""
+    if grid is None:
+        grid = dispersion_grid(_read_canonical(config, check=True))
     signed, positive = config.bucket_specs()
     common = dict(
         min_count=config.min_count,
@@ -329,23 +350,16 @@ def stage_condition(config: RunConfig, grid: DispersionGrid) -> None:
 def run_pipeline(config: RunConfig) -> None:
     """Run every stage in order, handing each stage's results to the next in
     memory, and write the run manifest."""
-    # Passed straight in, input columns die inside ingest once loaded.
-    panel = stage_ingest(
-        config, stage_synth(config) if config.mode == "synth" else _read_input(config)
-    )
+    panel = stage_ingest(config, stage_synth(config) if config.mode == "synth" else None)
     fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
     stage_fit(config, fig1, panel.bins_per_day)
     stage_spectra(config, panel)
     stage_condition(config, grid)
-    pairs = [
-        ("package_version", __version__),
-        ("table_schema_version", "1"),
-    ]
-    pairs.extend(config_echo_pairs(config))
-    write_kv_lines(pairs, _out(config, "run_manifest.txt"))
+    pairs = [("package_version", __version__), ("table_schema_version", "1")]
+    write_kv_lines(pairs + config_echo_pairs(config), _out(config, "run_manifest.txt"))
 
 
-# Stage subcommands read their inputs from the files earlier stages wrote.
+# A stage not handed an input reads it from the file an earlier stage wrote.
 
 
 def _read_input(config: RunConfig) -> ReturnColumns:
@@ -373,31 +387,12 @@ def _read_table(config: RunConfig, name: str, kinds: dict) -> dict[str, np.ndarr
 _STAGES = {
     "run": run_pipeline,
     "synth": stage_synth,
-    "ingest": lambda config: stage_ingest(config, _read_input(config)),
-    "moments": lambda config: stage_moments(config, _read_canonical(config)),
-    "cross-section": lambda config: stage_cross_section(
-        config,
-        _read_canonical(config),
-        _read_table(
-            config,
-            MOMENTS_FILE,
-            {"symbol": str, "bin": int, "volatility": float, "kurtosis": float},
-        ),
-    ),
-    # fig1's stock_vol comes from stock_moments.csv, whose bins give K
-    "fit": lambda config: stage_fit(
-        config,
-        _read_table(
-            config,
-            FIG1_FILE,
-            {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float},
-        ),
-        int(_read_table(config, MOMENTS_FILE, {"bin": int})["bin"].max(initial=0)),
-    ),
-    "spectra": lambda config: stage_spectra(config, _read_canonical(config, check=True)),
-    "condition": lambda config: stage_condition(
-        config, dispersion_grid(_read_canonical(config, check=True))
-    ),
+    "ingest": stage_ingest,
+    "moments": stage_moments,
+    "cross-section": stage_cross_section,
+    "fit": stage_fit,
+    "spectra": stage_spectra,
+    "condition": stage_condition,
 }
 
 

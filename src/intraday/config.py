@@ -259,11 +259,6 @@ def run_config_from(pairs: dict[str, str]) -> RunConfig:
     return config
 
 
-def read_run_config(source: str | os.PathLike | IO[str]) -> RunConfig:
-    """Parse and validate a run config file."""
-    return run_config_from(parse_kv_lines(source))
-
-
 def format_value(value) -> str:
     """A config or manifest value as ``key = value`` text: None as empty
     text, a sequence comma-separated."""

@@ -303,6 +303,17 @@ def _cells(shape: tuple[int, ...], *axes: tuple, rows=slice(None)) -> np.ndarray
     return cell
 
 
+def _grid(shape: tuple[int, ...], dtype, k_max: int) -> np.ndarray:
+    """Flat zeros over the (stock, day, bin) grid ``shape``, or an error naming
+    the largest bin; numpy refuses a size past the address space unallocated."""
+    try:
+        return np.zeros(math.prod(shape), dtype)
+    except (MemoryError, ValueError, OverflowError):
+        size = " x ".join(map(str, shape))
+        message = f"bin {k_max} makes the {size} (stock, day, bin) grid too large to allocate"
+        raise PanelFormatError(message) from None
+
+
 def load_panel(
     columns: ReturnColumns, policy: str = "strict"
 ) -> tuple[ReturnPanel, LoadReport]:
@@ -337,10 +348,11 @@ def load_panel(
     k_max = int(bins.max())
     offset = 0 if overnight else 1
     shape = (len(symbols), len(dates), k_max + 1 - offset)
+    # Before the cells, whose linear index would wrap on a grid too large.
+    present = _grid(shape, bool, k_max).reshape(shape)
     axes = (stock, columns.symbol_index), (day, columns.date_index), (None, bins)
     cell = _cells(shape, *axes)
     cell -= offset
-    present = np.zeros(shape, bool)
     present.reshape(-1)[cell] = True
     if np.count_nonzero(present) < len(cell):
         a, t, c = np.unravel_index(cell[_first_repeat(cell)], shape)
@@ -384,7 +396,7 @@ def load_panel(
     # The cells again, a block of rows at a time, so that no index over all
     # the rows is alive beside the array.
     del cell
-    array = np.zeros(math.prod(shape))
+    array = _grid(shape, float, k_max)
     for start in range(0, len(columns), 1 << 16):
         rows = slice(start, start + (1 << 16))
         array[_cells(shape, *axes, rows=rows) - offset] = columns.values[rows]

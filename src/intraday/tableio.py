@@ -357,7 +357,7 @@ def _row_by_row(rows, width: int, order: list[int], specs) -> list[np.ndarray]:
 
 def read_columns(
     source: str | os.PathLike | IO[str],
-    columns: dict[str, type | tuple[type, Callable, Callable]] | None = None,
+    columns: dict[str, type | tuple[type, Callable, Callable]],
     versioned: bool = False,
 ) -> tuple[list[str], list[np.ndarray]]:
     """Read a table's header and the named columns, one array each.
@@ -367,11 +367,11 @@ def read_columns(
     three, ``convert`` turns a chunk's column parsed as ``kind`` (text
     unstripped, in an object array) into the column's array, and ``parse``
     checks one stripped text; each raises ValueError on a bad value, and
-    ``convert`` gives one dtype for every chunk, its empty column's.  None
-    reads every column as text.  A chunk that fails is checked row by row,
-    and the first bad row raises :class:`PanelFormatError` with its line
-    number.  A ``versioned`` table must start with the ``# schema-version``
-    line, and a missing header or column is then a :class:`SchemaError`.
+    ``convert`` gives one dtype for every chunk, its empty column's.  A chunk
+    that fails is checked row by row, and the first bad row raises
+    :class:`PanelFormatError` with its line number.  A ``versioned`` table
+    must start with the ``# schema-version`` line, and a missing header or
+    column is then a :class:`SchemaError`.
     """
     error = SchemaError if versioned else PanelFormatError
     if isinstance(source, (str, os.PathLike)):
@@ -384,15 +384,11 @@ def read_columns(
             if versioned:
                 _check_version(handle.readline())
             header, line_num = _header(handle, error)
-            if columns is None:
-                order = list(range(len(header)))
-                specs = [_typed(str, name) for name in header]
-            else:
-                order = _positions(header, columns, error)
-                specs = [
-                    spec if isinstance(spec, tuple) else _typed(spec, name)
-                    for name, spec in columns.items()
-                ]
+            order = _positions(header, columns, error)
+            specs = [
+                spec if isinstance(spec, tuple) else _typed(spec, name)
+                for name, spec in columns.items()
+            ]
             kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
             result = [convert(_parsed(kind, [])) for kind, convert, _ in specs]
             line_num += versioned  # the version line is line 1

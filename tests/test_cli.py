@@ -14,7 +14,7 @@ from intraday.config import (
     RunConfig,
     config_echo_pairs,
     parse_kv_lines,
-    read_run_config,
+    run_config_from,
     write_kv_lines,
 )
 from intraday.tableio import read_columns
@@ -231,6 +231,25 @@ def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
     assert {p.name for p in (tmp_path / "ran").iterdir()} == seen | set(table["run"])
 
 
+def test_each_subcommand_but_run_is_its_stage_function():
+    for name in set(cli._STAGES) - {"run"}:
+        assert cli._STAGES[name] is getattr(cli, "stage_" + name.replace("-", "_")), name
+
+
+def test_a_stage_not_handed_its_panel_reads_the_canonical_table(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    for stage in ["synth", "ingest", "moments"]:
+        assert cli.main([stage, "-c", str(cfg)]) == 0, stage
+    out = tmp_path / "out"
+    from_subcommand = (out / "stock_moments.csv").read_bytes()
+    (out / "stock_moments.csv").unlink()
+    reads, read = [], cli.read_canonical_panel
+    monkeypatch.setattr(cli, "read_canonical_panel", lambda path: reads.append(path) or read(path))
+    cli.stage_moments(run_config_from(parse_kv_lines(cfg)))
+    assert reads == [str(out / "returns_canonical.csv")]
+    assert (out / "stock_moments.csv").read_bytes() == from_subcommand
+
+
 def test_readme_library_example_runs():
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = library.split("```python\n", 1)[1].split("```", 1)[0]
@@ -307,6 +326,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, mode="returns", input=str(bad))
         assert cli.main(["ingest", "-c", str(cfg)]) == 2
         self.assert_single_error_line(capsys, "input-error")
+
+    @pytest.mark.parametrize("policy", ["strict", "zero-fill"])
+    def test_bin_whose_grid_cannot_be_allocated_is_an_input_error(
+        self, tmp_path, capsys, policy
+    ):
+        # a 2 x 2 x 2**62 grid: numpy refuses its size before allocating anything
+        bad = tmp_path / "huge_bin.csv"
+        rows = ["2020-01-06,1,A", "2020-01-06,1,B", "2020-01-07,1,A", f"2020-01-07,{2**62},B"]
+        bad.write_text("date,bin,symbol,return\n" + "".join(f"{row},0.001\n" for row in rows))
+        cfg = write_config(tmp_path, mode="returns", input=str(bad), policy=policy)
+        assert cli.main(["ingest", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input-error: bin {2**62} makes the 2 x 2 x {2**62} ")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
@@ -771,12 +804,12 @@ class TestConfigKeys:
     @pytest.mark.parametrize("name", FIELDS)
     def test_echo_reads_back_as_the_same_config(self, name):
         config = dataclasses.replace(
-            read_run_config(io.StringIO("mode = returns\ninput = base.csv\n")),
+            run_config_from(parse_kv_lines(io.StringIO("mode = returns\ninput = base.csv\n"))),
             **{name: getattr(SAMPLE, name)},
         )
         buf = io.StringIO()
         write_kv_lines(config_echo_pairs(config), buf)
-        assert read_run_config(io.StringIO(buf.getvalue())) == config
+        assert run_config_from(parse_kv_lines(io.StringIO(buf.getvalue()))) == config
 
     @pytest.mark.parametrize(
         "literal, expected",

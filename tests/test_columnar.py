@@ -360,9 +360,8 @@ def test_reader_and_assembly_match_the_row_parser(text, chunk_bytes, newline):
         return io.StringIO(prefix + text, newline=newline)
 
     def table_rows(handle):
-        header, texts = read_columns(handle, versioned=True)
-        order = [header.index(name) for name in COLUMNS]
-        return [list(row) for row in zip(*(texts[i].tolist() for i in order))]
+        _, texts = read_columns(handle, dict.fromkeys(COLUMNS, str), versioned=True)
+        return [list(row) for row in zip(*(column.tolist() for column in texts))]
 
     versioned = "# schema-version: 1\n"
     with mock.patch.object(tableio_module, "CHUNK_BYTES", chunk_bytes):
@@ -695,7 +694,8 @@ def test_table_cells_quoted_only_when_needed():
     buf = io.StringIO()
     write_table(buf, {"symbol": ["#A", "B,C", "D"], "x": [1, 2, 3]})
     assert buf.getvalue().splitlines()[2:] == ['"#A",1', '"B,C",2', "D,3"]
-    header, columns = read_columns(io.StringIO(buf.getvalue()), versioned=True)
+    kinds = {"symbol": str, "x": str}
+    _, columns = read_columns(io.StringIO(buf.getvalue()), kinds, versioned=True)
     assert list(map(list, zip(*columns))) == [["#A", "1"], ["B,C", "2"], ["D", "3"]]
 
 

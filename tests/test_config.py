@@ -10,7 +10,7 @@ from intraday.config import (
     config_echo_pairs,
     format_float,
     parse_kv_lines,
-    read_run_config,
+    run_config_from,
     thread_cap_from_env,
     write_kv_lines,
 )
@@ -132,7 +132,7 @@ class TestReadRunConfig:
             "min_count = 25\nnull_quantile = 0.95\n"
             "include_overnight_conditioning = true\ncondition_bins = 1, 3 ,5\n"
         )
-        config = read_run_config(io.StringIO(text))
+        config = run_config_from(parse_kv_lines(io.StringIO(text)))
         assert config.mode == "returns"
         assert config.bucket_width == pytest.approx(0.002)
         assert config.min_count == 25
@@ -149,31 +149,30 @@ class TestReadRunConfig:
             "synth_manifest = m.cfg\n"
             f"include_overnight_conditioning = {literal}\n"
         )
-        config = read_run_config(io.StringIO(text))
+        config = run_config_from(parse_kv_lines(io.StringIO(text)))
         assert config.include_overnight_conditioning is expected
 
     def test_bad_boolean(self):
         text = "synth_manifest = m.cfg\ninclude_overnight_conditioning = maybe\n"
         with pytest.raises(PanelFormatError, match="bad boolean"):
-            read_run_config(io.StringIO(text))
+            run_config_from(parse_kv_lines(io.StringIO(text)))
 
     def test_unknown_key(self):
         with pytest.raises(PanelFormatError, match="unknown config key"):
-            read_run_config(io.StringIO("synth_manifest = m.cfg\nspeed = 11\n"))
+            run_config_from(parse_kv_lines(io.StringIO("synth_manifest = m.cfg\nspeed = 11\n")))
 
     def test_bad_numeric_value(self):
         text = "synth_manifest = m.cfg\nmin_count = lots\n"
         with pytest.raises(PanelFormatError, match="bad value for min_count"):
-            read_run_config(io.StringIO(text))
+            run_config_from(parse_kv_lines(io.StringIO(text)))
 
     def test_invalid_config_becomes_format_error(self):
         with pytest.raises(PanelFormatError, match="mode"):
-            read_run_config(io.StringIO("mode = live\ninput = x.csv\n"))
+            run_config_from(parse_kv_lines(io.StringIO("mode = live\ninput = x.csv\n")))
 
     def test_empty_condition_bins_means_all(self):
-        config = read_run_config(
-            io.StringIO("synth_manifest = m.cfg\ncondition_bins = \n")
-        )
+        text = "synth_manifest = m.cfg\ncondition_bins = \n"
+        config = run_config_from(parse_kv_lines(io.StringIO(text)))
         assert config.condition_bins is None
 
 
@@ -224,7 +223,8 @@ class TestTableIO:
         write_table(buf, {"name": ["a"], "n": [3], "x": [0.5], "flag": [True]})
         text = buf.getvalue()
         assert text.startswith("# schema-version: 1\n")
-        header, columns = read_columns(io.StringIO(text), versioned=True)
+        kinds = dict.fromkeys(["name", "n", "x", "flag"], str)
+        header, columns = read_columns(io.StringIO(text), kinds, versioned=True)
         assert header == ["name", "n", "x", "flag"]
         assert [column.tolist() for column in columns] == [["a"], ["3"], ["0.5"], ["1"]]
 
@@ -242,7 +242,7 @@ class TestTableIO:
     def test_nan_reads_as_nan(self):
         buf = io.StringIO()
         write_table(buf, {"x": [math.nan]})
-        _, (x,) = read_columns(io.StringIO(buf.getvalue()), versioned=True)
+        _, (x,) = read_columns(io.StringIO(buf.getvalue()), {"x": str}, versioned=True)
         assert x.tolist() == ["nan"]
 
     def test_column_length_mismatch(self):
@@ -251,19 +251,19 @@ class TestTableIO:
 
     def test_missing_version_line(self):
         with pytest.raises(SchemaError, match="schema-version"):
-            read_columns(io.StringIO("a,b\n1,2\n"), versioned=True)
+            read_columns(io.StringIO("a,b\n1,2\n"), {"a": str}, versioned=True)
 
     def test_unsupported_version(self):
         with pytest.raises(SchemaError, match="version 2 unsupported"):
-            read_columns(io.StringIO("# schema-version: 2\na\n1\n"), versioned=True)
+            read_columns(io.StringIO("# schema-version: 2\na\n1\n"), {"a": str}, versioned=True)
 
     def test_garbled_version(self):
         with pytest.raises(SchemaError, match="bad schema version"):
-            read_columns(io.StringIO("# schema-version: next\na\n1\n"), versioned=True)
+            read_columns(io.StringIO("# schema-version: next\na\n1\n"), {"a": str}, versioned=True)
 
     def test_empty_table_body(self):
         with pytest.raises(SchemaError, match="no header"):
-            read_columns(io.StringIO("# schema-version: 1\n"), versioned=True)
+            read_columns(io.StringIO("# schema-version: 1\n"), {"a": str}, versioned=True)
 
     def test_required_columns(self):
         text = "# schema-version: 1\na,b\n1,2\n"
@@ -272,13 +272,14 @@ class TestTableIO:
 
     def test_comment_rows_skipped(self):
         text = "# schema-version: 1\n# note\na\n# another\n1\n"
-        header, columns = read_columns(io.StringIO(text), versioned=True)
+        header, columns = read_columns(io.StringIO(text), {"a": str}, versioned=True)
         assert header == ["a"]
         assert [column.tolist() for column in columns] == [["1"]]
         # a quote inside an unquoted cell is a literal: it opens no quoted
         # cell, so the "#" line after it is still a comment
         text = '# schema-version: 1\nsymbol,x\nA"B,1\n# note\nC,2\n'
-        header, columns = read_columns(io.StringIO(text), versioned=True)
+        kinds = {"symbol": str, "x": str}
+        header, columns = read_columns(io.StringIO(text), kinds, versioned=True)
         assert (header, [column.tolist() for column in columns]) == (
             ["symbol", "x"],
             [['A"B', "C"], ["1", "2"]],

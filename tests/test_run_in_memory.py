@@ -19,7 +19,7 @@ import pytest
 
 import intraday
 from intraday import cli, cross_section, panel as panel_module, tableio
-from intraday.config import read_run_config
+from intraday.config import parse_kv_lines, run_config_from
 from intraday.panel import load_panel
 
 ANALYSIS = {
@@ -245,7 +245,7 @@ def assert_same_panel(got, want):
 
 @pytest.mark.parametrize("mode", ["returns", "prices", "synth"])
 def test_each_artifact_equals_its_file(tmp_path, monkeypatch, mode):
-    config = read_run_config(write_config(tmp_path, mode, "out"))
+    config = run_config_from(parse_kv_lines(write_config(tmp_path, mode, "out")))
     if mode == "synth":
         source = cli.stage_synth(config)
         # synth's panel is the one its returns.csv loads as
