@@ -97,8 +97,10 @@ from .tableio import open_output, read_columns, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
-MOMENTS_FILE = "stock_moments.csv"
-FIG1_FILE = "fig1.csv"
+# Each stage table a later stage reads back: its file name and the kinds of
+# the columns read
+MOMENTS = "stock_moments.csv", {"symbol": str, "bin": int, "volatility": float, "kurtosis": float}
+FIG1 = "fig1.csv", {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float}
 
 
 def _out(config: RunConfig, name: str) -> str:
@@ -155,7 +157,7 @@ def stage_moments(config: RunConfig, panel: ReturnPanel | None = None) -> dict[s
     symbols = np.repeat(np.array(grid.stock_ids, dtype=object), len(grid.bin_numbers))
     stats = ("mean", "volatility", "skewness", "kurtosis", "median", "degenerate")
     return write_table(
-        _out(config, MOMENTS_FILE),
+        _out(config, MOMENTS[0]),
         {"symbol": symbols, "bin": bins, "overnight": bins == 0}
         | {name: getattr(grid, name).ravel() for name in stats},
     )
@@ -196,12 +198,10 @@ def stage_cross_section(
     """Dispersion grid and the fig1/fig2 profiles, from the panel and
     stock_moments.csv's columns; return fig1.csv's columns and the grid."""
     panel = _read_canonical(config) if panel is None else panel
-    if moments is None:
-        kinds = {"symbol": str, "bin": int, "volatility": float, "kurtosis": float}
-        moments = _read_table(config, MOMENTS_FILE, kinds)
+    moments = _read_table(config, *MOMENTS) if moments is None else moments
     cells = itertools.product(panel.stock_ids, panel.bin_numbers.tolist())
     rows = zip(moments["symbol"].tolist(), moments["bin"].tolist())
-    _check_once(config, MOMENTS_FILE, "symbol {}, bin {}", cells, rows)
+    _check_once(config, MOMENTS[0], "symbol {}, bin {}", cells, rows)
     symbols, stock = np.unique(moments["symbol"], return_inverse=True)
     moment_bins, col = np.unique(moments["bin"], return_inverse=True)
     volatility, kurtosis = np.empty((2, len(symbols), len(moment_bins)))
@@ -226,9 +226,7 @@ def stage_cross_section(
         np.abs(grid.index_return), "stderr", grid.bin_numbers, "abs_index_return"
     )
     ratio = ratio_profile(stock_vol, dispersion_profile, "vol_dispersion_ratio")
-    fig1 = _write_profiles(
-        _out(config, FIG1_FILE), [stock_vol, dispersion_profile, abs_index, ratio]
-    )
+    fig1 = _write_profiles(_out(config, FIG1[0]), [stock_vol, dispersion_profile, abs_index, ratio])
 
     stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "stock_kurtosis")
     dispersion_kurt = profile_over_days(
@@ -244,20 +242,18 @@ def stage_fit(
     """Fit the power law to fig1.csv's intraday stock_vol rows, whose bins
     must be 1..``bins_per_day`` once each: by default the K of
     stock_moments.csv, whence fig1's stock_vol comes."""
-    if fig1 is None:
-        kinds = {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float}
-        fig1 = _read_table(config, FIG1_FILE, kinds)
+    fig1 = _read_table(config, *FIG1) if fig1 is None else fig1
     if bins_per_day is None:
-        bins_per_day = int(_read_table(config, MOMENTS_FILE, {"bin": int})["bin"].max(initial=0))
+        bins_per_day = int(_read_table(config, *MOMENTS)["bin"].max(initial=0))
     keep = fig1["overnight"] == 0
     bins = fig1["bin"][keep]
     if bins.max(initial=0) > bins_per_day:
         raise PanelFormatError(
-            f"{_out(config, FIG1_FILE)}: intraday bin {bins.max()} is past the last bin, "
-            f"{bins_per_day}, of {_out(config, MOMENTS_FILE)}"
+            f"{_out(config, FIG1[0])}: intraday bin {bins.max()} is past the last bin, "
+            f"{bins_per_day}, of {_out(config, MOMENTS[0])}"
         )
     cells = ((k,) for k in range(1, bins_per_day + 1))
-    _check_once(config, FIG1_FILE, "intraday bin {}", cells, zip(bins.tolist()))
+    _check_once(config, FIG1[0], "intraday bin {}", cells, zip(bins.tolist()))
     config.check_fit_window(bins_per_day)
     values, band = fig1["stock_vol"][keep], fig1["stock_vol_band"][keep]
     profile = IntradayProfile(bins, values, band, None, None, "stock_vol", "stderr")
@@ -276,9 +272,11 @@ def stage_fit(
 
 
 def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
-    panel = _read_canonical(config, check=True) if panel is None else panel
-    npanel = normalize_panel(panel)
-    spectra = bin_spectra(npanel)
+    # Neither a panel read here nor the normalized one outlives its use, so the
+    # stage holds only the spectra through the overlaps and the null.
+    spectra = bin_spectra(
+        normalize_panel(_read_canonical(config, check=True) if panel is None else panel)
+    )
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]
     bins = np.array([spectrum.bin for spectrum in spectra])
@@ -305,7 +303,7 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
     write_table(_out(config, "fig7.csv"), columns)
 
     threshold = random_overlap_baseline(
-        dim=panel.n_stocks,
+        dim=spectra[0].n,
         subspace_dim=hi - lo + 1,
         trials=config.null_trials,
         quantile=config.null_quantile,
@@ -314,7 +312,7 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
     write_table(
         _out(config, "fig7_null.csv"),
         {
-            "dim": [panel.n_stocks],
+            "dim": [spectra[0].n],
             "subspace_dim": [hi - lo + 1],
             "trials": [config.null_trials],
             "quantile": [config.null_quantile],

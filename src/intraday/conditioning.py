@@ -6,7 +6,9 @@ minimum count are omitted and tallied.  The default grid spans index
 returns of -3% to +3% in 0.10% steps, pooling all intraday (bin, day)
 cells; the overnight bin stays out unless asked for.  The four curves of
 the dispersion grid (dispersion, skewness and kurtosis against the index
-return, kurtosis against the dispersion) pool and bucket through one body.
+return, kurtosis against the dispersion) each pool the grid and bucket its
+own pair of columns; the bucketing counts every bucket in one pass and
+takes means and spreads over the kept buckets only.
 
 Helpers split a curve into odd and even parts about x = 0 and diagnose
 sub-linear growth: a straight line is fitted to the buckets nearest the
@@ -110,59 +112,21 @@ def conditional_statistic(
     if x.size == 0:
         raise InsufficientDataError("no pairs to condition")
 
-    edges = buckets.edges
-    centers_all = buckets.centers
-    idx = np.searchsorted(edges, x, side="right") - 1
+    idx = np.searchsorted(buckets.edges, x, side="right") - 1
     # fold the closing edge into the last bucket
-    idx[x == edges[-1]] = buckets.n_buckets - 1
+    idx[x == buckets.edges[-1]] = buckets.n_buckets - 1
     in_span = (idx >= 0) & (idx < buckets.n_buckets)
-
-    centers, means, stderrs, counts = [], [], [], []
-    omitted = 0
-    for b in range(buckets.n_buckets):
-        sel = in_span & (idx == b)
-        n = int(sel.sum())
-        if n < min_count:
-            omitted += 1
-            continue
-        vals = y[sel]
-        centers.append(centers_all[b])
-        means.append(vals.mean())
-        stderrs.append(vals.std() / np.sqrt(n))
-        counts.append(n)
+    counts = np.bincount(idx[in_span], minlength=buckets.n_buckets)
+    kept = np.flatnonzero(counts >= min_count)
+    samples = [y[idx == b] for b in kept]
     return ConditionalCurve(
-        bucket_centers=np.asarray(centers),
-        means=np.asarray(means),
-        stderr=np.asarray(stderrs),
-        counts=np.asarray(counts, dtype=int),
+        bucket_centers=buckets.centers[kept],
+        means=np.array([sample.mean() for sample in samples]),
+        stderr=np.array([sample.std() for sample in samples]) / np.sqrt(counts[kept]),
+        counts=counts[kept],
         conditioning_name=conditioning_name,
         statistic_name=statistic_name,
-        omitted_buckets=omitted,
-    )
-
-
-def _pooled_curve(
-    grid: DispersionGrid,
-    x_key: str,
-    y_key: str,
-    buckets: BucketSpec | None,
-    min_count: int,
-    include_overnight: bool,
-    bins,
-    x_name: str | None = None,
-    absolute: bool = False,
-) -> ConditionalCurve:
-    """One pooled grid statistic conditioned on another (or on its
-    absolute value); the conditioning name defaults to the key."""
-    pool = grid.pooled(include_overnight=include_overnight, bins=bins)
-    x = np.abs(pool[x_key]) if absolute else pool[x_key]
-    return conditional_statistic(
-        x,
-        pool[y_key],
-        buckets,
-        min_count,
-        conditioning_name=x_name or x_key,
-        statistic_name=y_key,
+        omitted_buckets=buckets.n_buckets - kept.size,
     )
 
 
@@ -174,9 +138,9 @@ def dispersion_vs_index(
     bins=None,
 ) -> ConditionalCurve:
     """sigma_d conditioned on the index return mu_d, pooled over (bin, day)."""
-    return _pooled_curve(
-        grid, "index_return", "dispersion", buckets, min_count, include_overnight, bins
-    )
+    pool = grid.pooled(include_overnight, bins)
+    x, y = pool["index_return"], pool["dispersion"]
+    return conditional_statistic(x, y, buckets, min_count, "index_return", "dispersion")
 
 
 def skew_vs_index(
@@ -187,9 +151,9 @@ def skew_vs_index(
     bins=None,
 ) -> ConditionalCurve:
     """zeta_d conditioned on the index return mu_d."""
-    return _pooled_curve(
-        grid, "index_return", "skewness", buckets, min_count, include_overnight, bins
-    )
+    pool = grid.pooled(include_overnight, bins)
+    x, y = pool["index_return"], pool["skewness"]
+    return conditional_statistic(x, y, buckets, min_count, "index_return", "skewness")
 
 
 def kurtosis_vs_index(
@@ -201,17 +165,10 @@ def kurtosis_vs_index(
     absolute_index: bool = False,
 ) -> ConditionalCurve:
     """kappa_d conditioned on mu_d, or on |mu_d| with ``absolute_index``."""
-    return _pooled_curve(
-        grid,
-        "index_return",
-        "kurtosis",
-        buckets,
-        min_count,
-        include_overnight,
-        bins,
-        x_name="abs_index_return" if absolute_index else None,
-        absolute=absolute_index,
-    )
+    pool = grid.pooled(include_overnight, bins)
+    x = np.abs(pool["index_return"]) if absolute_index else pool["index_return"]
+    name = "abs_index_return" if absolute_index else "index_return"
+    return conditional_statistic(x, pool["kurtosis"], buckets, min_count, name, "kurtosis")
 
 
 def kurtosis_vs_dispersion(
@@ -227,16 +184,10 @@ def kurtosis_vs_dispersion(
         raise ValueError(
             f"unknown dispersion kind {dispersion_kind!r}, expected {DISPERSION_KINDS}"
         )
-    return _pooled_curve(
-        grid,
-        "dispersion" if dispersion_kind == "std" else "mad",
-        "kurtosis",
-        buckets,
-        min_count,
-        include_overnight,
-        bins,
-        x_name=f"dispersion_{dispersion_kind}",
-    )
+    pool = grid.pooled(include_overnight, bins)
+    x = pool["dispersion" if dispersion_kind == "std" else "mad"]
+    name = f"dispersion_{dispersion_kind}"
+    return conditional_statistic(x, pool["kurtosis"], buckets, min_count, name, "kurtosis")
 
 
 def odd_even_decompose(

@@ -140,9 +140,9 @@ class RunConfig:
                     f"fit_window {self.fit_window!r} must be one of {FIT_WINDOWS} "
                     "or 'lo:hi' with 1 <= lo < hi"
                 )
-        try:
+        try:  # OverflowError: an infinite span; MemoryError: too many edges to allocate
             self.bucket_specs()
-        except (ValueError, OverflowError) as exc:  # OverflowError: infinite span
+        except (ValueError, OverflowError, MemoryError) as exc:
             raise ValueError(f"bucket_width/bucket_lo/bucket_hi: {exc}") from None
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")

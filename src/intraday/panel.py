@@ -303,14 +303,14 @@ def _cells(shape: tuple[int, ...], *axes: tuple, rows=slice(None)) -> np.ndarray
     return cell
 
 
-def _grid(shape: tuple[int, ...], dtype, k_max: int) -> np.ndarray:
-    """Flat zeros over the (stock, day, bin) grid ``shape``, or an error naming
-    the largest bin; numpy refuses a size past the address space unallocated."""
+def _grid(shape: tuple[int, ...], dtype, cause: str, axes: str = "(stock, day, bin)"):
+    """Flat zeros over the ``axes`` grid ``shape``, or an error that ``cause``
+    makes it too large; numpy refuses a size past the address space unallocated."""
     try:
         return np.zeros(math.prod(shape), dtype)
     except (MemoryError, ValueError, OverflowError):
         size = " x ".join(map(str, shape))
-        message = f"bin {k_max} makes the {size} (stock, day, bin) grid too large to allocate"
+        message = f"{cause} makes the {size} {axes} grid too large to allocate"
         raise PanelFormatError(message) from None
 
 
@@ -349,7 +349,7 @@ def load_panel(
     offset = 0 if overnight else 1
     shape = (len(symbols), len(dates), k_max + 1 - offset)
     # Before the cells, whose linear index would wrap on a grid too large.
-    present = _grid(shape, bool, k_max).reshape(shape)
+    present = _grid(shape, bool, f"bin {k_max}").reshape(shape)
     axes = (stock, columns.symbol_index), (day, columns.date_index), (None, bins)
     cell = _cells(shape, *axes)
     cell -= offset
@@ -396,7 +396,7 @@ def load_panel(
     # The cells again, a block of rows at a time, so that no index over all
     # the rows is alive beside the array.
     del cell
-    array = _grid(shape, float, k_max)
+    array = _grid(shape, float, f"bin {k_max}")
     for start in range(0, len(columns), 1 << 16):
         rows = slice(start, start + (1 << 16))
         array[_cells(shape, *axes, rows=rows) - offset] = columns.values[rows]
@@ -538,10 +538,12 @@ def returns_from_prices(
     symbol_keys, stock = _factorize(symbols.parsed)
     shape = (len(symbol_keys), len(date_keys), len(stamp_keys))
     n_stamps = shape[2]
+    # Whether each (symbol, day, stamp) has a row, one row per (symbol, day);
+    # before the cells, whose linear index would wrap on a grid too large.
+    price_grid = "the price table", "(symbol, day, stamp)"
+    occupied = _grid(shape, bool, *price_grid).reshape(-1, n_stamps)
     cell = _cells(shape, (stock, symbol_code), (day, date_code), (stamp, stamp_code))
     del symbol_code, date_code
-    # Whether each (symbol, day, stamp) has a row, one row per (symbol, day)
-    occupied = np.zeros((shape[0] * shape[1], n_stamps), bool)
     occupied.reshape(-1)[cell] = True
     # The first bad row wins; a bad price before a repeated stamp.
     bad = ~(np.isfinite(price) & (price > 0))
@@ -571,7 +573,8 @@ def returns_from_prices(
 
     # The prices in one row per (symbol, day), one column per stamp, turned
     # into returns in place; an absent row holds ones and is never read out.
-    returns = np.ones(occupied.shape)
+    returns = _grid(shape, float, *price_grid).reshape(occupied.shape)
+    returns.fill(1.0)
     returns.reshape(-1)[cell] = price
     del cell, price
     # Column 0 is the return from the symbol's previous present day's last

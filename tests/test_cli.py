@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import datetime as dt
 import io
 import re
 from pathlib import Path
@@ -340,6 +341,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: input-error: bin {2**62} makes the 2 x 2 x {2**62} ")
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_price_grid_that_cannot_be_allocated_is_an_input_error(self, tmp_path, capsys):
+        # each row its own symbol, date and stamp: a 60000**3 grid, 196 TiB of
+        # occupancy alone, past the user address space, so never allocated
+        n = 60_000
+        first = dt.date(1900, 1, 1).toordinal()
+        rows = (
+            f"{dt.date.fromordinal(first + i).isoformat()},"
+            f"{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d},S{i},10.0\n"
+            for i in range(n)
+        )
+        bad = tmp_path / "sparse_prices.csv"
+        bad.write_text("date,time,symbol,price\n" + "".join(rows))
+        cfg = write_config(tmp_path, mode="prices", input=str(bad), policy="drop-incomplete")
+        assert cli.main(["ingest", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: input-error: the price table makes the {n} x {n} x {n} "
+            "(symbol, day, stamp) grid too large to allocate\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_input_that_is_not_utf8_is_named(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"

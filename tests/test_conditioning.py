@@ -416,3 +416,73 @@ def test_odd_even_is_the_pairing_loop_bit_for_bit(
         assert got.counts.dtype == counts.dtype
         assert got.counts.tobytes() == counts.tobytes()
         assert (got.conditioning_name, got.omitted_buckets) == ("x", 0)
+
+
+def loop_conditional_statistic(x, y, buckets, min_count):
+    """The per-bucket loop that ``conditional_statistic`` replaced, as its
+    reference: (centers, means, stderr, counts, omitted buckets)."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    edges = buckets.edges
+    centers_all = buckets.centers
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx[x == edges[-1]] = buckets.n_buckets - 1
+    in_span = (idx >= 0) & (idx < buckets.n_buckets)
+    centers, means, stderrs, counts = [], [], [], []
+    omitted = 0
+    for b in range(buckets.n_buckets):
+        sel = in_span & (idx == b)
+        n = int(sel.sum())
+        if n < min_count:
+            omitted += 1
+            continue
+        vals = y[sel]
+        centers.append(centers_all[b])
+        means.append(vals.mean())
+        stderrs.append(vals.std() / np.sqrt(n))
+        counts.append(n)
+    arrays = (np.asarray(centers), np.asarray(means), np.asarray(stderrs))
+    return (*arrays, np.asarray(counts, dtype=int), omitted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n_buckets=st.integers(1, 40),
+    width=st.floats(1e-4, 0.05),
+    lo=st.floats(-0.1, 0.1),
+    n=st.integers(1, 400),
+    on_edges=st.floats(0.0, 1.0),
+    nan_share=st.floats(0.0, 0.3),
+    outside=st.booleans(),
+    min_count=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_statistic_is_the_bucket_loop_bit_for_bit(
+    n_buckets, width, lo, n, on_edges, nan_share, outside, min_count, seed
+):
+    """Samples spread a little past the span, or wholly outside it, with a
+    share of x on the edges (interior and closing), a share of NaN x, and
+    ``min_count`` from 1 to above every count."""
+    rng = np.random.default_rng(seed)
+    spec = BucketSpec(lo + width * np.arange(n_buckets + 1))
+    span = spec.edges[-1] - spec.edges[0]
+    if outside:
+        x = spec.edges[-1] + span * rng.uniform(0.01, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        x[x < spec.edges[-1]] -= span * 1.01  # below the opening edge
+    else:
+        x = rng.uniform(spec.edges[0] - 0.1 * span, spec.edges[-1] + 0.1 * span, n)
+    edge = (rng.random(n) < on_edges) & (not outside)
+    x[edge] = rng.choice(spec.edges, edge.sum())
+    x[rng.random(n) < nan_share] = np.nan
+    y = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+    got = conditional_statistic(x, y, spec, min_count, "abs_move", "spread")
+    centers, means, stderr, counts, omitted = loop_conditional_statistic(
+        x, y, spec, min_count
+    )
+    fields = "bucket_centers", "means", "stderr", "counts"
+    for field, want in zip(fields, (centers, means, stderr, counts)):
+        assert getattr(got, field).dtype == want.dtype, field
+        assert getattr(got, field).tobytes() == want.tobytes(), field
+    assert got.omitted_buckets == omitted
+    assert type(got.omitted_buckets) is int
+    assert (got.conditioning_name, got.statistic_name) == ("abs_move", "spread")

@@ -98,6 +98,7 @@ class TestRunConfig:
             (dict(fit_window="whenever"), "fit_window"),
             (dict(fit_window="5:2"), "fit_window"),
             (dict(bucket_width=0.0), "bucket_width"),
+            (dict(bucket_width=1e-18), "bucket_width"),
             (dict(bucket_lo=0.01, bucket_hi=0.01), "hi > lo"),
             (dict(min_count=0), "min_count"),
             (dict(eigen_lo=0), "eigen"),
