@@ -2,8 +2,9 @@
 
 Each subcommand but ``run`` is its ``stage_*`` function: it takes its
 inputs as arguments, reads from the output directory each one it is not
-handed, writes its tables there as column dicts through
-``tableio.write_table`` and returns what later stages need.  The README's
+handed, computes all of its tables, writes them there in one call (column
+dicts through ``tableio.write_table``), so a failed computation leaves none
+of them, and returns what later stages need.  The README's
 table lists each subcommand and the files it writes.
 
 ``run`` runs every stage in one process and hands each stage's results to
@@ -150,29 +151,33 @@ def stage_ingest(
     return panel
 
 
+def _write_tables(config: RunConfig, tables: dict[str, dict]) -> dict[str, dict[str, np.ndarray]]:
+    """Write a stage's tables, ``{file name: columns}``, all of them computed
+    before the call; return ``write_table``'s columns by file name."""
+    return {name: write_table(_out(config, name), columns) for name, columns in tables.items()}
+
+
 def stage_moments(config: RunConfig, panel: ReturnPanel | None = None) -> dict[str, np.ndarray]:
     """Per (stock, bin) moments; return stock_moments.csv's columns."""
     grid = stock_bin_moments(_read_canonical(config) if panel is None else panel)
     bins = np.tile(grid.bin_numbers, len(grid.stock_ids))
     symbols = np.repeat(np.array(grid.stock_ids, dtype=object), len(grid.bin_numbers))
     stats = ("mean", "volatility", "skewness", "kurtosis", "median", "degenerate")
-    return write_table(
-        _out(config, MOMENTS[0]),
-        {"symbol": symbols, "bin": bins, "overnight": bins == 0}
-        | {name: getattr(grid, name).ravel() for name in stats},
-    )
+    columns = {"symbol": symbols, "bin": bins, "overnight": bins == 0}
+    columns.update({name: getattr(grid, name).ravel() for name in stats})
+    return _write_tables(config, {MOMENTS[0]: columns})[MOMENTS[0]]
 
 
-def _write_profiles(path: str, profiles: list[IntradayProfile]) -> dict[str, np.ndarray]:
-    """Write a fig table, (bin, overnight, value, band, value, band, ...)
-    with the overnight point first if present; return ``write_table``'s."""
+def _profile_columns(profiles: list[IntradayProfile]) -> dict[str, np.ndarray]:
+    """A fig table's columns, (bin, overnight, value, band, value, band, ...)
+    with the overnight point first if present."""
     lead = [0] if profiles[0].overnight_value is not None else []
     bins = np.array(lead + profiles[0].bins.tolist())
     columns = {"bin": bins, "overnight": bins == 0}
     for p in profiles:
         columns[p.statistic_name] = np.r_[[p.overnight_value] * len(lead), p.values]
         columns[f"{p.statistic_name}_band"] = np.r_[[p.overnight_band] * len(lead), p.band]
-    return write_table(path, columns)
+    return columns
 
 
 def _check_once(config: RunConfig, name: str, label: str, cells, rows) -> None:
@@ -208,16 +213,6 @@ def stage_cross_section(
     volatility[stock, col], kurtosis[stock, col] = moments["volatility"], moments["kurtosis"]
 
     grid = dispersion_grid(panel)
-    n_bins, n_days = grid.dispersion.shape
-    bins = np.tile(grid.bin_numbers, n_days)
-    dates = np.repeat(np.array(grid.dates, dtype=object), n_bins)
-    stats = "index_return", "dispersion", "skewness", "kurtosis", "median", "mad", "degenerate"
-    write_table(
-        _out(config, "dispersion.csv"),
-        {"date": dates, "bin": bins, "overnight": bins == 0}
-        | {name: getattr(grid, name).T.ravel() for name in stats},
-    )
-
     stock_vol = profile_over_stocks(volatility, "stderr", moment_bins, "stock_vol")
     dispersion_profile = profile_over_days(
         grid.dispersion, "stderr", grid.bin_numbers, "dispersion"
@@ -226,14 +221,21 @@ def stage_cross_section(
         np.abs(grid.index_return), "stderr", grid.bin_numbers, "abs_index_return"
     )
     ratio = ratio_profile(stock_vol, dispersion_profile, "vol_dispersion_ratio")
-    fig1 = _write_profiles(_out(config, FIG1[0]), [stock_vol, dispersion_profile, abs_index, ratio])
-
     stock_kurt = profile_over_stocks(kurtosis, "dispersion", moment_bins, "stock_kurtosis")
     dispersion_kurt = profile_over_days(
         grid.kurtosis, "dispersion", grid.bin_numbers, "dispersion_kurtosis"
     )
-    _write_profiles(_out(config, "fig2.csv"), [stock_kurt, dispersion_kurt])
-    return fig1, grid
+
+    n_bins, n_days = grid.dispersion.shape
+    bins = np.tile(grid.bin_numbers, n_days)
+    dates = np.repeat(np.array(grid.dates, dtype=object), n_bins)
+    stats = "index_return", "dispersion", "skewness", "kurtosis", "median", "mad", "degenerate"
+    dispersion = {"date": dates, "bin": bins, "overnight": bins == 0}
+    dispersion.update({name: getattr(grid, name).T.ravel() for name in stats})
+    fig1 = _profile_columns([stock_vol, dispersion_profile, abs_index, ratio])
+    fig2 = _profile_columns([stock_kurt, dispersion_kurt])
+    tables = {"dispersion.csv": dispersion, FIG1[0]: fig1, "fig2.csv": fig2}
+    return _write_tables(config, tables)[FIG1[0]], grid
 
 
 def stage_fit(
@@ -258,17 +260,15 @@ def stage_fit(
     values, band = fig1["stock_vol"][keep], fig1["stock_vol_band"][keep]
     profile = IntradayProfile(bins, values, band, None, None, "stock_vol", "stderr")
     fit = fit_power_law(profile, config.fit_range_for(bins_per_day))
-    write_table(
-        _out(config, "fig1_fit.csv"),
-        {
-            "amplitude": [fit.amplitude],
-            "exponent": [fit.exponent],
-            "fit_lo": [fit.fit_range[0]],
-            "fit_hi": [fit.fit_range[1]],
-            "residual_rms": [fit.residual_rms],
-            "exponent_stderr": [fit.exponent_stderr],
-        },
-    )
+    columns = {
+        "amplitude": [fit.amplitude],
+        "exponent": [fit.exponent],
+        "fit_lo": [fit.fit_range[0]],
+        "fit_hi": [fit.fit_range[1]],
+        "residual_rms": [fit.residual_rms],
+        "exponent_stderr": [fit.exponent_stderr],
+    }
+    _write_tables(config, {"fig1_fit.csv": columns})
 
 
 def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
@@ -280,15 +280,12 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]
     bins = np.array([spectrum.bin for spectrum in spectra])
-    write_table(
-        _out(config, "fig6.csv"),
-        {
-            "bin": bins,
-            "overnight": bins == 0,
-            "lambda1_over_n": [mm.lambda1_over_n for mm in modes],
-            "v1_dot_e": [mm.v1_dot_e for mm in modes],
-        },
-    )
+    fig6 = {
+        "bin": bins,
+        "overnight": bins == 0,
+        "lambda1_over_n": [mm.lambda1_over_n for mm in modes],
+        "v1_dot_e": [mm.v1_dot_e for mm in modes],
+    }
 
     lo, hi = config.eigen_lo, config.eigen_hi
     # one result per spectrum, in the same order, so fig6's bins label fig7's rows
@@ -297,29 +294,21 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
     )
     eigenvalues = np.array([spectrum.eigenvalues[lo - 1 : hi] for spectrum in spectra])
     singular = np.array([result.singular_values for result in overlaps])
-    columns = {"bin": bins, "overnight": bins == 0}
-    columns.update({f"lambda_{i}": eigenvalues[:, i - lo] for i in range(lo, hi + 1)})
-    columns.update({f"s_{i}": singular[:, i - lo] for i in range(lo, hi + 1)})
-    write_table(_out(config, "fig7.csv"), columns)
+    fig7 = {"bin": bins, "overnight": bins == 0}
+    fig7.update({f"lambda_{i}": eigenvalues[:, i - lo] for i in range(lo, hi + 1)})
+    fig7.update({f"s_{i}": singular[:, i - lo] for i in range(lo, hi + 1)})
 
-    threshold = random_overlap_baseline(
-        dim=spectra[0].n,
-        subspace_dim=hi - lo + 1,
-        trials=config.null_trials,
-        quantile=config.null_quantile,
-        seed=config.null_seed,
-    )
-    write_table(
-        _out(config, "fig7_null.csv"),
-        {
-            "dim": [spectra[0].n],
-            "subspace_dim": [hi - lo + 1],
-            "trials": [config.null_trials],
-            "quantile": [config.null_quantile],
-            "seed": [config.null_seed],
-            "threshold": [threshold],
-        },
-    )
+    # random_overlap_baseline's arguments, and fig7_null's columns before the threshold
+    null = {
+        "dim": spectra[0].n,
+        "subspace_dim": hi - lo + 1,
+        "trials": config.null_trials,
+        "quantile": config.null_quantile,
+        "seed": config.null_seed,
+    }
+    fig7_null = {name: [value] for name, value in null.items()}
+    fig7_null["threshold"] = [random_overlap_baseline(**null)]
+    _write_tables(config, {"fig6.csv": fig6, "fig7.csv": fig7, "fig7_null.csv": fig7_null})
 
 
 def stage_condition(config: RunConfig, grid: DispersionGrid | None = None) -> None:
@@ -339,10 +328,11 @@ def stage_condition(config: RunConfig, grid: DispersionGrid | None = None) -> No
         "fig5_index.csv": kurtosis_vs_index(grid, signed, **common),
         "fig5_dispersion.csv": kurtosis_vs_dispersion(grid, positive, **common),
     }
-    for name, curve in curves.items():
-        columns = {"bucket_center": curve.bucket_centers, "mean": curve.means}
-        columns.update(stderr=curve.stderr, count=curve.counts)
-        write_table(_out(config, name), columns)
+    tables = {
+        name: dict(bucket_center=c.bucket_centers, mean=c.means, stderr=c.stderr, count=c.counts)
+        for name, c in curves.items()
+    }
+    _write_tables(config, tables)
 
 
 def run_pipeline(config: RunConfig) -> None:
@@ -429,15 +419,11 @@ _FAILURES = (
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # before the stage starts, a ValueError is a bad setting
-    failures = ((ValueError, "input-error", 2), *_FAILURES)
     try:
         apply_thread_cap(thread_cap_from_env())
-        config = _resolve_config(args)
-        failures = _FAILURES
-        _STAGES[args.command](config)
+        _STAGES[args.command](_resolve_config(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        category, code = next((c, n) for kinds, c, n in failures if isinstance(exc, kinds))
+        category, code = next((c, n) for kinds, c, n in _FAILURES if isinstance(exc, kinds))
         print(f"error: {category}: {exc}", file=sys.stderr)
         return code
     return 0

@@ -287,9 +287,9 @@ def thread_cap_from_env(environ=None) -> int | None:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise PanelFormatError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
     if cap < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
+        raise PanelFormatError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
     return cap
 
 

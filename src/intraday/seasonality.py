@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DegenerateSampleError, InsufficientDataError
 
 BAND_KINDS = ("stderr", "dispersion")
 BINS_PER_HOUR_DEFAULT = 12  # five-minute bars
@@ -130,7 +130,7 @@ def ratio_profile(
     zero = np.nonzero(d == 0.0)[0]
     if zero.size:
         at = f"bin {int(numerator.bins[zero[0]])}" if zero[0] < k else "overnight bin"
-        raise ValueError(f"zero denominator at {at}")
+        raise DegenerateSampleError(f"zero denominator at {at}")
     values = n / d
     # at n = 0 the quadrature form is 0 * inf; its limit is band_n / |d|
     n_safe = np.where(n == 0.0, 1.0, n)
@@ -213,7 +213,7 @@ def fit_power_law(
         )
     if np.any(v <= 0.0):
         bad = int(k[np.nonzero(v <= 0.0)[0][0]])
-        raise ValueError(f"non-positive value at bin {bad}, log fit undefined")
+        raise DegenerateSampleError(f"non-positive value at bin {bad}, log fit undefined")
 
     slope, intercept, _, s_xx, resid, s2 = _least_squares(np.log(k), np.log(v))
     return PowerLawFit(

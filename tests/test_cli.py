@@ -540,6 +540,85 @@ class TestExitCodes:
         tables = ["fig3.csv", "fig4.csv", "fig5_index.csv", "fig5_dispersion.csv"]
         assert [name for name in tables if (tmp_path / "out" / name).exists()] == []
 
+    @pytest.mark.parametrize(
+        "stage, kernel, tables",
+        [
+            ("cross-section", "ratio_profile", ["dispersion.csv", "fig1.csv", "fig2.csv"]),
+            ("spectra", "random_overlap_baseline", ["fig6.csv", "fig7.csv", "fig7_null.csv"]),
+        ],
+    )
+    def test_a_failing_kernel_leaves_none_of_its_stage_tables(
+        self, tmp_path, capsys, monkeypatch, stage, kernel, tables
+    ):
+        cfg = write_config(tmp_path)
+        for earlier in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
+            assert cli.main([earlier, "-c", str(cfg)]) == 0, earlier
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("last kernel failed")
+
+        monkeypatch.setattr(cli, kernel, boom)
+        assert cli.main([stage, "-c", str(cfg)]) == 5
+        self.assert_single_error_line(capsys, "internal-error")
+        assert [name for name in tables if (tmp_path / "out" / name).exists()] == []
+
+    @pytest.mark.parametrize(
+        "bin3, message, written, absent",
+        [
+            # zero cross-sectional dispersion at bin 3 on every day
+            (
+                lambda s: 0.0,
+                "zero denominator at bin 3",
+                ["stock_moments.csv"],
+                ["dispersion.csv", "fig1.csv", "fig2.csv"],
+            ),
+            # each stock constant at bin 3: a stock_vol of 0 in the fit window
+            (
+                lambda s: 0.0625 * (s + 1),
+                "non-positive value at bin 3, log fit undefined",
+                ["stock_moments.csv", "dispersion.csv", "fig1.csv", "fig2.csv"],
+                ["fig1_fit.csv"],
+            ),
+        ],
+        ids=["zero-dispersion", "zero-stock-vol"],
+    )
+    def test_a_degenerate_bin_is_a_numeric_error(
+        self, tmp_path, capsys, bin3, message, written, absent
+    ):
+        rng = np.random.default_rng(5)
+        rows = ["date,bin,symbol,return"]
+        for day in range(1, 13):
+            for k in range(1, 9):
+                for s in range(12):
+                    value = bin3(s) if k == 3 else rng.normal(0, 0.01)
+                    rows.append(f"2024-01-{day:02d},{k},S{s:02d},{value:.6f}")
+        returns = tmp_path / "returns.csv"
+        returns.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, mode="returns", input=str(returns), min_count=1)
+        assert cli.main(["run", "-c", str(cfg)]) == 4
+        assert capsys.readouterr().err == f"error: numeric-error: {message}\n"
+        out = tmp_path / "out"
+        assert [name for name in written if not (out / name).exists()] == []
+        assert [name for name in absent if (out / name).exists()] == []
+
+    def test_a_nonpositive_fig1_stock_vol_is_a_numeric_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        lines = (out / "fig1.csv").read_text().splitlines()
+        assert lines[1].startswith("bin,overnight,stock_vol,") and lines[4].startswith("2,")
+        row = lines[4].split(",")
+        row[2] = "0"
+        lines[4] = ",".join(row)
+        (out / "fig1.csv").write_text("\n".join(lines) + "\n")
+        before = read_all(out)
+        capsys.readouterr()
+        assert cli.main(["fit", "-c", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "error: numeric-error: non-positive value at bin 2, log fit undefined\n"
+        )
+        assert read_all(out) == before
+
     def test_thread_cap_env_is_validated(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("SEASONALITY_THREADS", "plenty")

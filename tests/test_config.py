@@ -210,11 +210,11 @@ class TestThreadCap:
         assert thread_cap_from_env({"SEASONALITY_THREADS": "4"}) == 4
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(PanelFormatError, match="positive integer"):
             thread_cap_from_env({"SEASONALITY_THREADS": "many"})
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match=">= 1"):
+        with pytest.raises(PanelFormatError, match=">= 1"):
             thread_cap_from_env({"SEASONALITY_THREADS": "0"})
 
 

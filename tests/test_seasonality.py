@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from intraday.cross_section import dispersion_grid
-from intraday.errors import InsufficientDataError
+from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.seasonality import (
     IntradayProfile,
     first_half_range,
@@ -95,7 +95,7 @@ def reference_ratio_profile(numerator, denominator, statistic_name=None):
     zero = denominator.values == 0.0
     if zero.any():
         k = int(numerator.bins[np.nonzero(zero)[0][0]])
-        raise ValueError(f"zero denominator at bin {k}")
+        raise DegenerateSampleError(f"zero denominator at bin {k}")
     values = numerator.values / denominator.values
     band = np.abs(values) * np.sqrt(
         (numerator.band / numerator.values) ** 2
@@ -104,7 +104,7 @@ def reference_ratio_profile(numerator, denominator, statistic_name=None):
     overnight_value = overnight_band = None
     if numerator.overnight_value is not None and denominator.overnight_value is not None:
         if denominator.overnight_value == 0.0:
-            raise ValueError("zero denominator at overnight bin")
+            raise DegenerateSampleError("zero denominator at overnight bin")
         overnight_value = numerator.overnight_value / denominator.overnight_value
         overnight_band = abs(overnight_value) * float(
             np.sqrt(
@@ -161,10 +161,10 @@ class TestRatioProfile:
             den = random_profile(rng, den_bins, rng.random() < 0.5, zero_rate=0.05)
             try:
                 expected = reference_ratio_profile(num, den)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as raised:
+            except (ValueError, DegenerateSampleError) as exc:
+                with pytest.raises(type(exc)) as raised:
                     ratio_profile(num, den)
-                assert str(raised.value) == str(exc)
+                assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
                 seen[re.sub(r"\d+", "k", str(exc))] += 1
                 continue
             got = ratio_profile(num, den)
@@ -197,15 +197,15 @@ class TestRatioProfile:
         zero_both = make_profile([1.0, 0.0], overnight=0.0)
         zero_night = make_profile([1.0, 2.0], overnight=0.0)
         cases = [
-            (num, make_profile([0.0], overnight=0.0), "profiles cover different bins"),
-            (num, zero_both, "zero denominator at bin 2"),
-            (num, zero_night, "zero denominator at overnight bin"),
+            (num, make_profile([0.0], overnight=0.0), ValueError, "profiles cover different bins"),
+            (num, zero_both, DegenerateSampleError, "zero denominator at bin 2"),
+            (num, zero_night, DegenerateSampleError, "zero denominator at overnight bin"),
         ]
-        for numerator, denominator, message in cases:
+        for numerator, denominator, kind, message in cases:
             for ratio in (reference_ratio_profile, ratio_profile):
-                with pytest.raises(ValueError) as raised:
+                with pytest.raises(kind) as raised:
                     ratio(numerator, denominator)
-                assert str(raised.value) == message
+                assert type(raised.value) is kind and str(raised.value) == message
 
     def test_values_and_band(self):
         num = make_profile([4.0, 9.0], band=[0.4, 0.9])
@@ -241,7 +241,7 @@ class TestRatioProfile:
     def test_zero_denominator_names_bin(self):
         num = make_profile([1.0, 1.0])
         den = make_profile([1.0, 0.0])
-        with pytest.raises(ValueError, match="bin 2"):
+        with pytest.raises(DegenerateSampleError, match="bin 2"):
             ratio_profile(num, den)
 
     def test_bin_mismatch(self):
@@ -304,7 +304,7 @@ class TestPowerLawFit:
 
     def test_nonpositive_values_named(self):
         values = np.array([1.0, -1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="bin 2"):
+        with pytest.raises(DegenerateSampleError, match="bin 2"):
             fit_power_law(make_profile(values), (1, 4))
 
     def test_overnight_never_in_fit(self):
