@@ -94,14 +94,20 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import open_output, read_columns, write_table
+from .tableio import finite, open_output, read_columns, write_table
 
 RETURNS_FILE = "returns.csv"
 CANONICAL_FILE = "returns_canonical.csv"
 # Each stage table a later stage reads back: its file name and the kinds of
-# the columns read
-MOMENTS = "stock_moments.csv", {"symbol": str, "bin": int, "volatility": float, "kurtosis": float}
-FIG1 = "fig1.csv", {"bin": int, "overnight": int, "stock_vol": float, "stock_vol_band": float}
+# the columns read.  A finite column is one its writer never leaves
+# non-finite; kurtosis is NaN in a degenerate cell.
+MOMENTS = "stock_moments.csv", {
+    "symbol": str, "bin": int, "volatility": finite("volatility"), "kurtosis": float
+}
+FIG1 = "fig1.csv", {
+    "bin": int, "overnight": int, "stock_vol": finite("stock_vol"),
+    "stock_vol_band": finite("stock_vol_band"),
+}
 
 
 def _out(config: RunConfig, name: str) -> str:
@@ -153,7 +159,16 @@ def stage_ingest(
 
 def _write_tables(config: RunConfig, tables: dict[str, dict]) -> dict[str, dict[str, np.ndarray]]:
     """Write a stage's tables, ``{file name: columns}``, all of them computed
-    before the call; return ``write_table``'s columns by file name."""
+    before the call; return ``write_table``'s columns by file name.  A float
+    column that holds an infinite value raises FloatingPointError naming its
+    file, column and first such data row before any table is written."""
+    for name, columns in tables.items():
+        for column, values in columns.items():
+            values = np.asarray(values)
+            if values.dtype.kind == "f" and np.isinf(values).any():
+                row = np.flatnonzero(np.isinf(values))[0] + 1
+                path = _out(config, name)
+                raise FloatingPointError(f"{path}: {column} is infinite in data row {row}")
     return {name: write_table(_out(config, name), columns) for name, columns in tables.items()}
 
 
@@ -411,7 +426,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 _FAILURES = (
     (SchemaError, "schema-error", 3),
     ((DegenerateSampleError, InsufficientDataError, FeasibilityError), "numeric-error", 4),
-    (np.linalg.LinAlgError, "numeric-error", 4),
+    ((np.linalg.LinAlgError, FloatingPointError), "numeric-error", 4),
     ((IntradayError, OSError), "input-error", 2),
     (Exception, "internal-error", 5),
 )

@@ -2,13 +2,13 @@
 
 Conditioning works on (x, y) pairs bucketed by x: each bucket reports the
 mean of y, its standard error, and the pair count.  Buckets below a
-minimum count are omitted and tallied.  The default grid spans index
-returns of -3% to +3% in 0.10% steps, pooling all intraday (bin, day)
-cells; the overnight bin stays out unless asked for.  The four curves of
-the dispersion grid (dispersion, skewness and kurtosis against the index
-return, kurtosis against the dispersion) each pool the grid and bucket its
-own pair of columns; the bucketing counts every bucket in one pass and
-takes means and spreads over the kept buckets only.
+minimum count are omitted and tallied.  The defaults are ``RunConfig``'s:
+the grid spans index returns of -3% to +3% in 0.10% steps, pooling all
+intraday (bin, day) cells; the overnight bin stays out unless asked for.
+The four curves of the dispersion grid (dispersion, skewness and kurtosis
+against the index return, kurtosis against the dispersion) each pool the
+grid and bucket its own pair of columns; the bucketing counts every bucket
+in one pass and takes means and spreads over the kept buckets only.
 
 Helpers split a curve into odd and even parts about x = 0 and diagnose
 sub-linear growth: a straight line is fitted to the buckets nearest the
@@ -23,14 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .cross_section import DispersionGrid
 from .errors import InsufficientDataError
 from .seasonality import _least_squares
 
-DEFAULT_BUCKET_WIDTH = 0.001
-DEFAULT_BUCKET_LO = -0.03
-DEFAULT_BUCKET_HI = 0.03
-DEFAULT_MIN_COUNT = 50
 DISPERSION_KINDS = ("std", "mad")
 
 
@@ -51,9 +48,9 @@ class BucketSpec:
     @classmethod
     def fixed_width(
         cls,
-        width: float = DEFAULT_BUCKET_WIDTH,
-        lo: float = DEFAULT_BUCKET_LO,
-        hi: float = DEFAULT_BUCKET_HI,
+        width: float = RunConfig.bucket_width,
+        lo: float = RunConfig.bucket_lo,
+        hi: float = RunConfig.bucket_hi,
     ) -> "BucketSpec":
         if width <= 0:
             raise ValueError("bucket width must be positive")
@@ -90,7 +87,7 @@ def conditional_statistic(
     x,
     y,
     buckets: BucketSpec | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
+    min_count: int = RunConfig.min_count,
     conditioning_name: str = "x",
     statistic_name: str = "y",
 ) -> ConditionalCurve:
@@ -133,9 +130,9 @@ def conditional_statistic(
 def dispersion_vs_index(
     grid: DispersionGrid,
     buckets: BucketSpec | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    include_overnight: bool = False,
-    bins=None,
+    min_count: int = RunConfig.min_count,
+    include_overnight: bool = RunConfig.include_overnight_conditioning,
+    bins=RunConfig.condition_bins,
 ) -> ConditionalCurve:
     """sigma_d conditioned on the index return mu_d, pooled over (bin, day)."""
     pool = grid.pooled(include_overnight, bins)
@@ -146,9 +143,9 @@ def dispersion_vs_index(
 def skew_vs_index(
     grid: DispersionGrid,
     buckets: BucketSpec | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    include_overnight: bool = False,
-    bins=None,
+    min_count: int = RunConfig.min_count,
+    include_overnight: bool = RunConfig.include_overnight_conditioning,
+    bins=RunConfig.condition_bins,
 ) -> ConditionalCurve:
     """zeta_d conditioned on the index return mu_d."""
     pool = grid.pooled(include_overnight, bins)
@@ -159,9 +156,9 @@ def skew_vs_index(
 def kurtosis_vs_index(
     grid: DispersionGrid,
     buckets: BucketSpec | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    include_overnight: bool = False,
-    bins=None,
+    min_count: int = RunConfig.min_count,
+    include_overnight: bool = RunConfig.include_overnight_conditioning,
+    bins=RunConfig.condition_bins,
     absolute_index: bool = False,
 ) -> ConditionalCurve:
     """kappa_d conditioned on mu_d, or on |mu_d| with ``absolute_index``."""
@@ -174,9 +171,9 @@ def kurtosis_vs_index(
 def kurtosis_vs_dispersion(
     grid: DispersionGrid,
     buckets: BucketSpec | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    include_overnight: bool = False,
-    bins=None,
+    min_count: int = RunConfig.min_count,
+    include_overnight: bool = RunConfig.include_overnight_conditioning,
+    bins=RunConfig.condition_bins,
     dispersion_kind: str = "std",
 ) -> ConditionalCurve:
     """kappa_d conditioned on the dispersion, measured as std or MAD."""

@@ -7,7 +7,9 @@ digits so files round-trip deterministically.
 
 ``RunConfig`` is the one declaration of the run-config keys: the CLI
 flags, the type each value is parsed as (file and flag alike) and the
-echoed run manifest are all derived from its fields.
+echoed run manifest are all derived from its fields, and the library
+functions that take a run setting default to its field's default, read as
+``RunConfig.<field>``.
 """
 
 from __future__ import annotations
@@ -44,15 +46,10 @@ def format_float(x: float) -> str:
 
 def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:
     """Read ``key = value`` lines; duplicate keys are an error."""
-    if isinstance(source, (str, os.PathLike)):
-        # utf-8-sig: a file saved with a byte-order mark reads like one without
-        try:
-            with open(source, "r", encoding="utf-8-sig") as handle:
-                text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise PanelFormatError(f"{handle.name}: not UTF-8 text ({exc.reason})") from None
-    else:
-        text = source.read()
+    from .tableio import open_input  # tableio imports this module
+
+    with open_input(source) as handle:
+        text = handle.read()
     pairs: dict[str, str] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -61,8 +58,7 @@ def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:
         if "=" not in line:
             raise PanelFormatError(f"expected 'key = value', got {line!r}", i)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not key:
             raise PanelFormatError(f"empty key in {line!r}", i)
         if key in pairs:

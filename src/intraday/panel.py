@@ -50,14 +50,14 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .config import LOAD_POLICIES, PRICE_CONVENTIONS
+from .config import LOAD_POLICIES, PRICE_CONVENTIONS, RunConfig
 from .errors import (
     CompletenessError,
     DuplicateRowError,
     PanelFormatError,
     PriceDomainError,
 )
-from .tableio import CHUNK_BYTES, VERSION_LINE, load_lines, read_columns, write_table
+from .tableio import CHUNK_BYTES, VERSION_LINE, finite, load_lines, read_columns, write_table
 
 _MAX_BIN = 2**63 - 1
 
@@ -180,10 +180,8 @@ class ReturnColumns:
 
 def _factorize(keys) -> tuple[tuple, np.ndarray]:
     """Sorted distinct ``keys`` and the position of each key among them."""
-    distinct = sorted(set(keys))
-    position = {key: i for i, key in enumerate(distinct)}
-    codes = np.fromiter(map(position.__getitem__, keys), np.int32, len(keys))
-    return tuple(distinct), codes
+    distinct, codes = np.unique(np.array(keys, dtype=object), return_inverse=True)
+    return tuple(distinct), codes.astype(np.int32)
 
 
 class _KeyCodes(dict):
@@ -249,19 +247,6 @@ def _bin(text: str) -> int:
     return bin_number
 
 
-def _returns(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite return")
-    return values
-
-
-def _return(text: str) -> float:
-    value = _parse(float, "return", text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite return {text!r}")
-    return value
-
-
 def read_return_records(
     source: str | os.PathLike | IO[str], versioned: bool = False
 ) -> ReturnColumns:
@@ -274,7 +259,7 @@ def read_return_records(
         {
             "date": (str, dates.codes, dates.parse),
             "bin": (int, _bins, _bin),
-            "return": (float, _returns, _return),
+            "return": finite("return"),
             "symbol": (str, symbols.codes, symbols.parse),
         },
         versioned=versioned,
@@ -315,7 +300,7 @@ def _grid(shape: tuple[int, ...], dtype, cause: str, axes: str = "(stock, day, b
 
 
 def load_panel(
-    columns: ReturnColumns, policy: str = "strict"
+    columns: ReturnColumns, policy: str = RunConfig.policy
 ) -> tuple[ReturnPanel, LoadReport]:
     """Assemble a dense panel from bar-return columns, as
     :func:`read_return_records` or :func:`returns_from_prices` return them.
@@ -491,7 +476,7 @@ def read_canonical_panel(path: str | os.PathLike) -> ReturnPanel | None:
 
 
 def returns_from_prices(
-    source: str | os.PathLike | IO[str], convention: str = "close_to_close"
+    source: str | os.PathLike | IO[str], convention: str = RunConfig.price_convention
 ) -> ReturnColumns:
     """Convert a bar-price table (columns date, time, symbol, price) into
     bar-return columns.
@@ -599,7 +584,9 @@ def returns_from_prices(
     return ReturnColumns(date_keys, symbol_keys, day, bins, stock, values)
 
 
-def validate_panel(panel: ReturnPanel, sanity_bound: float = 0.5) -> ValidationReport:
+def validate_panel(
+    panel: ReturnPanel, sanity_bound: float = RunConfig.sanity_bound
+) -> ValidationReport:
     """Check panel invariants without raising; extreme cells become warnings.
 
     Violations cover structural problems (too few stocks or days, non-finite

@@ -193,11 +193,11 @@ def fit_power_law(
 ) -> PowerLawFit:
     """OLS fit of log(value) against log(bin) over an inclusive bin window.
 
-    Requires strictly positive values on the window and at least 3 bins.
-    The overnight point never participates.  ``exponent`` is the decay rate
-    beta in value ~ A * k**(-beta); ``exponent_stderr`` is the classical
-    OLS slope standard error and ``residual_rms`` the root-mean-square
-    log-residual.
+    Requires finite, strictly positive values on the window and at least 3
+    bins; the first value that is not names its bin.  The overnight point
+    never participates.  ``exponent`` is the decay rate beta in value ~ A *
+    k**(-beta); ``exponent_stderr`` is the classical OLS slope standard
+    error and ``residual_rms`` the root-mean-square log-residual.
     """
     if fit_range is None:
         fit_range = first_half_range(int(profile.bins.max()))
@@ -211,9 +211,10 @@ def fit_power_law(
         raise InsufficientDataError(
             f"fit range ({lo}, {hi}) covers {k.size} bins, need at least 3"
         )
-    if np.any(v <= 0.0):
-        bad = int(k[np.nonzero(v <= 0.0)[0][0]])
-        raise DegenerateSampleError(f"non-positive value at bin {bad}, log fit undefined")
+    bad = np.flatnonzero(~(np.isfinite(v) & (v > 0.0)))
+    if bad.size:
+        kind = "non-positive" if v[bad[0]] <= 0.0 else "non-finite"
+        raise DegenerateSampleError(f"{kind} value at bin {int(k[bad[0]])}, log fit undefined")
 
     slope, intercept, _, s_xx, resid, s2 = _least_squares(np.log(k), np.log(v))
     return PowerLawFit(

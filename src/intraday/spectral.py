@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import single_threaded_blas, thread_map
+from .config import RunConfig, single_threaded_blas, thread_map
 from .errors import DegenerateSampleError, InsufficientDataError
 from .panel import ReturnPanel
 
@@ -111,7 +111,8 @@ def _check_days(npanel: ReturnPanel, k: int) -> None:
 def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bin ``k``'s stocks x days data centered per stock, and each stock's
     population std; a stock flat over the days is an error naming it."""
-    data = npanel.returns[:, :, npanel.column_of(k)]
+    # one contiguous copy of the bin's strided column, read three times below
+    data = np.ascontiguousarray(npanel.returns[:, :, npanel.column_of(k)])
     centered = data - data.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=1))
     # constant rows must be caught exactly; mean subtraction can leave an
@@ -217,15 +218,15 @@ def bin_spectra(npanel: ReturnPanel) -> list[BinSpectrum]:
 
 def overlap_singular_values(
     spectra: Sequence[BinSpectrum],
-    reference_bin: int = 1,
-    index_range: tuple[int, int] = (2, 7),
+    reference_bin: int = RunConfig.reference_bin,
+    index_range: tuple[int, int] = (RunConfig.eigen_lo, RunConfig.eigen_hi),
 ) -> list[OverlapResult]:
     """Overlap matrices of each bin's eigenvector window with the reference.
 
     ``index_range`` selects eigenvector ranks (1-based, rank 1 is the top
-    mode) inclusively; the default (2, 7) tracks the six leading modes
-    below the market mode.  Singular values come back descending in [0, 1]
-    up to roundoff.
+    mode) inclusively; the default, ``RunConfig``'s (2, 7), tracks the six
+    leading modes below the market mode.  Singular values come back
+    descending in [0, 1] up to roundoff.
     """
     lo, hi = int(index_range[0]), int(index_range[1])
     if lo < 1 or hi < lo:
@@ -265,9 +266,9 @@ def overlap_singular_values(
 def random_overlap_baseline(
     dim: int,
     subspace_dim: int,
-    trials: int = 10000,
-    quantile: float = 0.99,
-    seed: int = 0,
+    trials: int = RunConfig.null_trials,
+    quantile: float = RunConfig.null_quantile,
+    seed: int = RunConfig.null_seed,
 ) -> float:
     """Upper quantile of the largest overlap singular value between two
     independent random orthonormal frames in ``dim`` dimensions.

@@ -12,6 +12,11 @@ in a CRLF line end) and :mod:`csv` any other.  A chunk that either rejects
 is read row by row with Python's ``int`` and ``float``, which name the first
 bad row, so the grammar is Python's whichever parser ran.  Columns grow in
 place chunk by chunk, so a read holds one copy of them plus one chunk.
+A :func:`finite` column rejects NaN and infinite values.
+
+:func:`open_input` opens what :func:`read_columns` and the ``key = value``
+reader read: UTF-8, a byte-order mark skipped, and any other bytes an
+error naming the file.
 
 :func:`write_table` writes every table from columns.  Floats print at 10
 significant digits (``%.10g`` byte for byte, from an exact vectorized kernel
@@ -28,7 +33,7 @@ import functools
 import itertools
 import os
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
@@ -123,6 +128,25 @@ def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     texts = list(map(FLOAT_FORMAT.__mod__, x[~fast].tolist()))
     text[~fast], back[~fast] = _text_rows(texts, 17), list(map(float, texts))
     return text, back.reshape(np.shape(values))
+
+
+@contextmanager
+def open_input(source: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
+    """Text handle for reading ``source``, a path or a handle as it is.
+
+    A path is read as UTF-8, where a byte-order mark is skipped (a file
+    saved with one reads like one without), and is closed when the block
+    ends.  Text that is not UTF-8 raises :class:`PanelFormatError` naming
+    the input.
+    """
+    with ExitStack() as stack:
+        if isinstance(source, (str, os.PathLike)):
+            source = stack.enter_context(open(source, newline="", encoding="utf-8-sig"))
+        try:
+            yield source
+        except UnicodeDecodeError as exc:
+            name = getattr(source, "name", "input")
+            raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextmanager
@@ -339,6 +363,23 @@ def _typed(kind: type, name: str) -> tuple[type, Callable, Callable]:
     return kind, strip if kind is str else np.asarray, parse
 
 
+def finite(name: str) -> tuple[type, Callable, Callable]:
+    """The spec of a float column that holds only finite values.  A
+    non-finite text is reported as ``non-finite <name> '<text>'``."""
+    _, _, parse = _typed(float, name)
+
+    def convert(values: np.ndarray) -> np.ndarray:
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite {name}")
+        return values
+
+    def check(text: str) -> None:
+        if not np.isfinite(parse(text)).all():
+            raise ValueError(f"non-finite {name} {text!r}")
+
+    return float, convert, check
+
+
 def _row_by_row(rows, width: int, order: list[int], specs) -> list[np.ndarray]:
     """Check rows one at a time, each field stripped, and raise for the first
     bad one; if none is, the columns as Python's int and float parse them."""
@@ -374,34 +415,25 @@ def read_columns(
     column is then a :class:`SchemaError`.
     """
     error = SchemaError if versioned else PanelFormatError
-    if isinstance(source, (str, os.PathLike)):
-        # utf-8-sig: a table saved with a byte-order mark reads like one without
-        source = open(source, newline="", encoding="utf-8-sig")
-    else:
-        source = nullcontext(source)
-    try:
-        with source as handle:
-            if versioned:
-                _check_version(handle.readline())
-            header, line_num = _header(handle, error)
-            order = _positions(header, columns, error)
-            specs = [
-                spec if isinstance(spec, tuple) else _typed(spec, name)
-                for name, spec in columns.items()
-            ]
-            kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
-            result = [convert(_parsed(kind, [])) for kind, convert, _ in specs]
-            line_num += versioned  # the version line is line 1
-            for fields, rows in _table_chunks(handle, line_num, len(header), kinds):
-                try:
-                    chunk = [convert(f) for (_, convert, _), f in zip(specs, fields())]
-                except (ValueError, OverflowError, DeprecationWarning):
-                    chunk = _row_by_row(rows, len(header), order, specs)
-                for column, part in zip(result, chunk):
-                    column.resize(len(column) + len(part), refcheck=False)
-                    column[len(column) - len(part) :] = part
-    except UnicodeDecodeError as exc:
-        name = getattr(handle, "name", "input")
-        raise PanelFormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
+    with open_input(source) as handle:
+        if versioned:
+            _check_version(handle.readline())
+        header, line_num = _header(handle, error)
+        order = _positions(header, columns, error)
+        specs = [
+            spec if isinstance(spec, tuple) else _typed(spec, name)
+            for name, spec in columns.items()
+        ]
+        kinds = {i: kind for i, (kind, _, _) in zip(order, specs)}
+        result = [convert(_parsed(kind, [])) for kind, convert, _ in specs]
+        line_num += versioned  # the version line is line 1
+        for fields, rows in _table_chunks(handle, line_num, len(header), kinds):
+            try:
+                chunk = [convert(f) for (_, convert, _), f in zip(specs, fields())]
+            except (ValueError, OverflowError, DeprecationWarning):
+                chunk = _row_by_row(rows, len(header), order, specs)
+            for column, part in zip(result, chunk):
+                column.resize(len(column) + len(part), refcheck=False)
+                column[len(column) - len(part) :] = part
     return header, result
 

@@ -827,6 +827,69 @@ class TestNonFiniteInput:
             tmp_path, capsys, cfg, "returns_canonical.csv: a return rounds to a non-finite value"
         )
 
+    @staticmethod
+    def set_cell(path, column, text):
+        """Set ``column`` of data row 3 (line 5) of the stage table at ``path``."""
+        lines = path.read_text().splitlines()
+        row = lines[4].split(",")
+        row[lines[1].split(",").index(column)] = text
+        lines[4] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "stage, table, column, text",
+        [
+            ("cross-section", "stock_moments.csv", "volatility", "inf"),
+            ("fit", "fig1.csv", "stock_vol", "nan"),
+            ("fit", "fig1.csv", "stock_vol_band", "-inf"),
+        ],
+    )
+    def test_a_nonfinite_value_read_back_is_an_input_error(
+        self, tmp_path, capsys, stage, table, column, text
+    ):
+        # values their writer never leaves non-finite: the stage once read them
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        self.set_cell(out / table, column, text)
+        before = read_all(out)
+        capsys.readouterr()
+        assert cli.main([stage, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input-error: row 5: non-finite {column} '{text}'\n"
+        )
+        assert read_all(out) == before
+
+    def test_a_nan_kurtosis_reads_back(self, tmp_path):
+        # the writer leaves a degenerate cell's kurtosis NaN, so NaN stays legal there
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        self.set_cell(tmp_path / "out" / "stock_moments.csv", "kurtosis", "nan")
+        assert cli.main(["cross-section", "-c", str(cfg)]) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_kernel_that_overflows_writes_none_of_its_stage_tables(self, tmp_path, capsys):
+        # one finite return of 1e160 overflows the variance: the moments
+        # stage once wrote volatility inf and every later stage ran on it
+        rng = np.random.default_rng(5)
+        rows = ["date,bin,symbol,return"]
+        for day in range(1, 13):
+            for k in range(1, 7):
+                for s in range(1, 6):
+                    value = 1e160 if (day, k, s) == (4, 2, 2) else rng.normal(0, 0.01)
+                    rows.append(f"2024-01-{day:02d},{k},S{s},{value:.6g}")
+        returns = tmp_path / "big.csv"
+        returns.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, mode="returns", input=str(returns), min_count=1, eigen_hi=3)
+        assert cli.main(["run", "-c", str(cfg)]) == 4
+        out = tmp_path / "out"
+        assert capsys.readouterr().err == (
+            f"error: numeric-error: {out / 'stock_moments.csv'}: volatility is infinite "
+            "in data row 8\n"
+        )
+        written = ["load_report.txt", "returns_canonical.csv", "validation.txt"]
+        assert sorted(p.name for p in out.iterdir()) == written
+
 
 # Every RunConfig field set away from its default; the echo text of each
 # value is what the flag and the file receive.

@@ -307,6 +307,22 @@ class TestPowerLawFit:
         with pytest.raises(DegenerateSampleError, match="bin 2"):
             fit_power_law(make_profile(values), (1, 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_values_named(self, bad):
+        # NaN fails ``v <= 0`` too, so a NaN window value once fitted to NaN
+        values = np.array([1.0, bad, 1.0, 1.0])
+        match = "non-finite value at bin 2, log fit undefined"
+        with pytest.raises(DegenerateSampleError, match=match):
+            fit_power_law(make_profile(values), (1, 4))
+
+    def test_first_bad_value_decides_the_message(self):
+        # -inf is non-positive, as the message for v <= 0 has always said
+        values = np.array([1.0, np.nan, -np.inf, 0.0, 1.0])
+        with pytest.raises(DegenerateSampleError, match="non-finite value at bin 2"):
+            fit_power_law(make_profile(values), (1, 5))
+        with pytest.raises(DegenerateSampleError, match="non-positive value at bin 3"):
+            fit_power_law(make_profile(values), (3, 5))
+
     def test_overnight_never_in_fit(self):
         bins = np.arange(1, 11)
         prof = make_profile(0.01 * bins**-0.4, bins=bins, overnight=99.0)
