@@ -4,8 +4,11 @@ Each subcommand but ``run`` is its ``stage_*`` function: it takes its
 inputs as arguments, reads from the output directory each one it is not
 handed, computes all of its tables, writes them there in one call (column
 dicts through ``tableio.write_table``), so a failed computation leaves none
-of them, and returns what later stages need.  The README's
-table lists each subcommand and the files it writes.
+of them, and returns what later stages need.  ``WRITES`` lists each
+subcommand's files in stage order, as the README's table does.  Just before
+a stage writes, it removes its own files and those of every later stage,
+``run_manifest.txt`` among them, so no table is left that was computed
+from a file since replaced; ``run`` removes them all before it starts.
 
 ``run`` runs every stage in one process and hands each stage's results to
 the next in memory: the canonical panel, the columns ``write_table``
@@ -34,6 +37,7 @@ Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import shutil
@@ -94,17 +98,27 @@ from .spectral import (
     random_overlap_baseline,
 )
 from .synth import generate_market, read_manifest, write_manifest
-from .tableio import finite, open_output, read_columns, write_table
+from .tableio import SCHEMA_VERSION, finite, open_output, read_columns, write_table
 
-RETURNS_FILE = "returns.csv"
-CANONICAL_FILE = "returns_canonical.csv"
+# The files each subcommand writes, in stage order, as the README's table lists them.
+WRITES = {
+    "synth": ("returns.csv", "manifest_echo.txt"),
+    "ingest": ("returns_canonical.csv", "load_report.txt", "validation.txt"),
+    "moments": ("stock_moments.csv",),
+    "cross-section": ("dispersion.csv", "fig1.csv", "fig2.csv"),
+    "fit": ("fig1_fit.csv",),
+    "spectra": ("fig6.csv", "fig7.csv", "fig7_null.csv"),
+    "condition": ("fig3.csv", "fig4.csv", "fig5_index.csv", "fig5_dispersion.csv"),
+    "run": ("run_manifest.txt",),
+}
+RETURNS_FILE, CANONICAL_FILE = WRITES["synth"][0], WRITES["ingest"][0]
 # Each stage table a later stage reads back: its file name and the kinds of
 # the columns read.  A finite column is one its writer never leaves
 # non-finite; kurtosis is NaN in a degenerate cell.
-MOMENTS = "stock_moments.csv", {
+MOMENTS = WRITES["moments"][0], {
     "symbol": str, "bin": int, "volatility": finite("volatility"), "kurtosis": float
 }
-FIG1 = "fig1.csv", {
+FIG1 = WRITES["cross-section"][1], {
     "bin": int, "overnight": int, "stock_vol": finite("stock_vol"),
     "stock_vol_band": finite("stock_vol_band"),
 }
@@ -114,13 +128,32 @@ def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output_dir, name)
 
 
+def _paths(config: RunConfig, *stages: str) -> list[str]:
+    """The paths of the files ``stages`` write, in order."""
+    return [_out(config, name) for stage in stages for name in WRITES[stage]]
+
+
+def _clear(config: RunConfig, stage: str) -> None:
+    """Remove the files of ``stage`` and of every later stage, which were
+    computed from what ``stage`` is about to replace; never the configured
+    input."""
+    stages = list(WRITES)
+    keep = config.input and os.path.realpath(config.input)
+    for path in _paths(config, *stages[stages.index(stage) :]):
+        if os.path.realpath(path) != keep:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+
 def stage_synth(config: RunConfig) -> ReturnPanel:
     """Draw the synthetic panel; return it as returns.csv holds it."""
     manifest = read_manifest(config.synth_manifest)
     panel, echoed = generate_market(manifest)
+    _clear(config, "synth")
     os.makedirs(config.output_dir, exist_ok=True)
-    panel = replace(panel, returns=write_return_records(panel, _out(config, RETURNS_FILE)))
-    write_manifest(echoed, _out(config, "manifest_echo.txt"))
+    returns_path, echo_path = _paths(config, "synth")
+    panel = replace(panel, returns=write_return_records(panel, returns_path))
+    write_manifest(echoed, echo_path)
     return panel
 
 
@@ -144,32 +177,35 @@ def stage_ingest(
     del source
     config.check_panel(panel)
     validation = validate_panel(panel, sanity_bound=config.sanity_bound)
-    canonical_path = _out(config, CANONICAL_FILE)
+    _clear(config, "ingest")
+    canonical_path, *report_paths = _paths(config, "ingest")
     if synthetic:
         with open(_out(config, RETURNS_FILE), newline="", encoding="utf-8") as table:
             with open_output(canonical_path) as handle:
                 shutil.copyfileobj(table, handle)
     else:
         panel = replace(panel, returns=write_return_records(panel, canonical_path))
-    for name, summary in (("load_report.txt", report), ("validation.txt", validation)):
-        with open_output(_out(config, name)) as handle:
+    for path, summary in zip(report_paths, (report, validation)):
+        with open_output(path) as handle:
             handle.write("\n".join(summary.lines()) + "\n")
     return panel
 
 
-def _write_tables(config: RunConfig, tables: dict[str, dict]) -> dict[str, dict[str, np.ndarray]]:
-    """Write a stage's tables, ``{file name: columns}``, all of them computed
-    before the call; return ``write_table``'s columns by file name.  A float
-    column that holds an infinite value raises FloatingPointError naming its
-    file, column and first such data row before any table is written."""
-    for name, columns in tables.items():
+def _write_tables(config: RunConfig, stage: str, *tables: dict) -> list[dict[str, np.ndarray]]:
+    """Write ``stage``'s tables, the columns of each of its files in order,
+    all of them computed before the call; return ``write_table``'s columns
+    of each.  A float column that holds an infinite value raises
+    FloatingPointError naming its file, column and first such data row
+    before any file is removed or written."""
+    paths = _paths(config, stage)
+    for path, columns in zip(paths, tables, strict=True):
         for column, values in columns.items():
             values = np.asarray(values)
             if values.dtype.kind == "f" and np.isinf(values).any():
                 row = np.flatnonzero(np.isinf(values))[0] + 1
-                path = _out(config, name)
                 raise FloatingPointError(f"{path}: {column} is infinite in data row {row}")
-    return {name: write_table(_out(config, name), columns) for name, columns in tables.items()}
+    _clear(config, stage)
+    return [write_table(path, columns) for path, columns in zip(paths, tables)]
 
 
 def stage_moments(config: RunConfig, panel: ReturnPanel | None = None) -> dict[str, np.ndarray]:
@@ -180,7 +216,7 @@ def stage_moments(config: RunConfig, panel: ReturnPanel | None = None) -> dict[s
     stats = ("mean", "volatility", "skewness", "kurtosis", "median", "degenerate")
     columns = {"symbol": symbols, "bin": bins, "overnight": bins == 0}
     columns.update({name: getattr(grid, name).ravel() for name in stats})
-    return _write_tables(config, {MOMENTS[0]: columns})[MOMENTS[0]]
+    return _write_tables(config, "moments", columns)[0]
 
 
 def _profile_columns(profiles: list[IntradayProfile]) -> dict[str, np.ndarray]:
@@ -249,8 +285,8 @@ def stage_cross_section(
     dispersion.update({name: getattr(grid, name).T.ravel() for name in stats})
     fig1 = _profile_columns([stock_vol, dispersion_profile, abs_index, ratio])
     fig2 = _profile_columns([stock_kurt, dispersion_kurt])
-    tables = {"dispersion.csv": dispersion, FIG1[0]: fig1, "fig2.csv": fig2}
-    return _write_tables(config, tables)[FIG1[0]], grid
+    _, fig1, _ = _write_tables(config, "cross-section", dispersion, fig1, fig2)
+    return fig1, grid
 
 
 def stage_fit(
@@ -283,7 +319,7 @@ def stage_fit(
         "residual_rms": [fit.residual_rms],
         "exponent_stderr": [fit.exponent_stderr],
     }
-    _write_tables(config, {"fig1_fit.csv": columns})
+    _write_tables(config, "fit", columns)
 
 
 def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
@@ -323,7 +359,7 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
     }
     fig7_null = {name: [value] for name, value in null.items()}
     fig7_null["threshold"] = [random_overlap_baseline(**null)]
-    _write_tables(config, {"fig6.csv": fig6, "fig7.csv": fig7, "fig7_null.csv": fig7_null})
+    _write_tables(config, "spectra", fig6, fig7, fig7_null)
 
 
 def stage_condition(config: RunConfig, grid: DispersionGrid | None = None) -> None:
@@ -337,29 +373,31 @@ def stage_condition(config: RunConfig, grid: DispersionGrid | None = None) -> No
         include_overnight=config.include_overnight_conditioning,
         bins=config.condition_bins,
     )
-    curves = {
-        "fig3.csv": dispersion_vs_index(grid, signed, **common),
-        "fig4.csv": skew_vs_index(grid, signed, **common),
-        "fig5_index.csv": kurtosis_vs_index(grid, signed, **common),
-        "fig5_dispersion.csv": kurtosis_vs_dispersion(grid, positive, **common),
-    }
-    tables = {
-        name: dict(bucket_center=c.bucket_centers, mean=c.means, stderr=c.stderr, count=c.counts)
-        for name, c in curves.items()
-    }
-    _write_tables(config, tables)
+    curves = (
+        dispersion_vs_index(grid, signed, **common),
+        skew_vs_index(grid, signed, **common),
+        kurtosis_vs_index(grid, signed, **common),
+        kurtosis_vs_dispersion(grid, positive, **common),
+    )
+    tables = (
+        dict(bucket_center=c.bucket_centers, mean=c.means, stderr=c.stderr, count=c.counts)
+        for c in curves
+    )
+    _write_tables(config, "condition", *tables)
 
 
 def run_pipeline(config: RunConfig) -> None:
-    """Run every stage in order, handing each stage's results to the next in
-    memory, and write the run manifest."""
+    """Remove every file the stages write, then run every stage in order,
+    handing each stage's results to the next in memory, and write the run
+    manifest."""
+    _clear(config, "synth")
     panel = stage_ingest(config, stage_synth(config) if config.mode == "synth" else None)
     fig1, grid = stage_cross_section(config, panel, stage_moments(config, panel))
     stage_fit(config, fig1, panel.bins_per_day)
     stage_spectra(config, panel)
     stage_condition(config, grid)
-    pairs = [("package_version", __version__), ("table_schema_version", "1")]
-    write_kv_lines(pairs + config_echo_pairs(config), _out(config, "run_manifest.txt"))
+    pairs = [("package_version", __version__), ("table_schema_version", str(SCHEMA_VERSION))]
+    write_kv_lines(pairs + config_echo_pairs(config), _paths(config, "run")[0])
 
 
 # A stage not handed an input reads it from the file an earlier stage wrote.

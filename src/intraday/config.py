@@ -5,11 +5,14 @@ comment, blank lines ignored.  The same format serves generator manifests
 and pipeline run configs, and all floats are written at 10 significant
 digits so files round-trip deterministically.
 
-``RunConfig`` is the one declaration of the run-config keys: the CLI
-flags, the type each value is parsed as (file and flag alike) and the
-echoed run manifest are all derived from its fields, and the library
-functions that take a run setting default to its field's default, read as
-``RunConfig.<field>``.
+A dataclass is the one declaration of its file's keys: ``RunConfig`` of
+the run config's, ``synth.GeneratorManifest`` of the manifest's.  Its
+compared fields are the keys, those without a default the required ones,
+and a ``Literal`` annotation lists a choice key's values.
+:func:`from_pairs` binds either file through them and
+:func:`config_echo_pairs` echoes either object.  The CLI flags are
+``RunConfig``'s fields too, and the library functions that take a run
+setting default to its field's default, read as ``RunConfig.<field>``.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
-from typing import IO, Iterable, get_args, get_origin, get_type_hints
+from typing import IO, Iterable, Literal, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import PanelFormatError
 
-LOAD_POLICIES = ("strict", "drop-incomplete", "zero-fill")
-PRICE_CONVENTIONS = ("close_to_close", "bin_open")
-RUN_MODES = ("synth", "returns", "prices")
 FIT_WINDOWS = ("first_half", "first_two_hours")
 THREADS_ENV_VAR = "SEASONALITY_THREADS"
 SLABS_PER_THREAD = 4  # contiguous slabs per kernel thread in slab_map
@@ -91,12 +93,12 @@ class RunConfig:
     ``input``, ``prices`` converts a bar-price table first.
     """
 
-    mode: str = "synth"
+    mode: Literal["synth", "returns", "prices"] = "synth"
     input: str | None = None
     synth_manifest: str | None = None
     output_dir: str = "out"
-    policy: str = "strict"
-    price_convention: str = "close_to_close"
+    policy: Literal["strict", "drop-incomplete", "zero-fill"] = "strict"
+    price_convention: Literal["close_to_close", "bin_open"] = "close_to_close"
     fit_window: str = "first_half"
     bucket_width: float = 0.001
     bucket_lo: float = -0.03
@@ -113,19 +115,12 @@ class RunConfig:
     condition_bins: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if self.mode not in RUN_MODES:
-            raise ValueError(f"mode {self.mode!r} not in {RUN_MODES}")
+        check_choices(self)
         if self.mode == "synth":
             if not self.synth_manifest:
                 raise ValueError("mode synth requires synth_manifest")
         elif not self.input:
             raise ValueError(f"mode {self.mode} requires input")
-        if self.policy not in LOAD_POLICIES:
-            raise ValueError(f"policy {self.policy!r} not in {LOAD_POLICIES}")
-        if self.price_convention not in PRICE_CONVENTIONS:
-            raise ValueError(
-                f"price_convention {self.price_convention!r} not in {PRICE_CONVENTIONS}"
-            )
         if self.fit_window not in FIT_WINDOWS:
             try:
                 lo, hi = self.fit_range_for(0)  # 'lo:hi' needs no bin count
@@ -214,12 +209,25 @@ class RunConfig:
             ) from None
 
 
+_hints = cache(get_type_hints)  # a class's field annotations, resolved once
+LOAD_POLICIES = get_args(_hints(RunConfig)["policy"])
+PRICE_CONVENTIONS = get_args(_hints(RunConfig)["price_convention"])
+
+
+def check_choices(obj) -> None:
+    """Reject a ``Literal``-annotated field of ``obj`` set to none of its values."""
+    for name, kind in _hints(type(obj)).items():
+        if get_origin(kind) is Literal and getattr(obj, name) not in get_args(kind):
+            raise ValueError(f"{name} {getattr(obj, name)!r} not in {get_args(kind)}")
+
+
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _cast(name: str, kind, text: str):
-    """Parse one config value by its ``RunConfig`` annotation."""
+    """Parse one config value by its field's annotation.  A choice
+    (``Literal``) or a union stays text, for its class to check or parse."""
     if type(None) in get_args(kind):  # ``X | None``: empty text means unset
         if not text.strip():
             return None
@@ -234,25 +242,39 @@ def _cast(name: str, kind, text: str):
     try:
         if get_origin(kind) is tuple:  # comma-separated integers
             return tuple(int(p) for p in text.split(",") if p.strip()) or None
-        return kind(text)
+        return kind(text) if isinstance(kind, type) else text
     except ValueError:
         raise PanelFormatError(f"bad value for {name}: {text!r}") from None
 
 
-def run_config_from(pairs: dict[str, str]) -> RunConfig:
-    """Build and validate a config from ``key = value`` text pairs; the
-    keys, and the type each value is parsed as, come from ``RunConfig``."""
-    kinds = get_type_hints(RunConfig)
-    config = RunConfig()
-    for key, value in pairs.items():
-        if key not in kinds:
-            raise PanelFormatError(f"unknown config key {key!r}")
-        setattr(config, key, _cast(key, kinds[key], value))
+def _keys(cls) -> list[str]:
+    """The ``key = value`` keys of ``cls``: its compared fields, in order."""
+    return [f.name for f in fields(cls) if f.compare]
+
+
+def from_pairs(cls, pairs: dict[str, str], noun: str):
+    """A validated ``cls`` from ``key = value`` text pairs.  Unknown keys,
+    then missing required ones, are rejected with every offending key
+    named; each value parses by its field's annotation, and a ValueError
+    from building or validating the object becomes a PanelFormatError."""
+    unknown = sorted(set(pairs) - set(_keys(cls)))
+    if unknown:
+        raise PanelFormatError(f"unknown {noun} key(s) {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in pairs]
+    if missing:
+        raise PanelFormatError(f"{noun} lacks required key(s) {missing}")
+    kinds = _hints(cls)
     try:
-        config.validate()
+        obj = cls(**{key: _cast(key, kinds[key], text) for key, text in pairs.items()})
+        obj.validate()
     except ValueError as exc:
         raise PanelFormatError(str(exc)) from None
-    return config
+    return obj
+
+
+def run_config_from(pairs: dict[str, str]) -> RunConfig:
+    """Build and validate a run config from ``key = value`` text pairs."""
+    return from_pairs(RunConfig, pairs, "config")
 
 
 def format_value(value) -> str:
@@ -269,9 +291,10 @@ def format_value(value) -> str:
     return ",".join(map(format_value, value))
 
 
-def config_echo_pairs(config: RunConfig) -> list[tuple[str, str]]:
-    """Resolved config as serialization-ready pairs (for the run manifest)."""
-    return [(f.name, format_value(getattr(config, f.name))) for f in fields(RunConfig)]
+def config_echo_pairs(obj) -> list[tuple[str, str]]:
+    """A run config's or manifest's keys and values as serialization-ready
+    pairs (for the run manifest and the manifest echo)."""
+    return [(key, format_value(getattr(obj, key))) for key in _keys(type(obj))]
 
 
 def thread_cap_from_env(environ=None) -> int | None:
@@ -296,9 +319,7 @@ def _bundled_openblas():
     import ctypes
     import glob
 
-    import numpy
-
-    root = os.path.dirname(numpy.__file__)
+    root = os.path.dirname(np.__file__)
     for pattern in ("../numpy.libs/libscipy_openblas64_*", ".dylibs/libscipy_openblas64_*"):
         for path in sorted(glob.glob(os.path.join(root, pattern))):
             try:
@@ -363,18 +384,20 @@ def single_threaded_blas():
 def thread_map(fn, items: list) -> list:
     """``[fn(x) for x in items]`` inside :func:`single_threaded_blas`, on the
     W threads it yields: item i runs on the calling thread when
-    i % W == 0, else on helper thread i % W.  Every helper is joined, and
-    the lowest-index failing item's exception is raised."""
+    i % W == 0, else on helper thread i % W, under the calling thread's
+    ``np.geterr()``.  Every helper is joined, and the lowest-index failing
+    item's exception is raised."""
     with single_threaded_blas() as width:
-        results, errors = [None] * len(items), {}
+        results, errors, state = [None] * len(items), {}, np.geterr()
 
         def run(first):
-            for i in range(first, len(items), width):
-                try:
-                    results[i] = fn(items[i])
-                except Exception as exc:  # noqa: BLE001 - raised below, by index
-                    errors[i] = exc
-                    return
+            with np.errstate(**state):
+                for i in range(first, len(items), width):
+                    try:
+                        results[i] = fn(items[i])
+                    except Exception as exc:  # noqa: BLE001 - raised below, by index
+                        errors[i] = exc
+                        return
 
         helpers = [
             threading.Thread(target=run, args=(j,)) for j in range(1, min(width, len(items)))

@@ -81,19 +81,22 @@ def grid_moments(values: np.ndarray, axis: int):
         raise InsufficientDataError(
             f"need at least 2 observations along axis {axis}"
         )
-    # np.median's formula: mean of the middle one or two, NaN from the top
-    ordered = np.sort(np.moveaxis(values, axis, -1), axis=-1)
-    median = ordered[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1)
-    last = ordered[..., -1]
-    median = np.where(np.isnan(last), last, median)[()]
-    del ordered, last
-    # np.std's own sequence, its centred copy shared with the MAD
-    mean = values.mean(axis=axis)
-    centered = values - np.expand_dims(mean, axis)
-    mad = np.abs(centered).mean(axis=axis)
-    vol = np.sqrt(np.square(centered, out=centered).sum(axis=axis) / n)
+    # An overflow ends as an infinite statistic, which a stage names before
+    # it writes any table, so it is not warned of as well.
+    with np.errstate(over="ignore"):
+        # np.median's formula: mean of the middle one or two, NaN from the top
+        ordered = np.sort(np.moveaxis(values, axis, -1), axis=-1)
+        median = ordered[..., (n - 1) // 2 : n // 2 + 1].mean(axis=-1)
+        last = ordered[..., -1]
+        median = np.where(np.isnan(last), last, median)[()]
+        del ordered, last
+        # np.std's own sequence, its centred copy shared with the MAD
+        mean = values.mean(axis=axis)
+        centered = values - np.expand_dims(mean, axis)
+        mad = np.abs(centered).mean(axis=axis)
+        vol = np.sqrt(np.square(centered, out=centered).sum(axis=axis) / n)
     degenerate = vol == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         skew = 6.0 * (mean - median) / vol
         kurt = 24.0 * (1.0 - ROOT_HALF_PI * mad / vol)
     skew = np.where(degenerate, np.nan, skew)

@@ -43,6 +43,10 @@ its correlation matches rho(K).  Zero disables the overnight bin.
 Generation is deterministic per seed: loadings come from one substream and
 each day from its own substream spawned off the manifest seed, so the
 per-day work could run in any order without changing a single draw.
+
+``GeneratorManifest`` declares the manifest file's keys, which
+``read_manifest`` and ``write_manifest`` bind and echo through ``config``;
+the manifest parses a profile key's text itself.
 """
 
 from __future__ import annotations
@@ -50,15 +54,21 @@ from __future__ import annotations
 import datetime as dt
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import IO, get_args, get_type_hints
+from dataclasses import dataclass, field, replace
+from typing import IO, Literal
 
 import numpy as np
 
+from .config import (
+    check_choices,
+    config_echo_pairs,
+    format_value,
+    from_pairs,
+    parse_kv_lines,
+    write_kv_lines,
+)
 from .errors import FeasibilityError, PanelFormatError
 from .panel import ReturnPanel
-
-RESIDUAL_TAILS = ("gaussian", "student")
 
 
 def u_shaped_profile(bins_per_day: int, high: float, low: float) -> np.ndarray:
@@ -76,6 +86,9 @@ def linear_ramp(bins_per_day: int, start: float, end: float) -> np.ndarray:
 
 
 def _as_profile(value, bins_per_day: int, name: str) -> np.ndarray:
+    """A profile from a manifest's text or from a scalar or array."""
+    if isinstance(value, str):
+        return _parse_profile(value, bins_per_day, name)
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(bins_per_day, float(arr))
@@ -91,8 +104,8 @@ class GeneratorManifest:
     n_stocks: int
     n_days: int
     bins_per_day: int
-    factor_vol: np.ndarray | float
-    target_correlation: np.ndarray | float
+    factor_vol: np.ndarray | float | str
+    target_correlation: np.ndarray | float | str
     beta_mean: float = 1.0
     beta_std: float = 0.0
     student_nu: float = 5.0
@@ -100,16 +113,17 @@ class GeneratorManifest:
     jump_day_rate: float = 0.0
     jump_scale: float = 1.0
     overnight_vol_multiplier: float = 0.0
-    residual_tail: str = "gaussian"
+    residual_tail: Literal["gaussian", "student"] = "gaussian"
     seed: int = 0
     implied_correlation: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for name in _PROFILE_KEYS:
+        for name in ("factor_vol", "target_correlation"):
             value = _as_profile(getattr(self, name), self.bins_per_day, name)
             object.__setattr__(self, name, value)
 
     def validate(self) -> None:
+        check_choices(self)
         if self.n_stocks < 2:
             raise ValueError("n_stocks must be >= 2")
         if self.n_days < 2:
@@ -123,10 +137,6 @@ class GeneratorManifest:
             raise ValueError("target_correlation must lie in [0, 1)")
         if self.beta_std < 0:
             raise ValueError("beta_std must be >= 0")
-        if self.residual_tail not in RESIDUAL_TAILS:
-            raise ValueError(
-                f"residual_tail {self.residual_tail!r} not in {RESIDUAL_TAILS}"
-            )
         if self.residual_tail == "student" and self.student_nu <= 2:
             raise ValueError("student_nu must exceed 2 for finite variance")
         if not 0.0 <= self.residual_vol_coupling <= 1.0:
@@ -274,16 +284,6 @@ def gaussian_iid_panel(
 
 # --- manifest (de)serialization: key = value lines, '#' comments -----------
 
-# Every field is a manifest key, in echo order, except the derived
-# implied_correlation; the fields without a default are required, and the
-# profile keys are the array-valued ones.
-_KINDS = get_type_hints(GeneratorManifest)
-_KEYS = tuple(
-    f.name for f in fields(GeneratorManifest) if f.name != "implied_correlation"
-)
-_REQUIRED = tuple(f.name for f in fields(GeneratorManifest) if f.default is MISSING)
-_PROFILE_KEYS = tuple(key for key in _KEYS if np.ndarray in get_args(_KINDS[key]))
-
 
 def _parse_profile(text: str, bins_per_day: int, name: str) -> np.ndarray:
     """A profile value is a scalar, a comma list, ``ushape(high, low)``, or
@@ -316,37 +316,14 @@ def _parse_profile(text: str, bins_per_day: int, name: str) -> np.ndarray:
 
 def read_manifest(source: str | os.PathLike | IO[str]) -> GeneratorManifest:
     """Parse a manifest config file into a validated GeneratorManifest."""
-    from .config import _cast, parse_kv_lines
-
-    pairs = parse_kv_lines(source)
-    missing = [k for k in _REQUIRED if k not in pairs]
-    if missing:
-        raise PanelFormatError(f"manifest lacks required key(s) {missing}")
-    kwargs = {
-        key: _cast(key, _KINDS[key], pairs[key])
-        for key in _KEYS
-        if key in pairs and key not in _PROFILE_KEYS
-    }
-    for key in _PROFILE_KEYS:
-        kwargs[key] = _parse_profile(pairs[key], kwargs["bins_per_day"], key)
-    unknown = set(pairs) - set(_KEYS)
-    if unknown:
-        raise PanelFormatError(f"unknown manifest key(s) {sorted(unknown)}")
-    manifest = GeneratorManifest(**kwargs)
-    try:
-        manifest.validate()
-    except ValueError as exc:
-        raise PanelFormatError(str(exc)) from None
-    return manifest
+    return from_pairs(GeneratorManifest, parse_kv_lines(source), "manifest")
 
 
 def write_manifest(
     manifest: GeneratorManifest, destination: str | os.PathLike | IO[str]
 ) -> None:
     """Write a manifest as key = value lines (profiles as explicit lists)."""
-    from .config import format_value, write_kv_lines
-
-    pairs = [(key, format_value(getattr(manifest, key))) for key in _KEYS]
+    pairs = config_echo_pairs(manifest)
     if manifest.implied_correlation is not None:
         pairs.append(
             ("# implied_correlation", format_value(manifest.implied_correlation))

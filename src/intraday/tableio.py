@@ -155,7 +155,8 @@ def open_output(destination: str | os.PathLike | IO[str]) -> Iterator[IO[str]]:
 
     A path is written through a temporary file in the same directory that
     replaces the destination only when the block completes, so a failed
-    write leaves any earlier file intact and no partial file behind.
+    write leaves no partial file behind and the destination as the call
+    found it (a CLI stage removes its files before it writes them).
     """
     if not isinstance(destination, (str, os.PathLike)):
         yield destination

@@ -219,6 +219,7 @@ def readme_stage_table():
 def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
     table = readme_stage_table()
     assert sorted(table) == sorted(cli._STAGES)
+    assert table == {stage: list(files) for stage, files in cli.WRITES.items()}
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     seen = set()
@@ -230,6 +231,59 @@ def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
     run_cfg = write_config(tmp_path, name="ran.cfg", out_name="ran")
     assert cli.main(["run", "-c", str(run_cfg)]) == 0
     assert {p.name for p in (tmp_path / "ran").iterdir()} == seen | set(table["run"])
+
+
+def write_bars(path, bin3):
+    """12 stocks x 12 days x bins 1-8 of Gaussian returns, bin 3's return
+    ``bin3(stock)`` if given."""
+    rng = np.random.default_rng(5)
+    rows = ["date,bin,symbol,return"]
+    for day in range(1, 13):
+        for k in range(1, 9):
+            for s in range(12):
+                value = bin3(s) if bin3 and k == 3 else rng.normal(0, 0.01)
+                rows.append(f"2024-01-{day:02d},{k},S{s:02d},{value:.6f}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestStaleTables:
+    """No table outlives a rewrite of a file it was computed from."""
+
+    def test_a_failed_run_leaves_no_table_of_an_earlier_run(self, tmp_path, capsys):
+        # the first run's fit, spectra and condition tables and its
+        # run_manifest.txt once outlived a second run that stopped at
+        # cross-section, and a staged fit then fitted the first run's fig1.csv
+        good = write_bars(tmp_path / "good.csv", None)
+        zero = write_bars(tmp_path / "zero.csv", lambda s: 0.0)
+        cfg = write_config(tmp_path, mode="returns", input=str(good), min_count=1)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        assert cli.main(["run", "-c", str(cfg), "--input", str(zero)]) == 4
+        out = tmp_path / "out"
+        left = sorted(p.name for p in out.iterdir())
+        assert left == sorted(cli.WRITES["ingest"] + cli.WRITES["moments"])
+        capsys.readouterr()
+        assert cli.main(["fit", "-c", str(cfg), "--input", str(zero)]) == 2
+        assert str(out / "fig1.csv") in capsys.readouterr().err
+
+    def test_run_removes_an_earlier_synth_runs_files_but_not_its_input(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        out = tmp_path / "out"
+        returns = out / "returns.csv"
+        before = returns.read_bytes()
+        assert cli.main(["run", "-c", str(cfg), "--mode", "returns", "--input", str(returns)]) == 0
+        assert returns.read_bytes() == before
+        assert not (out / "manifest_echo.txt").exists()
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_a_stage_removes_every_later_stages_files(self, tmp_path, stage):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        assert cli.main([stage, "-c", str(cfg)]) == 0
+        stages = list(cli.WRITES)
+        kept = [name for s in stages[: stages.index(stage) + 1] for name in cli.WRITES[s]]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(kept)
 
 
 def test_each_subcommand_but_run_is_its_stage_function():
@@ -585,15 +639,7 @@ class TestExitCodes:
     def test_a_degenerate_bin_is_a_numeric_error(
         self, tmp_path, capsys, bin3, message, written, absent
     ):
-        rng = np.random.default_rng(5)
-        rows = ["date,bin,symbol,return"]
-        for day in range(1, 13):
-            for k in range(1, 9):
-                for s in range(12):
-                    value = bin3(s) if k == 3 else rng.normal(0, 0.01)
-                    rows.append(f"2024-01-{day:02d},{k},S{s:02d},{value:.6f}")
-        returns = tmp_path / "returns.csv"
-        returns.write_text("\n".join(rows) + "\n")
+        returns = write_bars(tmp_path / "returns.csv", bin3)
         cfg = write_config(tmp_path, mode="returns", input=str(returns), min_count=1)
         assert cli.main(["run", "-c", str(cfg)]) == 4
         assert capsys.readouterr().err == f"error: numeric-error: {message}\n"

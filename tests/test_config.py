@@ -6,6 +6,8 @@ import math
 import pytest
 
 from intraday.config import (
+    LOAD_POLICIES,
+    PRICE_CONVENTIONS,
     RunConfig,
     config_echo_pairs,
     format_float,
@@ -15,6 +17,7 @@ from intraday.config import (
     write_kv_lines,
 )
 from intraday.errors import PanelFormatError, SchemaError
+from intraday.synth import GeneratorManifest, read_manifest
 from intraday.tableio import format_cell, read_columns, write_table
 
 
@@ -162,6 +165,14 @@ class TestReadRunConfig:
         with pytest.raises(PanelFormatError, match="unknown config key"):
             run_config_from(parse_kv_lines(io.StringIO("synth_manifest = m.cfg\nspeed = 11\n")))
 
+    def test_unknown_keys_are_named_together(self):
+        extras = [("speed = 11\n", "['speed']"), ("warp = 9\nspeed = 11\n", "['speed', 'warp']")]
+        for extra, named in extras:
+            text = "synth_manifest = m.cfg\n" + extra
+            with pytest.raises(PanelFormatError) as exc:
+                run_config_from(parse_kv_lines(io.StringIO(text)))
+            assert str(exc.value) == f"unknown config key(s) {named}"
+
     def test_bad_numeric_value(self):
         text = "synth_manifest = m.cfg\nmin_count = lots\n"
         with pytest.raises(PanelFormatError, match="bad value for min_count"):
@@ -175,6 +186,59 @@ class TestReadRunConfig:
         text = "synth_manifest = m.cfg\ncondition_bins = \n"
         config = run_config_from(parse_kv_lines(io.StringIO(text)))
         assert config.condition_bins is None
+
+
+MANIFEST = (
+    "n_stocks = 4\nn_days = 10\nbins_per_day = 3\nfactor_vol = 0.002\ntarget_correlation = 0.3\n"
+)
+
+
+class TestChoiceKeys:
+    """Each choice key's values come from its ``Literal`` annotation, and a
+    value outside them gets the message its own check once wrote."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mode", "live", "mode 'live' not in ('synth', 'returns', 'prices')"),
+            (
+                "policy",
+                "guess",
+                "policy 'guess' not in ('strict', 'drop-incomplete', 'zero-fill')",
+            ),
+            (
+                "price_convention",
+                "vwap",
+                "price_convention 'vwap' not in ('close_to_close', 'bin_open')",
+            ),
+        ],
+    )
+    def test_run_config_choice(self, key, value, message):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(synth_manifest="m.cfg", input="r.csv", **{key: value}).validate()
+        assert str(exc.value) == message
+        text = f"synth_manifest = m.cfg\ninput = r.csv\n{key} = {value}\n"
+        with pytest.raises(PanelFormatError) as exc:
+            run_config_from(parse_kv_lines(io.StringIO(text)))
+        assert str(exc.value) == message
+
+    def test_manifest_residual_tail(self):
+        message = "residual_tail 'cauchy' not in ('gaussian', 'student')"
+        with pytest.raises(ValueError) as exc:
+            GeneratorManifest(4, 10, 3, 0.002, 0.3, residual_tail="cauchy").validate()
+        assert str(exc.value) == message
+        with pytest.raises(PanelFormatError) as exc:
+            read_manifest(io.StringIO(MANIFEST + "residual_tail = cauchy\n"))
+        assert str(exc.value) == message
+
+    def test_the_panel_loaders_choices(self):
+        assert LOAD_POLICIES == ("strict", "drop-incomplete", "zero-fill")
+        assert PRICE_CONVENTIONS == ("close_to_close", "bin_open")
+
+    def test_unknown_manifest_keys_are_named_together(self):
+        with pytest.raises(PanelFormatError) as exc:
+            read_manifest(io.StringIO(MANIFEST + "warp_speed = 9\nseeds = 2\n"))
+        assert str(exc.value) == "unknown manifest key(s) ['seeds', 'warp_speed']"
 
 
 class TestConfigEcho:

@@ -6,6 +6,7 @@ on helper thread i % W otherwise, W being numpy's bundled OpenBLAS thread
 count, at most ``config.MAX_KERNEL_THREADS``; ``config.slab_map`` cuts an axis into contiguous slabs for it.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import intraday
-from intraday import config
+from intraday import cli, config
 from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.errors import DegenerateSampleError
 from intraday.robust_moments import grid_moments, stock_bin_moments
@@ -258,6 +259,51 @@ def test_seasonality_threads_1_starts_no_helper_thread(blas, started, monkeypatc
     assert config.kernel_threads() == 1
     kernel_outputs(panel)
     assert started == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_kernel_raises_under_the_callers_errstate_on_any_thread(blas, threads):
+    # a return of 1e160 on day 1 overflows normalize_panel's dispersion; at
+    # W = 2 day 1's slab runs on the helper, which once only warned
+    blas.scipy_openblas_set_num_threads64_(threads)
+    assert config.kernel_threads() == threads
+    panel = gaussian_iid_panel(16, 10, 4, 0.01, seed=0)
+    returns = panel.returns.copy()
+    returns[2, 1, 0] = 1e160
+    panel = dataclasses.replace(panel, returns=returns)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        normalize_panel(panel)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_overflowing_moment_prints_one_stderr_line(
+    tmp_path, capsys, monkeypatch, blas, threads
+):
+    # one return of 1e160 overflows the variance of stock S2, whose slab runs
+    # on the helper at W = 2: a RuntimeWarning once came before the error line
+    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
+    blas.scipy_openblas_set_num_threads64_(threads)
+    assert config.kernel_threads() == threads
+    rng = np.random.default_rng(5)
+    rows = ["date,bin,symbol,return"]
+    for day in range(1, 13):
+        for k in range(1, 7):
+            for s in range(1, 6):
+                value = 1e160 if (day, k, s) == (4, 2, 2) else rng.normal(0, 0.01)
+                rows.append(f"2024-01-{day:02d},{k},S{s},{value:.6g}")
+    (tmp_path / "big.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    argv = ["run", "--mode", "returns", "--input", str(tmp_path / "big.csv"),
+            "--output-dir", str(out), "--min-count", "1", "--null-trials", "1000",
+            "--eigen-hi", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 4
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: numeric-error: {out / 'stock_moments.csv'}: volatility is infinite "
+        "in data row 8\n"
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
