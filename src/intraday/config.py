@@ -13,6 +13,11 @@ and a ``Literal`` annotation lists a choice key's values.
 :func:`config_echo_pairs` echoes either object.  The CLI flags are
 ``RunConfig``'s fields too, and the library functions that take a run
 setting default to its field's default, read as ``RunConfig.<field>``.
+A setting that the library checks where it applies it is not checked
+here again: :meth:`RunConfig.check_panel` hands ``condition_bins`` to the
+pooling rule of :mod:`~intraday.cross_section`, and a named
+``fit_window`` is a key of :data:`FIT_WINDOWS`, the range functions of
+:mod:`~intraday.seasonality`.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from typing import IO, Iterable, Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import PanelFormatError
+from .seasonality import first_half_range, first_two_hours_range
 
-FIT_WINDOWS = ("first_half", "first_two_hours")
+#: The named fit windows, each a function of the bins per day
+FIT_WINDOWS = {"first_half": first_half_range, "first_two_hours": first_two_hours_range}
 THREADS_ENV_VAR = "SEASONALITY_THREADS"
 SLABS_PER_THREAD = 4  # contiguous slabs per kernel thread in slab_map
 # Each helper thread's malloc arena keeps its freed slabs mapped: the
@@ -72,16 +79,13 @@ def parse_kv_lines(source: str | os.PathLike | IO[str]) -> dict[str, str]:
 def write_kv_lines(
     pairs: Iterable[tuple[str, str]], destination: str | os.PathLike | IO[str]
 ) -> None:
-    """Write ``key = value`` lines; a key starting with ``#`` becomes an
-    informational comment line.  A path is replaced only once complete."""
+    """Write ``key = value`` lines; a key such as ``# note`` makes a comment
+    line.  A path is replaced only once complete."""
     from .tableio import open_output  # tableio imports this module
 
     with open_output(destination) as handle:
         for key, value in pairs:
-            if key.startswith("#"):
-                handle.write(f"# {key.lstrip('# ')} = {value}\n")
-            else:
-                handle.write(f"{key} = {value}\n")
+            handle.write(f"{key} = {value}\n")
 
 
 @dataclass
@@ -128,7 +132,7 @@ class RunConfig:
                 lo = hi = 0
             if not 1 <= lo < hi:
                 raise ValueError(
-                    f"fit_window {self.fit_window!r} must be one of {FIT_WINDOWS} "
+                    f"fit_window {self.fit_window!r} must be one of {tuple(FIT_WINDOWS)} "
                     "or 'lo:hi' with 1 <= lo < hi"
                 )
         try:  # OverflowError: an infinite span; MemoryError: too many edges to allocate
@@ -149,12 +153,8 @@ class RunConfig:
             raise ValueError("sanity_bound must be positive")
 
     def fit_range_for(self, bins_per_day: int) -> tuple[int, int]:
-        from .seasonality import first_half_range, first_two_hours_range
-
-        if self.fit_window == "first_half":
-            return first_half_range(bins_per_day)
-        if self.fit_window == "first_two_hours":
-            return first_two_hours_range(bins_per_day)
+        if self.fit_window in FIT_WINDOWS:
+            return FIT_WINDOWS[self.fit_window](bins_per_day)
         lo, hi = self.fit_window.split(":")
         return (int(lo), int(hi))
 
@@ -195,18 +195,10 @@ class RunConfig:
         if self.reference_bin not in bins:
             raise PanelFormatError(f"reference_bin {self.reference_bin} not in {bins}")
         self.check_fit_window(panel.bins_per_day)
-        unknown = sorted(set(self.condition_bins or ()) - set(bins))
-        if unknown:
-            raise PanelFormatError(
-                f"condition_bins {unknown} are not bins of the panel {bins}"
-            )
         try:
             _pooled_rows(bins, self.include_overnight_conditioning, self.condition_bins)
-        except ValueError:
-            raise PanelFormatError(
-                f"condition_bins {self.condition_bins} select none of the panel's "
-                f"bins {bins} (overnight in: {self.include_overnight_conditioning})"
-            ) from None
+        except ValueError as exc:
+            raise PanelFormatError(f"condition_bins {exc}") from None
 
 
 _hints = cache(get_type_hints)  # a class's field annotations, resolved once

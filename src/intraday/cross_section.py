@@ -10,7 +10,10 @@ For each (bin k, day t) the cross-section of returns over stocks yields
 i.e. :func:`robust_moments.grid_moments`, the kernel of the single-stock
 statistics, evaluated across stocks instead of across days.  kappa_d
 carries no zeta^2 term.  :class:`DispersionGrid` holds every (bin, day)
-cell at once.
+cell at once, its first seven fields the kernel's outputs in order.
+:meth:`DispersionGrid.pooled` flattens the bins that conditioning pools;
+its selection rule, which the run config's ``condition_bins`` follows,
+is written once, in ``_pooled_rows``.
 
 :func:`normalize_panel` divides each cell by its own sigma_d and returns
 another :class:`~intraday.panel.ReturnPanel`, whose cross-sectional
@@ -64,21 +67,30 @@ class DispersionGrid:
 
 
 def _pooled_rows(bin_numbers, include_overnight: bool, bins) -> np.ndarray:
-    """Mask of the bins that conditioning pools; empty is an error."""
+    """Mask of the bins that conditioning pools: ``bins``, by default all of
+    ``bin_numbers``, less the overnight bin 0 unless ``include_overnight``.
+    A selection that pools no row is an error, and then one that names a
+    bin outside ``bin_numbers``; this is the one check of ``condition_bins``."""
     labels = np.asarray(bin_numbers)
     keep = np.ones(labels.size, dtype=bool) if include_overnight else labels != 0
-    if bins is not None:
-        keep &= np.isin(labels, np.asarray(list(bins)))
+    wanted = labels.tolist() if bins is None else [int(b) for b in bins]
+    keep &= np.isin(labels, wanted)
     if not keep.any():
-        raise ValueError("bin selection leaves no rows")
+        raise ValueError(
+            f"{wanted} select no rows of the bins {labels.tolist()} "
+            f"(overnight in: {include_overnight})"
+        )
+    unknown = sorted(set(wanted) - set(labels.tolist()))
+    if unknown:
+        raise ValueError(f"{unknown} are not bins of the panel {labels.tolist()}")
     return keep
 
 
 def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
     """Cross-sectional moments for every (bin, day) cell of a panel; slabs
-    of days run on the kernel threads."""
-    if panel.n_stocks < 2:
-        raise InsufficientDataError("cross-sections need at least 2 stocks")
+    of days run on the kernel threads; fewer than 2 stocks raise
+    :class:`~intraday.errors.InsufficientDataError` from
+    :func:`~intraday.robust_moments.grid_moments`."""
     returns = panel.returns
     slabs = slab_map(lambda days: grid_moments(returns[:, days], axis=0), returns.shape[1])
     # each slab's axes arrive as (day, bin); present them bin-major.

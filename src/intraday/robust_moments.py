@@ -22,7 +22,10 @@ useless, so shape is measured here through low-order statistics instead:
 ``sigma`` throughout is the population standard deviation (1/T
 normalization).  :func:`grid_moments` is the one kernel, evaluated along
 days for single stocks and along stocks for the dispersion; the scalar
-functions wrap it for one sample.  One sort gives the median and one
+functions wrap it for one sample, and it alone rejects a sample of fewer
+than 2 values.  :class:`MomentGrid` takes its seven outputs in order for
+every (stock, bin), as ``cross_section.DispersionGrid`` does for every
+(bin, day).  One sort gives the median and one
 centred copy the MAD and sigma, with the bytes of ``np.median``,
 ``np.abs(x - mean).mean()`` and ``np.std``.  A zero-dispersion sample has
 no defined shape: the scalar functions raise :class:`DegenerateSampleError`,
@@ -57,15 +60,6 @@ class MomentSet:
     @property
     def degenerate(self) -> bool:
         return self.skewness is None
-
-
-def _clean_1d(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
-    return arr
 
 
 def grid_moments(values: np.ndarray, axis: int):
@@ -106,7 +100,9 @@ def grid_moments(values: np.ndarray, axis: int):
 
 def moment_set(x, include_skew_correction: bool = False) -> MomentSet:
     """All low-moment statistics of one sample, from :func:`grid_moments`."""
-    arr = _clean_1d(x)
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample contains non-finite values")
     mean, vol, skew, kurt, median, _, degenerate = grid_moments(arr, axis=0)
     if degenerate:
         return MomentSet(float(mean), 0.0, None, None, float(median), arr.size)
@@ -138,11 +134,14 @@ class MomentGrid:
     """Per (stock, bin) moment arrays over days; NaN marks degenerate cells,
     mirrored by the ``degenerate`` mask."""
 
+    # field order is load-bearing: the first seven are grid_moments' outputs
+    # in its order
     mean: np.ndarray
     volatility: np.ndarray
     skewness: np.ndarray
     kurtosis: np.ndarray
     median: np.ndarray
+    mad: np.ndarray
     degenerate: np.ndarray
     bin_numbers: np.ndarray
     stock_ids: tuple[str, ...]
@@ -159,14 +158,8 @@ def stock_bin_moments(panel: ReturnPanel) -> MomentGrid:
     """
     returns = panel.returns
     slabs = slab_map(lambda stocks: grid_moments(returns[stocks], axis=1), returns.shape[0])
-    mean, vol, skew, kurt, median, _, degenerate = zip(*slabs)
     return MomentGrid(
-        mean=np.concatenate(mean),
-        volatility=np.concatenate(vol),
-        skewness=np.concatenate(skew),
-        kurtosis=np.concatenate(kurt),
-        median=np.concatenate(median),
-        degenerate=np.concatenate(degenerate),
+        *(np.concatenate(moment) for moment in zip(*slabs)),
         bin_numbers=panel.bin_numbers,
         stock_ids=panel.stock_ids,
         sample_count=panel.n_days,

@@ -43,6 +43,8 @@ def _reduce(samples: np.ndarray, band_kind: str, bin_numbers, statistic_name: st
     if band_kind not in BAND_KINDS:
         raise ValueError(f"unknown band kind {band_kind!r}, expected {BAND_KINDS}")
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2:
+        raise ValueError(f"series must be 2-D, got {samples.ndim}-D")
     n_obs, n_cols = samples.shape
     if n_obs < 1:
         raise InsufficientDataError("no observations to profile")
@@ -85,10 +87,7 @@ def profile_over_days(
     ``bin_numbers`` labels the rows; a row labeled 0 becomes the overnight
     point.  Without labels rows are taken as bins 1..K.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2:
-        raise ValueError("series must be 2-D (bin, day)")
-    return _reduce(series.T, band_kind, bin_numbers, statistic_name)
+    return _reduce(np.transpose(series), band_kind, bin_numbers, statistic_name)
 
 
 def profile_over_stocks(
@@ -98,9 +97,6 @@ def profile_over_stocks(
     statistic_name: str = "",
 ) -> IntradayProfile:
     """Average a (stock, bin) series over stocks."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2:
-        raise ValueError("series must be 2-D (stock, bin)")
     return _reduce(series, band_kind, bin_numbers, statistic_name)
 
 

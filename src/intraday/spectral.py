@@ -53,10 +53,6 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got {arr.shape}")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class BinSpectrum:

@@ -118,6 +118,8 @@ class GeneratorManifest:
     implied_correlation: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.bins_per_day < 1:
+            raise ValueError("bins_per_day must be >= 1")
         for name in ("factor_vol", "target_correlation"):
             value = _as_profile(getattr(self, name), self.bins_per_day, name)
             object.__setattr__(self, name, value)
@@ -128,8 +130,6 @@ class GeneratorManifest:
             raise ValueError("n_stocks must be >= 2")
         if self.n_days < 2:
             raise ValueError("n_days must be >= 2")
-        if self.bins_per_day < 1:
-            raise ValueError("bins_per_day must be >= 1")
         if np.any(self.factor_vol <= 0):
             raise ValueError("factor_vol must be strictly positive")
         rho = self.target_correlation
@@ -168,24 +168,19 @@ def _abs_moment(two_gamma: float) -> float:
     return 2.0 ** (two_gamma / 2.0) * math.gamma((two_gamma + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def _base_scales(manifest: GeneratorManifest) -> np.ndarray:
-    """Per-bin residual base scale s0(k) solving the target correlation."""
+def _scales(manifest: GeneratorManifest) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin residual base scale s0(k) solving the target correlation, and
+    the average correlation it implies once ``beta_std`` spreads the loadings."""
     f = manifest.factor_vol
     rho = manifest.target_correlation
     b = manifest.beta_mean
+    m2g = _abs_moment(2.0 * manifest.residual_vol_coupling)
     if b == 0.0:
-        return f.copy()
-    m2g = _abs_moment(2.0 * manifest.residual_vol_coupling)
-    return np.sqrt(b * b * f * f * (1.0 - rho) / (rho * m2g))
-
-
-def _implied_correlation(manifest: GeneratorManifest, s0: np.ndarray) -> np.ndarray:
-    f = manifest.factor_vol
-    b = manifest.beta_mean
-    m2g = _abs_moment(2.0 * manifest.residual_vol_coupling)
-    num = b * b * f * f
-    den = (b * b + manifest.beta_std**2) * f * f + s0 * s0 * m2g
-    return num / den
+        s0 = f.copy()
+    else:
+        s0 = np.sqrt(b * b * f * f * (1.0 - rho) / (rho * m2g))
+    implied = b * b * f * f / ((b * b + manifest.beta_std**2) * f * f + s0 * s0 * m2g)
+    return s0, implied
 
 
 def _labels(n_stocks: int, n_days: int) -> tuple[tuple[str, ...], tuple[dt.date, ...]]:
@@ -207,7 +202,7 @@ def generate_market(manifest: GeneratorManifest) -> tuple[ReturnPanel, Generator
     gamma = manifest.residual_vol_coupling
     overnight = bool(manifest.overnight_vol_multiplier > 0.0)  # repeats a list below
 
-    s0_intraday = _base_scales(manifest)
+    s0_intraday, implied = _scales(manifest)
     # an overnight bin 0 clones the last intraday bin with both scales multiplied
     f_cols, s0_cols = (
         np.r_[[manifest.overnight_vol_multiplier * x[-1]] * overnight, x]
@@ -251,10 +246,7 @@ def generate_market(manifest: GeneratorManifest) -> tuple[ReturnPanel, Generator
         bins_per_day=k_bins,
         overnight_present=overnight,
     )
-    echoed = replace(
-        manifest, implied_correlation=_implied_correlation(manifest, s0_intraday)
-    )
-    return panel, echoed
+    return panel, replace(manifest, implied_correlation=implied)
 
 
 def gaussian_iid_panel(

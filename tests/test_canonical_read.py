@@ -227,6 +227,12 @@ EDGE_TABLES = {
         ["2020W02", "2020W03", "2020W04"], [1, 2, 3, 4], "A",
         lambda i, row: row.replace("2020W03", "2020W03" + "1" * 30),
     ),
+    # in the layout's characters, but no number: the fast read's loadtxt
+    # rejects it and the general reader names it
+    "return field that is no number": _grid(
+        ["2020-01-06", "2020-01-13"], [1, 2], "AB",
+        lambda i, row: _replace_field(row, 3, "0.0x1") if i == 5 else row,
+    ),
 }
 
 

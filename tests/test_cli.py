@@ -1,14 +1,19 @@
 """End-to-end CLI checks: stages, composability, determinism, exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import io
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intraday import cli
 from intraday.config import (
@@ -694,6 +699,7 @@ class TestExitCodes:
             ("--reference-bin", "20"),
             ("--condition-bins", "99"),
             ("--condition-bins", "1,99"),
+            ("--condition-bins", "0"),
             ("--fit-window", "2:3"),
             ("--fit-window", "5:7"),
         ],
@@ -737,6 +743,15 @@ class TestExitCodes:
         assert cli.main(["run", "-c", str(cfg), "--condition-bins", "1,99,7"]) == 2
         err = capsys.readouterr().err
         assert "condition_bins [7, 99] are not bins of the panel" in err
+
+    def test_a_condition_bins_selection_of_no_rows_is_named(self, tmp_path, capsys):
+        # the overnight bin 0 alone, while conditioning leaves it out
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), "--condition-bins", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: input-error: condition_bins [0] select no rows of the bins "
+            "[0, 1, 2, 3, 4, 5, 6] (overnight in: False)\n"
+        )
 
     def test_fit_window_at_the_panel_edge_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -935,6 +950,59 @@ class TestNonFiniteInput:
         )
         written = ["load_report.txt", "returns_canonical.csv", "validation.txt"]
         assert sorted(p.name for p in out.iterdir()) == written
+
+
+DEGENERACIES = ("flat stock", "flat bin", "repeated day", "equal stocks", "huge return")
+
+
+@st.composite
+def degenerate_tables(draw):
+    """A small returns-mode table's text (N and T of 2 to 6, so N > T
+    too, and K of 1, 3 or 4), with some of ``DEGENERACIES`` applied."""
+    n, t, k = draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(st.sampled_from([1, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    returns = rng.normal(0.0, 0.01, (n, t, k))
+    kinds = draw(st.sets(st.sampled_from(DEGENERACIES)))
+    if "flat stock" in kinds:
+        returns[draw(st.integers(0, n - 1))] = 0.001
+    if "flat bin" in kinds:
+        returns[:, :, draw(st.integers(0, k - 1))] = 0.0
+    if "repeated day" in kinds:
+        returns[:, 1] = returns[:, 0]
+    if "equal stocks" in kinds:
+        returns[:] = returns[0]
+    if "huge return" in kinds:
+        returns[draw(st.integers(0, n - 1)), draw(st.integers(0, t - 1)), 0] = 1e160
+    values = returns.tolist()
+    rows = ["date,bin,symbol,return"]
+    rows += [
+        f"2024-01-{d + 1:02d},{b + 1},S{a},{values[a][d][b]!r}"
+        for a in range(n) for d in range(t) for b in range(k)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:bin .* rank-deficient:UserWarning")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(table=degenerate_tables(), eigen_hi=st.integers(1, 2))
+def test_a_degenerate_table_never_exits_5_or_writes_an_infinity(table, eigen_hi):
+    with tempfile.TemporaryDirectory() as work:
+        returns = Path(work, "returns.csv")
+        returns.write_text(table)
+        out = Path(work, "out")
+        argv = ["run", "--mode", "returns", "--input", str(returns), "--output-dir", str(out),
+                "--min-count", "1", "--null-trials", "1000", "--fit-window", "1:3",
+                "--eigen-lo", "1", "--eigen-hi", str(eigen_hi)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code != 5, err.getvalue()
+        for path in out.iterdir() if out.exists() else ():
+            for token in re.split(r"[\s,=()]+", path.read_text()):
+                try:
+                    assert not math.isinf(float(token)), f"{path.name}: {token}"
+                except ValueError:
+                    pass
 
 
 # Every RunConfig field set away from its default; the echo text of each

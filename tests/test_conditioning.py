@@ -116,6 +116,13 @@ class TestConditionalStatistic:
         assert curve.conditioning_name == "abs_move"
         assert curve.statistic_name == "spread"
 
+    def test_default_buckets(self):
+        # without buckets: BucketSpec.fixed_width(), 60 buckets of 0.001 over -0.03..0.03
+        curve = conditional_statistic([0.0004, 0.0006, -0.0295], [1.0, 3.0, 5.0], min_count=1)
+        np.testing.assert_allclose(curve.bucket_centers, [-0.0295, 0.0005])
+        np.testing.assert_allclose(curve.means, [5.0, 2.0])
+        assert curve.omitted_buckets == 58
+
     def test_rejects_bad_inputs(self):
         spec = BucketSpec([0.0, 1.0])
         with pytest.raises(ValueError, match="sizes differ"):
@@ -195,6 +202,14 @@ class TestGridConditioners:
     def test_unknown_dispersion_kind(self, grid):
         with pytest.raises(ValueError, match="unknown dispersion kind"):
             kurtosis_vs_dispersion(grid, dispersion_kind="iqr")
+
+    @pytest.mark.parametrize(
+        "curve", [dispersion_vs_index, skew_vs_index, kurtosis_vs_index, kurtosis_vs_dispersion]
+    )
+    def test_a_bin_the_grid_lacks_is_named(self, grid, wide, curve):
+        # bin 1 alone would pool; the unknown 99 must not be dropped silently
+        with pytest.raises(ValueError, match=r"^\[99\] are not bins of the panel \[1, 2, 3, 4\]$"):
+            curve(grid, wide, min_count=1, bins=[1, 99])
 
 
 class TestOddEvenDecompose:

@@ -1,6 +1,7 @@
 """Cross-sectional dispersion moments and panel normalization."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ class TestPooled:
         grid = self.make_grid()
         with pytest.raises(ValueError, match="no rows"):
             grid.pooled(bins=[17])
+
+    @pytest.mark.parametrize("bins", [[1, 99], (99, 1, 98), np.array([1, 99])])
+    def test_a_bin_the_grid_lacks_is_named(self, bins):
+        grid = self.make_grid()
+        unknown = "[98, 99]" if 98 in bins else "[99]"
+        with pytest.raises(ValueError, match=rf"^{re.escape(unknown)} are not bins of the panel"):
+            grid.pooled(bins=bins)
 
 
 class TestNormalization:

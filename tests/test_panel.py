@@ -1,5 +1,6 @@
 """Panel construction, table parsing, load policies, price conversion."""
 
+import dataclasses
 import datetime as dt
 import io
 
@@ -115,6 +116,13 @@ class TestLoadPanel:
         panel, report = load_panel(read_rows(recs), policy="zero-fill")
         assert report.fills_applied == 1
         assert panel.returns.shape == (2, 2, 2)
+
+    def test_negative_bin_in_hand_built_columns(self):
+        # the table readers reject a negative bin first; columns built by hand reach load_panel
+        columns = read_rows(records_for(["A", "B"], [D1, D2], [1, 2]))
+        columns = dataclasses.replace(columns, bins=np.where(columns.bins == 2, -2, columns.bins))
+        with pytest.raises(PanelFormatError, match="^negative bin -2$"):
+            load_panel(columns)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -284,6 +292,23 @@ class TestValidation:
         assert report.ok
         assert any("|return| > 0.5" in w and "(A, " in w for w in report.warnings)
 
+    @pytest.mark.parametrize(
+        "stocks, dates, violation",
+        [
+            (("A",), (D1, D2), "need at least 2 stocks, have 1"),
+            (("A", "B"), (D1,), "need at least 2 days, have 1"),
+            (("A", "B"), (D1, D3, D2),
+             "dates not strictly increasing at index 2 (2020-01-08 -> 2020-01-07)"),
+            (("A", "A"), (D1, D2), "duplicate stock ids"),
+        ],
+    )
+    def test_structural_violations(self, stocks, dates, violation):
+        # a hand-built panel: load_panel gives none of these
+        panel = ReturnPanel(np.zeros((len(stocks), len(dates), 2)), stocks, dates, 2, False)
+        report = validate_panel(panel)
+        assert report.violations == [violation]
+        assert not report.ok
+
     def test_reports_count_every_cell_and_name_the_first(self):
         # 12 non-finite cells then 12 wild ones, in (stock, day, bin) order
         returns = np.r_[[np.nan] * 11, np.inf, [0.9] * 12].reshape(2, 2, 6)
@@ -306,3 +331,8 @@ class TestRecordsRoundtrip:
                 bins_per_day=4,
                 overnight_present=False,
             )
+
+    def test_no_intraday_bin(self):
+        # the overnight column alone matches the shape, so the bin count is what fails
+        with pytest.raises(ValueError, match="^bins_per_day must be >= 1$"):
+            ReturnPanel(np.zeros((2, 2, 1)), ("A", "B"), (D1, D2), 0, overnight_present=True)

@@ -68,6 +68,18 @@ class TestProfiles:
         with pytest.raises(ValueError, match="band kind"):
             profile_over_days(np.ones((2, 2)), "sigma")
 
+    @pytest.mark.parametrize("series", [np.ones(3), np.ones((2, 2, 2))])
+    def test_series_must_be_2d(self, series):
+        for profile in (profile_over_days, profile_over_stocks):
+            with pytest.raises(ValueError, match=f"^series must be 2-D, got {series.ndim}-D$"):
+                profile(series)
+
+    def test_no_observations(self):
+        with pytest.raises(InsufficientDataError, match="no observations to profile"):
+            profile_over_stocks(np.empty((0, 3)))
+        with pytest.raises(InsufficientDataError, match="no observations to profile"):
+            profile_over_days(np.empty((3, 0)))
+
     def test_label_count_mismatch(self):
         # the (bin, day) series has 2 bins, so 3 labels cannot fit
         with pytest.raises(ValueError, match="bin labels"):

@@ -224,6 +224,9 @@ class TestOverlaps:
             overlap_singular_values(spectra, index_range=(2, 99))
         with pytest.raises(ValueError, match="reference bin"):
             overlap_singular_values(spectra, reference_bin=42)
+        smaller = BinSpectrum(np.ones(11), np.eye(11), bin=9)
+        with pytest.raises(ValueError, match="^spectra have mismatched dimensions$"):
+            overlap_singular_values([*spectra, smaller], index_range=(2, 5))
 
     def test_singular_values_descending_in_unit_interval(self):
         spectra = self.spectra_pair()
@@ -272,6 +275,8 @@ class TestRandomBaseline:
     def test_validation(self):
         with pytest.raises(ValueError, match="must be <"):
             random_overlap_baseline(5, 5, trials=1000)
+        with pytest.raises(ValueError, match="^subspace dimension must be >= 1$"):
+            random_overlap_baseline(5, 0, trials=1000)
         with pytest.raises(ValueError, match="at least 1000"):
             random_overlap_baseline(10, 2, trials=10)
         with pytest.raises(ValueError, match="quantile"):

@@ -105,7 +105,12 @@ class TestManifestValidation:
             plain_manifest(target_correlation=0.0).validate()
 
     def test_zero_loading_with_zero_correlation_is_fine(self):
-        plain_manifest(beta_mean=0.0, target_correlation=0.0).validate()
+        manifest = plain_manifest(beta_mean=0.0, target_correlation=0.0)
+        manifest.validate()
+        # no factor reaches the returns, and the residual base scale is f(k) itself
+        panel, echoed = generate_market(manifest)
+        np.testing.assert_array_equal(echoed.implied_correlation, [0.0] * 3)
+        assert panel.returns.std() == pytest.approx(0.002, rel=0.05)
 
 
 class TestGenerationDeterminism:
@@ -394,6 +399,11 @@ class TestManifestIO:
              "2 values for 3 bins"),
             ("n_stocks = 4\nn_days = 10\nbins_per_day = 3\n"
              "factor_vol = fast\ntarget_correlation = 0.3\n", "bad profile value"),
+            # bins_per_day is checked before any profile is built from it
+            ("n_stocks = 4\nn_days = 10\nbins_per_day = -1\nfactor_vol = 0.002\n"
+             "target_correlation = 0.3\n", "bins_per_day must be >= 1"),
+            ("n_stocks = 4\nn_days = 10\nbins_per_day = 0\n"
+             "factor_vol = 0.1, 0.2\ntarget_correlation = 0.3\n", "bins_per_day must be >= 1"),
         ],
     )
     def test_malformed_manifests(self, text, message):
