@@ -326,7 +326,8 @@ def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
     # Neither a panel read here nor the normalized one outlives its use, so the
     # stage holds only the spectra through the overlaps and the null.
     spectra = bin_spectra(
-        normalize_panel(_read_canonical(config, check=True) if panel is None else panel)
+        normalize_panel(_read_canonical(config, check=True) if panel is None else panel),
+        eigen_hi=config.eigen_hi,
     )
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]

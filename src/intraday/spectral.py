@@ -10,8 +10,10 @@ With fewer days T than stocks N the matrix has rank at most T - 1, and
 :func:`bin_spectra` decomposes the T x T dual Gram matrix Z'Z/T of the
 standardized data Z instead of the N x N correlation matrix: the nonzero
 eigenvalues are shared, and each eigenvector maps back as Z u / sqrt(T g).
-Such a spectrum keeps all N eigenvalues (zeros past rank T - 1) but only
-the T - 1 eigenvectors that are determined by the data.
+Such a spectrum keeps all N eigenvalues (zeros past rank T - 1).  Of the
+T - 1 eigenvectors that the data determine it keeps only those that the
+analysis reads, ranks 1..``eigen_hi`` (the market mode and the overlap
+window), and so does the N x N path.
 
 The stability of eigenvectors across bins is measured by overlap matrices
 
@@ -58,10 +60,11 @@ class CorrelationMatrix:
 class BinSpectrum:
     """Eigenvalues (descending) and sign-fixed eigenvectors for one bin.
 
-    ``eigenvectors`` is N x N, or N x (T - 1) when the bin has fewer days
-    T than stocks N: past rank T - 1 the eigenvalues are exactly zero and
-    their eigenvectors are an arbitrary basis of the null space, so none
-    is kept.
+    ``eigenvalues`` holds all N.  ``eigenvectors`` is N x N from
+    :func:`eigen_decompose`; :func:`bin_spectra` keeps the leading
+    ``eigen_hi`` columns, and at most T - 1 when the bin has fewer days T
+    than stocks N: past rank T - 1 the eigenvalues are exactly zero and
+    their eigenvectors are an arbitrary basis of the null space.
     """
 
     eigenvalues: np.ndarray
@@ -180,7 +183,7 @@ def market_mode_stats(spectrum: BinSpectrum) -> MarketMode:
     )
 
 
-def _bin_spectrum(npanel: ReturnPanel, k: int) -> BinSpectrum:
+def _bin_spectrum(npanel: ReturnPanel, k: int, keep: int) -> BinSpectrum:
     centered, scale = _standardized(npanel, k)
     n_stocks, n_days = centered.shape
     if n_days < n_stocks:
@@ -193,23 +196,38 @@ def _bin_spectrum(npanel: ReturnPanel, k: int) -> BinSpectrum:
         if g[-1] > n_days * np.finfo(np.float64).eps * g[0]:
             eigenvalues = np.zeros(n_stocks)
             eigenvalues[:rank] = g
+            # every column is mapped back: a narrower product can differ in
+            # its last bits; _fix_signs copies only the kept ones
             vectors = z @ (u / np.sqrt(n_days * g))
-            return BinSpectrum(eigenvalues, _fix_signs(vectors), bin=int(k))
-    return eigen_decompose(_correlation(centered, scale, k))
+            return BinSpectrum(eigenvalues, _fix_signs(vectors[:, :keep]), bin=int(k))
+    full = eigen_decompose(_correlation(centered, scale, k))
+    # a copy, so that the N x N array is freed
+    return BinSpectrum(full.eigenvalues, full.eigenvectors[:, :keep].copy(), full.bin)
 
 
-def bin_spectra(npanel: ReturnPanel) -> list[BinSpectrum]:
+def bin_spectra(npanel: ReturnPanel, eigen_hi: int = RunConfig.eigen_hi) -> list[BinSpectrum]:
     """Eigen-decompose every bin of the panel:
     ``eigen_decompose(correlation_matrix(npanel, k))`` run under
     :func:`~intraday.config.single_threaded_blas` (outside it they use the
     multi-threaded BLAS, whose last bits can differ), or the dual Gram matrix
     when the bin has fewer days than stocks (see the module docstring).  The
     bins run through :func:`~intraday.config.thread_map`, after every bin's
-    day-count check and warning on the calling thread."""
+    day-count check and warning on the calling thread.
+
+    Each spectrum holds all N eigenvalues but only the eigenvectors of ranks
+    1..``eigen_hi``, as many of them as the path holds (N, or T - 1 on the
+    dual path); pass ``eigen_hi=n_stocks`` for every one.  At least two are
+    kept where held: :func:`market_mode_stats`' dot product reads rank 1 as
+    a strided column then, as from the full set, and a contiguous one would
+    be summed in another order.  The kept columns are the leading columns of
+    the full set bit for bit."""
+    if eigen_hi < 1:
+        raise ValueError(f"eigen_hi must be >= 1, got {eigen_hi}")
     bins = [int(k) for k in npanel.bin_numbers]
     for k in bins:
         _check_days(npanel, k)
-    return thread_map(lambda k: _bin_spectrum(npanel, k), bins)
+    keep = max(eigen_hi, 2)
+    return thread_map(lambda k: _bin_spectrum(npanel, k, keep), bins)
 
 
 def overlap_singular_values(
@@ -237,7 +255,7 @@ def overlap_singular_values(
     if hi > held:
         raise ValueError(
             f"index range ({lo}, {hi}) exceeds the {held} eigenvectors held "
-            "(rank is at most days - 1)"
+            "(bin_spectra keeps ranks 1..eigen_hi, and rank is at most days - 1)"
         )
     cols = slice(lo - 1, hi)
     ref_block = ref.eigenvectors[:, cols]

@@ -802,6 +802,17 @@ class TestFewerDaysThanStocks:
         assert header[-1] == "s_7"
         assert table["s_2"][1] == pytest.approx(1.0, abs=1e-9)
 
+    def test_returns_mode_with_eigen_hi_at_the_rank(self, tmp_path):
+        # eigen_hi = n_days - 1: bin_spectra keeps every eigenvector of the rank
+        cfg = self.write_wide_config(tmp_path)
+        assert cli.main(["synth", "-c", str(cfg)]) == 0
+        returns = str(tmp_path / "out" / "returns.csv")
+        argv = ["run", "-c", str(cfg), "--mode", "returns", "--input", returns, "--eigen-hi", "7"]
+        assert cli.main(argv) == 0
+        header, _ = read_stage_table(tmp_path / "out" / "fig7.csv")
+        lambdas = [f"lambda_{i}" for i in range(2, 8)]
+        assert header == ["bin", "overnight", *lambdas, *(f"s_{i}" for i in range(2, 8))]
+
     def assert_eigen_hi_rejected(self, capsys):
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: input-error: eigen_lo..eigen_hi = 2..8")

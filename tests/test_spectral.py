@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intraday.config import single_threaded_blas
+from intraday.config import RunConfig, single_threaded_blas
 from intraday.cross_section import normalize_panel
 from intraday.errors import DegenerateSampleError, InsufficientDataError
 from intraday.spectral import (
@@ -175,9 +175,9 @@ class TestCorrelationMatrix:
 
 
 class TestOverlaps:
-    def spectra_pair(self):
+    def spectra_pair(self, **kwargs):
         npanel = TestCorrelationMatrix().make_npanel(n=12, t=400, k=3, seed=5)
-        return bin_spectra(npanel)
+        return bin_spectra(npanel, **kwargs)
 
     def test_reference_overlap_is_identity(self):
         spectra = self.spectra_pair()
@@ -201,7 +201,7 @@ class TestOverlaps:
         np.testing.assert_allclose(got.singular_values, 1.0, atol=1e-10)
 
     def test_orthogonal_complement_gives_zero(self):
-        spectra = self.spectra_pair()
+        spectra = self.spectra_pair(eigen_hi=12)
         s = spectra[0]
         from intraday.spectral import BinSpectrum
 
@@ -320,7 +320,7 @@ class TestDualPath:
             np.testing.assert_allclose(dual.eigenvalues[:19], primal.eigenvalues[:19], rtol=1e-10)
 
     def test_eigenvalues_past_rank_are_zero_and_sum_to_n(self):
-        for spectrum in quietly(bin_spectra, factor_view(60, 20)):
+        for spectrum in quietly(bin_spectra, factor_view(60, 20), eigen_hi=60):
             assert spectrum.eigenvalues.shape == (60,)
             assert spectrum.eigenvectors.shape == (60, 19)
             assert np.all(spectrum.eigenvalues[19:] == 0.0)
@@ -348,7 +348,7 @@ class TestDualPath:
     def test_repeated_day_takes_the_primal_path(self):
         view = factor_view(60, 20)
         view.returns[:, 5, 0] = view.returns[:, 4, 0]  # rank T - 2 at bin 1
-        dual, primal = quietly(bin_spectra, view), quietly(primal_spectra, view)
+        dual, primal = quietly(bin_spectra, view, eigen_hi=60), quietly(primal_spectra, view)
         assert dual[0].eigenvectors.shape == (60, 60)
         np.testing.assert_array_equal(dual[0].eigenvalues, primal[0].eigenvalues)
         np.testing.assert_array_equal(dual[0].eigenvectors, primal[0].eigenvectors)
@@ -357,7 +357,8 @@ class TestDualPath:
     @pytest.mark.parametrize("n, t", [(10, 30), (12, 12)])
     def test_enough_days_is_the_primal_bit_for_bit(self, n, t):
         view = factor_view(n, t, bins=3)
-        for dual, primal in zip(quietly(bin_spectra, view), quietly(primal_spectra, view)):
+        pairs = zip(quietly(bin_spectra, view, eigen_hi=n), quietly(primal_spectra, view))
+        for dual, primal in pairs:
             np.testing.assert_array_equal(dual.eigenvalues, primal.eigenvalues)
             np.testing.assert_array_equal(dual.eigenvectors, primal.eigenvectors)
 
@@ -368,7 +369,7 @@ class TestDualPath:
         view = factor_view(100, 150, bins=2)
         with single_threaded_blas():
             primal = primal_spectra(view)
-        for spectrum, alone in zip(bin_spectra(view), primal):
+        for spectrum, alone in zip(bin_spectra(view, eigen_hi=100), primal):
             np.testing.assert_array_equal(spectrum.eigenvalues, alone.eigenvalues)
             np.testing.assert_array_equal(spectrum.eigenvectors, alone.eigenvectors)
 
@@ -388,7 +389,7 @@ class TestDualPath:
         assert [m.split(":")[0] for m in messages] == ["bin 1", "bin 2", "bin 3"]
 
     def test_index_range_past_the_held_eigenvectors(self):
-        spectra = quietly(bin_spectra, factor_view(60, 20))
+        spectra = quietly(bin_spectra, factor_view(60, 20), eigen_hi=60)
         assert len(overlap_singular_values(spectra, index_range=(2, 19))) == 2
         for hi in (20, 60):
             with pytest.raises(ValueError, match="19 eigenvectors held"):
@@ -399,6 +400,60 @@ class TestDualPath:
         short = BinSpectrum(other.eigenvalues, other.eigenvectors[:, :4], bin=other.bin)
         with pytest.raises(ValueError, match="4 eigenvectors held"):
             overlap_singular_values([ref, short], index_range=(2, 5))
+
+
+SHAPES = {"dual": (300, 40), "primal": (100, 120), "repeated-day": (60, 20)}
+
+
+def shaped_view(path):
+    view = factor_view(*SHAPES[path])
+    if path == "repeated-day":
+        view.returns[:, 5, 0] = view.returns[:, 4, 0]  # bin 1 takes the N x N path
+    return view
+
+
+class TestTrimmedSpectra:
+    """``bin_spectra`` keeps the eigenvectors of ranks 1..``eigen_hi``."""
+
+    @pytest.mark.parametrize("path", SHAPES)
+    def test_default_holds_eigen_hi_columns(self, path):
+        view = shaped_view(path)
+        n = view.returns.shape[0]
+        full = quietly(bin_spectra, view, eigen_hi=n)
+        if path == "repeated-day":
+            assert [s.eigenvectors.shape[1] for s in full] == [60, 19]
+        for spectrum in quietly(bin_spectra, view):
+            assert spectrum.eigenvalues.shape == (n,)
+            assert spectrum.eigenvectors.shape == (n, RunConfig.eigen_hi)
+
+    @pytest.mark.parametrize("eigen_hi", [1, 2, 7, 19, 45])
+    @pytest.mark.parametrize("path", SHAPES)
+    def test_kept_columns_are_the_full_set_bit_for_bit(self, path, eigen_hi):
+        # eigen_hi = 1 keeps two columns, so that market_mode_stats reads
+        # rank 1 with the stride, and so the bits, of the full set; past
+        # T - 1 = 19 or 39 a dual-path bin keeps T - 1
+        view = shaped_view(path)
+        n = view.returns.shape[0]
+        full = quietly(bin_spectra, view, eigen_hi=n)
+        for kept, whole in zip(quietly(bin_spectra, view, eigen_hi=eigen_hi), full):
+            keep = min(max(eigen_hi, 2), whole.eigenvectors.shape[1])
+            assert kept.eigenvectors.shape == (n, keep)
+            np.testing.assert_array_equal(kept.eigenvalues, whole.eigenvalues)
+            np.testing.assert_array_equal(kept.eigenvectors, whole.eigenvectors[:, :keep])
+            assert market_mode_stats(kept) == market_mode_stats(whole)
+
+    def test_eigen_hi_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^eigen_hi must be >= 1, got 0$"):
+            bin_spectra(factor_view(10, 30), eigen_hi=0)
+
+    def test_index_range_past_eigen_hi_names_both_limits(self):
+        spectra = quietly(bin_spectra, factor_view(60, 20))
+        with pytest.raises(ValueError) as caught:
+            overlap_singular_values(spectra, index_range=(2, 8))
+        assert str(caught.value) == (
+            "index range (2, 8) exceeds the 7 eigenvectors held (bin_spectra keeps "
+            "ranks 1..eigen_hi, and rank is at most days - 1)"
+        )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -412,7 +467,7 @@ def test_dual_spectrum_is_the_primal_spectrum(n, t_share, seed):
     eigenvalues, zeros past rank T - 1, and unit eigenvectors of C."""
     t = 2 + int(t_share * (n - 3))
     view = factor_view(n, t, bins=1, seed=seed)
-    (dual,) = quietly(bin_spectra, view)
+    (dual,) = quietly(bin_spectra, view, eigen_hi=n)
     (primal,) = quietly(primal_spectra, view)
     c = quietly(correlation_matrix, view, 1).entries
     rank = t - 1
