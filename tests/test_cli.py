@@ -796,22 +796,19 @@ class TestFewerDaysThanStocks:
         return write_config(tmp_path, **overrides)
 
     def test_run_writes_every_table(self, tmp_path):
+        # eigen_hi = n_days - 1: bin_spectra keeps every eigenvector of the rank
         cfg = self.write_wide_config(tmp_path, eigen_hi="7")
         assert cli.main(["run", "-c", str(cfg)]) == 0
-        header, table = read_stage_table(tmp_path / "out" / "fig7.csv", s_2=float)
-        assert header[-1] == "s_7"
+        fig7 = tmp_path / "out" / "fig7.csv"
+        header, table = read_stage_table(fig7, s_2=float)
+        lambdas, overlaps = [f"lambda_{i}" for i in range(2, 8)], [f"s_{i}" for i in range(2, 8)]
+        assert header == ["bin", "overnight", *lambdas, *overlaps]
         assert table["s_2"][1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_returns_mode_with_eigen_hi_at_the_rank(self, tmp_path):
-        # eigen_hi = n_days - 1: bin_spectra keeps every eigenvector of the rank
-        cfg = self.write_wide_config(tmp_path)
-        assert cli.main(["synth", "-c", str(cfg)]) == 0
+        # returns mode on the table just written gives the same figure
+        synth_fig7 = fig7.read_bytes()
         returns = str(tmp_path / "out" / "returns.csv")
-        argv = ["run", "-c", str(cfg), "--mode", "returns", "--input", returns, "--eigen-hi", "7"]
-        assert cli.main(argv) == 0
-        header, _ = read_stage_table(tmp_path / "out" / "fig7.csv")
-        lambdas = [f"lambda_{i}" for i in range(2, 8)]
-        assert header == ["bin", "overnight", *lambdas, *(f"s_{i}" for i in range(2, 8))]
+        assert cli.main(["run", "-c", str(cfg), "--mode", "returns", "--input", returns]) == 0
+        assert fig7.read_bytes() == synth_fig7
 
     def assert_eigen_hi_rejected(self, capsys):
         err = capsys.readouterr().err.strip()
