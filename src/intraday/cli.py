@@ -26,8 +26,8 @@ Every subcommand takes ``-c/--config`` plus one ``--<key>`` flag per
 ``RunConfig`` field; flag values override the file and parse the same way.
 Settings that need the panel (eigen window, reference bin, fit window,
 conditioning bins) are checked by ``ingest`` before it writes, and again
-by the stage subcommands that use them.  ``SEASONALITY_THREADS`` caps the
-package's kernel threads (at most 2) and numpy's bundled OpenBLAS; each BLAS
+by the stage subcommands that use them.  ``OPENBLAS_NUM_THREADS`` caps numpy's
+bundled OpenBLAS and so the package's kernel threads (at most 2); each BLAS
 call inside a kernel is single-threaded, so the outputs do not depend on it.
 
 Exit codes: 0 success, 2 input error, 3 schema error, 4 numeric error,
@@ -56,11 +56,9 @@ from .conditioning import (
 )
 from .config import (
     RunConfig,
-    apply_thread_cap,
     config_echo_pairs,
     parse_kv_lines,
     run_config_from,
-    thread_cap_from_env,
     write_kv_lines,
 )
 from .cross_section import DispersionGrid, dispersion_grid, normalize_panel
@@ -474,7 +472,6 @@ _FAILURES = (
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        apply_thread_cap(thread_cap_from_env())
         _STAGES[args.command](_resolve_config(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         category, code = next((c, n) for kinds, c, n in _FAILURES if isinstance(exc, kinds))

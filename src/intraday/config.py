@@ -36,7 +36,6 @@ from .seasonality import first_half_range, first_two_hours_range
 
 #: The named fit windows, each a function of the bins per day
 FIT_WINDOWS = {"first_half": first_half_range, "first_two_hours": first_two_hours_range}
-THREADS_ENV_VAR = "SEASONALITY_THREADS"
 SLABS_PER_THREAD = 4  # contiguous slabs per kernel thread in slab_map
 # Each helper thread's malloc arena keeps its freed slabs mapped: the
 # kernels_wide peak RSS rose 2-3% at 2 kernel threads, 5% at 4 and 9% at 8.
@@ -149,6 +148,8 @@ class RunConfig:
             raise ValueError("null_trials must be >= 1000")
         if not 0.0 < self.null_quantile < 1.0:
             raise ValueError("null_quantile must be inside (0, 1)")
+        if self.null_seed < 0:
+            raise ValueError("null_seed must be >= 0")
         if self.sanity_bound <= 0:
             raise ValueError("sanity_bound must be positive")
 
@@ -289,21 +290,6 @@ def config_echo_pairs(obj) -> list[tuple[str, str]]:
     return [(key, format_value(getattr(obj, key))) for key in _keys(type(obj))]
 
 
-def thread_cap_from_env(environ=None) -> int | None:
-    """Validated SEASONALITY_THREADS value, or None when unset."""
-    env = os.environ if environ is None else environ
-    raw = env.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise PanelFormatError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise PanelFormatError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-    return cap
-
-
 @cache
 def _bundled_openblas():
     """numpy's bundled OpenBLAS (``libscipy_openblas64_``) through ctypes,
@@ -332,20 +318,13 @@ def _blas_threads() -> int:
     return 1 if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
-def apply_thread_cap(cap: int | None) -> None:
-    """Lower numpy's OpenBLAS to at most ``cap`` threads; None, or a cap at
-    or above the current count, leaves it as it is."""
-    if cap is not None and cap < _blas_threads():
-        _bundled_openblas().scipy_openblas_set_num_threads64_(cap)
-
-
 _BLAS_LOCK = threading.Lock()
 _blas_sections = {"open": 0, "saved": 1}  # guarded by _BLAS_LOCK
 
 
 def kernel_threads() -> int:
     """The threads :func:`thread_map` runs on: the bundled OpenBLAS's thread
-    count, which ``SEASONALITY_THREADS`` caps, at most
+    count, which ``OPENBLAS_NUM_THREADS`` caps when numpy loads it, at most
     :data:`MAX_KERNEL_THREADS` (1 without that BLAS)."""
     return min(MAX_KERNEL_THREADS, _blas_threads())
 

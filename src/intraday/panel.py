@@ -592,7 +592,9 @@ def validate_panel(
     Violations cover structural problems (too few stocks or days, non-finite
     cells, unsorted or duplicate dates, duplicate symbols).  Cells with
     ``|return| > sanity_bound`` are listed as warnings only: suspicious, not
-    invalid.
+    invalid.  So is each (stock, bin) whose return is the same on every day:
+    it has no dispersion, hence no kurtosis, and the stock kurtosis profile
+    is NaN in its bin.
     """
     report = ValidationReport()
     arr = panel.returns
@@ -603,10 +605,11 @@ def validate_panel(
 
     def cells(mask, limit, what):
         """``what``, led by the count of ``mask``'s cells and followed by the
-        first ``limit`` of them, named."""
-        locs = np.argwhere(mask)
+        first ``limit`` of them, named; a 2-d mask is over (stock, bin)."""
+        days = [f"{d.isoformat()}, " for d in panel.dates] if mask.ndim == 3 else [""]
+        locs = np.argwhere(mask.reshape(mask.shape[0], -1, mask.shape[-1]))
         shown = ", ".join(
-            f"({panel.stock_ids[a]}, {panel.dates[t].isoformat()}, bin {panel.bin_numbers[c]})"
+            f"({panel.stock_ids[a]}, {days[t]}bin {panel.bin_numbers[c]})"
             for a, t, c in locs[:limit]
         )
         return f"{len(locs)} {what}: {shown}"
@@ -629,6 +632,13 @@ def validate_panel(
     extreme &= np.isfinite(arr)
     if extreme.any():
         report.warnings.append(cells(extreme, 10, f"cell(s) with |return| > {sanity_bound:g}"))
+
+    # per (stock, bin), with no panel-sized temporary; a panel of no days has no flat series
+    flat = arr.max(axis=1, initial=-np.inf) == arr.min(axis=1, initial=np.inf)
+    if flat.any():
+        bins = ", ".join(map(str, panel.bin_numbers[flat.any(axis=0)]))
+        what = f"(stock, bin) series with the same return on every day, in bin(s) {bins}"
+        report.warnings.append(cells(flat, 10, what))
     return report
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Literal
 
 import numpy as np
@@ -126,10 +126,16 @@ class GeneratorManifest:
 
     def validate(self) -> None:
         check_choices(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite")
         if self.n_stocks < 2:
             raise ValueError("n_stocks must be >= 2")
         if self.n_days < 2:
             raise ValueError("n_days must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if np.any(self.factor_vol <= 0):
             raise ValueError("factor_vol must be strictly positive")
         rho = self.target_correlation

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intraday import cli
@@ -375,6 +375,17 @@ class TestExitCodes:
         assert cli.main(["run", "-c", str(cfg)]) == 2
         self.assert_single_error_line(capsys, "input-error")
 
+    def test_a_nan_manifest_value_is_named_and_leaves_the_earlier_files(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (tmp_path / "synth.cfg").write_text(MANIFEST.replace("ushape(0.004, 0.002)", "nan"))
+        assert cli.main(["synth", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: input-error: factor_vol must be finite\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_upstream_stage_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["moments", "-c", str(cfg)]) == 2
@@ -652,6 +663,34 @@ class TestExitCodes:
         assert [name for name in written if not (out / name).exists()] == []
         assert [name for name in absent if (out / name).exists()] == []
 
+    def test_a_halted_stock_is_warned_of_before_its_nan_kurtosis(self, tmp_path, capsys):
+        # S07's return is 0 on every day of every bin: its kurtosis is NaN in
+        # each bin, and so is fig2's stock profile, written before spectra fails
+        rng = np.random.default_rng(1)
+        rows = ["date,bin,symbol,return"]
+        for day in range(1, 31):
+            for k in range(1, 4):
+                for s in range(20):
+                    value = 0.0 if s == 7 else rng.normal(0, 0.01)
+                    rows.append(f"2024-01-{day:02d},{k},S{s:02d},{value:.6f}")
+        returns = tmp_path / "returns.csv"
+        returns.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, mode="returns", input=str(returns), min_count=1,
+                           fit_window="1:3")
+        assert cli.main(["run", "-c", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "error: numeric-error: zero variance at bin 1 for stock(s): S07\n"
+        )
+        out = tmp_path / "out"
+        assert (out / "validation.txt").read_text().splitlines() == [
+            "ok = true",
+            "warning: 3 (stock, bin) series with the same return on every day, in bin(s) "
+            "1, 2, 3: (S07, bin 1), (S07, bin 2), (S07, bin 3)",
+        ]
+        _, fig2 = read_stage_table(out / "fig2.csv", stock_kurtosis=float,
+                                   stock_kurtosis_band=float)
+        assert np.isnan(fig2["stock_kurtosis"] + fig2["stock_kurtosis_band"]).all()
+
     def test_a_nonpositive_fig1_stock_vol_is_a_numeric_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["run", "-c", str(cfg)]) == 0
@@ -670,20 +709,13 @@ class TestExitCodes:
         )
         assert read_all(out) == before
 
-    def test_thread_cap_env_is_validated(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path)
-        monkeypatch.setenv("SEASONALITY_THREADS", "plenty")
-        assert cli.main(["run", "-c", str(cfg)]) == 2
-        self.assert_single_error_line(capsys, "input-error")
-        monkeypatch.setenv("SEASONALITY_THREADS", "2")
-        assert cli.main(["run", "-c", str(cfg)]) == 0
-
     @pytest.mark.parametrize(
         "flag, value",
         [
             ("--policy", "bogus"),
             ("--min-count", "abc"),
             ("--include-overnight-conditioning", "maybe"),
+            ("--null-seed", "-1"),
         ],
     )
     def test_bad_flag_value(self, tmp_path, capsys, flag, value):
@@ -981,7 +1013,12 @@ def degenerate_tables(draw):
         returns[:] = returns[0]
     if "huge return" in kinds:
         returns[draw(st.integers(0, n - 1)), draw(st.integers(0, t - 1)), 0] = 1e160
-    values = returns.tolist()
+    return returns_table(returns)
+
+
+def returns_table(returns):
+    """A returns-mode table's text from a (stock, day, bin) array."""
+    (n, t, k), values = returns.shape, returns.tolist()
     rows = ["date,bin,symbol,return"]
     rows += [
         f"2024-01-{d + 1:02d},{b + 1},S{a},{values[a][d][b]!r}"
@@ -990,9 +1027,16 @@ def degenerate_tables(draw):
     return "\n".join(rows) + "\n"
 
 
+# a halted stock (S2, 0 throughout): NaN kurtosis in every bin of fig2.csv,
+# which is written before spectra fails
+HALTED = np.random.default_rng(3).normal(0.0, 0.01, (4, 5, 3))
+HALTED[2] = 0.0
+
+
 @pytest.mark.filterwarnings("ignore:bin .* rank-deficient:UserWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(table=degenerate_tables(), eigen_hi=st.integers(1, 2))
+@example(table=returns_table(HALTED), eigen_hi=1)
 def test_a_degenerate_table_never_exits_5_or_writes_an_infinity(table, eigen_hi):
     with tempfile.TemporaryDirectory() as work:
         returns = Path(work, "returns.csv")
@@ -1011,6 +1055,13 @@ def test_a_degenerate_table_never_exits_5_or_writes_an_infinity(table, eigen_hi)
                     assert not math.isinf(float(token)), f"{path.name}: {token}"
                 except ValueError:
                     pass
+        if (out / "fig2.csv").exists():
+            # a NaN stock kurtosis in bin k comes with validation.txt's warning of bin k
+            _, fig2 = read_stage_table(out / "fig2.csv", bin=int, stock_kurtosis=float)
+            nan_bins = {k for k, v in zip(fig2["bin"], fig2["stock_kurtosis"]) if math.isnan(v)}
+            flat = re.search(r"same return on every day, in bin\(s\) ([\d, ]+):",
+                             (out / "validation.txt").read_text())
+            assert nan_bins <= ({int(k) for k in flat[1].split(", ")} if flat else set())
 
 
 # Every RunConfig field set away from its default; the echo text of each

@@ -13,7 +13,6 @@ from intraday.config import (
     format_float,
     parse_kv_lines,
     run_config_from,
-    thread_cap_from_env,
     write_kv_lines,
 )
 from intraday.errors import PanelFormatError, SchemaError
@@ -264,22 +263,6 @@ class TestConfigEcho:
         assert echo["bucket_width"] == "0.002"
         assert echo["include_overnight_conditioning"] == "true"
         assert echo["condition_bins"] == "1,2"
-
-
-class TestThreadCap:
-    def test_unset_means_none(self):
-        assert thread_cap_from_env({}) is None
-
-    def test_valid_value(self):
-        assert thread_cap_from_env({"SEASONALITY_THREADS": "4"}) == 4
-
-    def test_rejects_garbage(self):
-        with pytest.raises(PanelFormatError, match="positive integer"):
-            thread_cap_from_env({"SEASONALITY_THREADS": "many"})
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(PanelFormatError, match=">= 1"):
-            thread_cap_from_env({"SEASONALITY_THREADS": "0"})
 
 
 class TestTableIO:

@@ -297,6 +297,7 @@ class TestValidation:
         [
             (("A",), (D1, D2), "need at least 2 stocks, have 1"),
             (("A", "B"), (D1,), "need at least 2 days, have 1"),
+            (("A", "B"), (), "need at least 2 days, have 0"),
             (("A", "B"), (D1, D3, D2),
              "dates not strictly increasing at index 2 (2020-01-08 -> 2020-01-07)"),
             (("A", "A"), (D1, D2), "duplicate stock ids"),
@@ -310,7 +311,8 @@ class TestValidation:
         assert not report.ok
 
     def test_reports_count_every_cell_and_name_the_first(self):
-        # 12 non-finite cells then 12 wild ones, in (stock, day, bin) order
+        # 12 non-finite cells then 12 wild ones, in (stock, day, bin) order;
+        # B's wild return is the same on both days in each of its 6 bins
         returns = np.r_[[np.nan] * 11, np.inf, [0.9] * 12].reshape(2, 2, 6)
         panel = ReturnPanel(returns, ("A", "B"), (D1, D2), 5, overnight_present=True)
         cells = [
@@ -318,7 +320,25 @@ class TestValidation:
         ]
         report = validate_panel(panel, sanity_bound=0.5)
         assert report.violations == ["12 non-finite cell(s): " + ", ".join(cells[:5])]
-        assert report.warnings == ["12 cell(s) with |return| > 0.5: " + ", ".join(cells[12:22])]
+        assert report.warnings == [
+            "12 cell(s) with |return| > 0.5: " + ", ".join(cells[12:22]),
+            "6 (stock, bin) series with the same return on every day, in bin(s) 0, 1, 2, 3, 4, "
+            "5: " + ", ".join(f"(B, bin {k})" for k in range(6)),
+        ]
+
+    def test_each_flat_stock_and_bin_is_counted_and_the_first_named(self):
+        # bin 2 is 0 for all 12 stocks on both days, bin 1 only for B, bin 3 for none
+        returns = np.zeros((12, 2, 3))
+        returns[:, 1] = 0.01
+        returns[:, 1, 1] = returns[1, 1, 0] = 0.0
+        ids = ("A", "B", *(f"C{i}" for i in range(10)))
+        report = validate_panel(ReturnPanel(returns, ids, (D1, D2), 3, False))
+        named = ["(A, bin 2)", "(B, bin 1)", "(B, bin 2)"] + [f"(C{i}, bin 2)" for i in range(7)]
+        assert report.ok
+        assert report.warnings == [
+            "13 (stock, bin) series with the same return on every day, in bin(s) 1, 2: "
+            + ", ".join(named)
+        ]
 
 
 class TestRecordsRoundtrip:

@@ -19,7 +19,7 @@ import pytest
 
 import intraday
 from intraday import cli, cross_section, panel as panel_module, tableio
-from intraday.config import parse_kv_lines, run_config_from
+from intraday.config import MAX_KERNEL_THREADS, parse_kv_lines, run_config_from
 from intraday.panel import load_panel
 
 ANALYSIS = {
@@ -296,7 +296,9 @@ def assert_same_columns(columns, path):
 
 @pytest.mark.parametrize("cap", [None, "1", "64"])
 def test_thread_cap_reaches_the_blas(tmp_path, cap):
-    """Unset leaves the BLAS default; a cap lowers it but never raises it."""
+    """``OPENBLAS_NUM_THREADS`` sets the BLAS count (never past the cores,
+    and unset the BLAS default), the kernels run on at most 2 of those
+    threads, and ``run`` leaves the count as it found it."""
     cfg = write_config(tmp_path, "synth", "out")
     script = textwrap.dedent(
         """
@@ -307,14 +309,14 @@ def test_thread_cap_reaches_the_blas(tmp_path, cap):
             lib = config._bundled_openblas()
             return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
-        before = blas_threads()
+        before, kernel = blas_threads(), config.kernel_threads()
         code = cli.main(["run", "-c", sys.argv[1]])
-        print(code, before, blas_threads())
+        print(code, before, kernel, blas_threads())
         """
     )
-    env = {k: v for k, v in os.environ.items() if k != "SEASONALITY_THREADS"}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if cap is not None:
-        env["SEASONALITY_THREADS"] = cap
+        env["OPENBLAS_NUM_THREADS"] = cap
     src = os.path.dirname(os.path.dirname(intraday.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -324,11 +326,14 @@ def test_thread_cap_reaches_the_blas(tmp_path, cap):
         text=True,
         check=True,
     )
-    code, before, after = done.stdout.split()
+    code, before, kernel, after = done.stdout.split()
     if before == "None":
         pytest.skip("numpy does not bundle OpenBLAS here")
     assert code == "0"
-    assert after == ("1" if cap == "1" else before)
+    assert int(kernel) == min(MAX_KERNEL_THREADS, int(before))
+    assert after == before
+    if cap is not None:
+        assert 1 <= int(before) <= int(cap)
 
 
 def test_return_that_rounds_past_the_float_range_stops_ingest(tmp_path):

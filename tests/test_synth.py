@@ -90,6 +90,12 @@ class TestManifestValidation:
             (dict(jump_day_rate=1.5), "jump_day_rate"),
             (dict(jump_scale=0.0), "jump_scale"),
             (dict(overnight_vol_multiplier=-1.0), "overnight"),
+            (dict(seed=-5), "seed must be >= 0"),
+            (dict(factor_vol=math.nan), "factor_vol must be finite"),
+            (dict(target_correlation=[0.3, math.inf, 0.3]), "target_correlation must be finite"),
+            (dict(beta_mean=math.inf), "beta_mean must be finite"),
+            (dict(jump_scale=math.nan), "jump_scale must be finite"),
+            (dict(overnight_vol_multiplier=math.nan), "overnight_vol_multiplier must be finite"),
         ],
     )
     def test_rejects_bad_parameters(self, overrides, message):

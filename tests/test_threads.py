@@ -248,14 +248,13 @@ class TestSameBytesAtAnyThreadCount:
         assert blas_threads(blas) == 2
 
 
-def test_seasonality_threads_1_starts_no_helper_thread(blas, started, monkeypatch):
+def test_one_blas_thread_starts_no_helper_in_any_kernel(blas, started):
     panel = gaussian_iid_panel(60, 50, 5, 0.01, seed=4)
     blas.scipy_openblas_set_num_threads64_(2)
     kernel_outputs(panel)
     assert started  # the control: two BLAS threads start helpers
     started.clear()
-    monkeypatch.setenv(config.THREADS_ENV_VAR, "1")
-    config.apply_thread_cap(config.thread_cap_from_env())
+    blas.scipy_openblas_set_num_threads64_(1)
     assert config.kernel_threads() == 1
     kernel_outputs(panel)
     assert started == []
@@ -276,12 +275,9 @@ def test_a_kernel_raises_under_the_callers_errstate_on_any_thread(blas, threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_an_overflowing_moment_prints_one_stderr_line(
-    tmp_path, capsys, monkeypatch, blas, threads
-):
+def test_an_overflowing_moment_prints_one_stderr_line(tmp_path, capsys, blas, threads):
     # one return of 1e160 overflows the variance of stock S2, whose slab runs
     # on the helper at W = 2: a RuntimeWarning once came before the error line
-    monkeypatch.delenv(config.THREADS_ENV_VAR, raising=False)
     blas.scipy_openblas_set_num_threads64_(threads)
     assert config.kernel_threads() == threads
     rng = np.random.default_rng(5)
@@ -347,17 +343,17 @@ seed = 11
 """
 
 
-def test_run_outputs_do_not_depend_on_seasonality_threads(tmp_path):
+def test_run_outputs_do_not_depend_on_openblas_num_threads(tmp_path):
     """N = 100 stocks over 120 days: the N x N path, where a multi-threaded
     BLAS product would round differently."""
     (tmp_path / "synth.cfg").write_text(MANIFEST)
     src = os.path.dirname(os.path.dirname(intraday.__file__))
-    env = {k: v for k, v in os.environ.items() if k != config.THREADS_ENV_VAR}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = {}
     for cap in (None, "1"):
         out = tmp_path / f"out_{cap}"
-        run_env = env if cap is None else {**env, config.THREADS_ENV_VAR: cap}
+        run_env = env if cap is None else {**env, "OPENBLAS_NUM_THREADS": cap}
         subprocess.run(
             [sys.executable, "-m", "intraday.cli", "run", "--mode", "synth",
              "--synth-manifest", str(tmp_path / "synth.cfg"), "--output-dir", str(out),
