@@ -7,9 +7,13 @@ digits so files round-trip deterministically.
 
 A dataclass is the one declaration of its file's keys: ``RunConfig`` of
 the run config's, ``synth.GeneratorManifest`` of the manifest's.  Its
-compared fields are the keys, those without a default the required ones,
-and a ``Literal`` annotation lists a choice key's values.
-:func:`from_pairs` binds either file through them and
+compared fields are the keys, those without a default the required ones.
+A ``Literal`` annotation lists a choice key's values, and an ``Annotated``
+rule, such as ``Annotated[int, at_least(1)]``, declares a number key's
+domain as ``Literal`` declares the choices; every float key, and every
+number of a float array, must also be finite.  :func:`check_fields`
+applies all three, so a ``validate()`` method holds only the rules that
+span fields.  :func:`from_pairs` binds either file through them and
 :func:`config_echo_pairs` echoes either object.  The CLI flags are
 ``RunConfig``'s fields too, and the library functions that take a run
 setting default to its field's default, read as ``RunConfig.<field>``.
@@ -22,12 +26,13 @@ pooling rule of :mod:`~intraday.cross_section`, and a named
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import cache
-from typing import IO, Iterable, Literal, get_args, get_origin, get_type_hints
+from functools import cache, partial
+from typing import IO, Annotated, Iterable, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,6 +92,31 @@ def write_kv_lines(
             handle.write(f"{key} = {value}\n")
 
 
+# A field rule is a ``(text, test)`` pair in the field's ``Annotated``
+# annotation: a value for which ``test`` is false (at any element of an
+# array) is rejected as "<key> must <text>".
+
+
+def at_least(bound: int) -> tuple:
+    """The rule ``value >= bound``."""
+    return (f"be >= {bound}", partial(operator.le, bound))
+
+
+_ENDS = {"[": operator.le, "(": operator.lt, "]": operator.ge, ")": operator.gt}
+
+
+def within(lo: int, hi: int, ends: str = "[]", verb: str = "lie in") -> tuple:
+    """The rule that the value lies between ``lo`` and ``hi``, each end
+    held where ``ends`` brackets it (``"[)"`` holds ``lo`` but not ``hi``)."""
+    low, high = _ENDS[ends[0]], _ENDS[ends[1]]
+    return (f"{verb} {ends[0]}{lo}, {hi}{ends[1]}", lambda v: low(lo, v) & high(hi, v))
+
+
+POSITIVE = ("be positive", partial(operator.lt, 0))
+STRICTLY_POSITIVE = ("be strictly positive", POSITIVE[1])
+FINITE = ("be finite", np.isfinite)  # every float field's, undeclared
+
+
 @dataclass
 class RunConfig:
     """Everything a pipeline run needs, file-loadable and flag-overridable.
@@ -106,19 +136,19 @@ class RunConfig:
     bucket_width: float = 0.001
     bucket_lo: float = -0.03
     bucket_hi: float = 0.03
-    min_count: int = 50
-    eigen_lo: int = 2
+    min_count: Annotated[int, at_least(1)] = 50
+    eigen_lo: Annotated[int, at_least(1)] = 2
     eigen_hi: int = 7
-    reference_bin: int = 1
-    null_trials: int = 10000
-    null_quantile: float = 0.99
-    null_seed: int = 0
-    sanity_bound: float = 0.5
+    reference_bin: Annotated[int, at_least(0)] = 1
+    null_trials: Annotated[int, at_least(1000)] = 10000
+    null_quantile: Annotated[float, within(0, 1, "()", "be inside")] = 0.99
+    null_seed: Annotated[int, at_least(0)] = 0
+    sanity_bound: Annotated[float, POSITIVE] = 0.5
     include_overnight_conditioning: bool = False
     condition_bins: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        check_choices(self)
+        check_fields(self)
         if self.mode == "synth":
             if not self.synth_manifest:
                 raise ValueError("mode synth requires synth_manifest")
@@ -138,20 +168,8 @@ class RunConfig:
             self.bucket_specs()
         except (ValueError, OverflowError, MemoryError) as exc:
             raise ValueError(f"bucket_width/bucket_lo/bucket_hi: {exc}") from None
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        if self.eigen_lo < 1 or self.eigen_hi < self.eigen_lo:
+        if self.eigen_hi < self.eigen_lo:
             raise ValueError("eigen index range must satisfy 1 <= lo <= hi")
-        if self.reference_bin < 0:
-            raise ValueError("reference_bin must be >= 0")
-        if self.null_trials < 1000:
-            raise ValueError("null_trials must be >= 1000")
-        if not 0.0 < self.null_quantile < 1.0:
-            raise ValueError("null_quantile must be inside (0, 1)")
-        if self.null_seed < 0:
-            raise ValueError("null_seed must be >= 0")
-        if self.sanity_bound <= 0:
-            raise ValueError("sanity_bound must be positive")
 
     def fit_range_for(self, bins_per_day: int) -> tuple[int, int]:
         if self.fit_window in FIT_WINDOWS:
@@ -202,16 +220,28 @@ class RunConfig:
             raise PanelFormatError(f"condition_bins {exc}") from None
 
 
-_hints = cache(get_type_hints)  # a class's field annotations, resolved once
+# a class's field annotations, resolved once: the types alone, and with their rules
+_hints = cache(get_type_hints)
+_declarations = cache(partial(get_type_hints, include_extras=True))
 LOAD_POLICIES = get_args(_hints(RunConfig)["policy"])
 PRICE_CONVENTIONS = get_args(_hints(RunConfig)["price_convention"])
 
 
-def check_choices(obj) -> None:
-    """Reject a ``Literal``-annotated field of ``obj`` set to none of its values."""
-    for name, kind in _hints(type(obj)).items():
-        if get_origin(kind) is Literal and getattr(obj, name) not in get_args(kind):
-            raise ValueError(f"{name} {getattr(obj, name)!r} not in {get_args(kind)}")
+def check_fields(obj) -> None:
+    """Reject the first field of ``obj``, in field order, that breaks its own
+    declaration: a ``Literal`` field set to none of its values, a float or
+    float array that is not finite, or a value that an ``Annotated`` rule
+    rejects."""
+    for name, kind in _declarations(type(obj)).items():
+        kind, *rules = get_args(kind) if get_origin(kind) is Annotated else (kind,)
+        value = getattr(obj, name)
+        if get_origin(kind) is Literal and value not in get_args(kind):
+            raise ValueError(f"{name} {value!r} not in {get_args(kind)}")
+        if isinstance(value, (float, np.ndarray)):
+            rules.insert(0, FINITE)
+        for text, test in rules:
+            if not np.all(test(value)):
+                raise ValueError(f"{name} must {text}")
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}

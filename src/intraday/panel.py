@@ -627,9 +627,11 @@ def validate_panel(
     if len(set(panel.stock_ids)) != panel.n_stocks:
         report.violations.append("duplicate stock ids")
 
+    # bool masks only: |arr| would be a panel-sized float temporary
     with np.errstate(invalid="ignore"):
-        extreme = np.abs(arr) > sanity_bound
-    extreme &= np.isfinite(arr)
+        extreme = arr > sanity_bound
+        extreme |= arr < -sanity_bound
+    extreme[bad] = False
     if extreme.any():
         report.warnings.append(cells(extreme, 10, f"cell(s) with |return| > {sanity_bound:g}"))
 

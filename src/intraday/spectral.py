@@ -176,7 +176,9 @@ def market_mode_stats(spectrum: BinSpectrum) -> MarketMode:
     """Top-eigenvalue share lambda_1/N and alignment of v_1 with the
     equal-weight direction e = (1, ..., 1)/sqrt(N)."""
     n = spectrum.n
-    e = np.full(n, 1.0 / np.sqrt(n))
+    # a strided e: OpenBLAS's ddot sums in one order whatever the stride of
+    # rank 1, which is contiguous in an N x 1 or Fortran-ordered array
+    e = np.full((n, 2), 1.0 / np.sqrt(n))[:, 0]
     return MarketMode(
         lambda1_over_n=float(spectrum.eigenvalues[0] / n),
         v1_dot_e=float(spectrum.eigenvectors[:, 0] @ e),
@@ -216,18 +218,14 @@ def bin_spectra(npanel: ReturnPanel, eigen_hi: int = RunConfig.eigen_hi) -> list
 
     Each spectrum holds all N eigenvalues but only the eigenvectors of ranks
     1..``eigen_hi``, as many of them as the path holds (N, or T - 1 on the
-    dual path); pass ``eigen_hi=n_stocks`` for every one.  At least two are
-    kept where held: :func:`market_mode_stats`' dot product reads rank 1 as
-    a strided column then, as from the full set, and a contiguous one would
-    be summed in another order.  The kept columns are the leading columns of
-    the full set bit for bit."""
+    dual path); pass ``eigen_hi=n_stocks`` for every one.  The kept columns
+    are the leading columns of the full set bit for bit."""
     if eigen_hi < 1:
         raise ValueError(f"eigen_hi must be >= 1, got {eigen_hi}")
     bins = [int(k) for k in npanel.bin_numbers]
     for k in bins:
         _check_days(npanel, k)
-    keep = max(eigen_hi, 2)
-    return thread_map(lambda k: _bin_spectrum(npanel, k, keep), bins)
+    return thread_map(lambda k: _bin_spectrum(npanel, k, eigen_hi), bins)
 
 
 def overlap_singular_values(

@@ -54,17 +54,21 @@ from __future__ import annotations
 import datetime as dt
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import IO, Literal
+from dataclasses import dataclass, field, replace
+from typing import IO, Annotated, Literal
 
 import numpy as np
 
 from .config import (
-    check_choices,
+    POSITIVE,
+    STRICTLY_POSITIVE,
+    at_least,
+    check_fields,
     config_echo_pairs,
     format_value,
     from_pairs,
     parse_kv_lines,
+    within,
     write_kv_lines,
 )
 from .errors import FeasibilityError, PanelFormatError
@@ -101,20 +105,20 @@ def _as_profile(value, bins_per_day: int, name: str) -> np.ndarray:
 class GeneratorManifest:
     """Full parameterization of one synthetic market."""
 
-    n_stocks: int
-    n_days: int
+    n_stocks: Annotated[int, at_least(2)]
+    n_days: Annotated[int, at_least(2)]
     bins_per_day: int
-    factor_vol: np.ndarray | float | str
-    target_correlation: np.ndarray | float | str
+    factor_vol: Annotated[np.ndarray | float | str, STRICTLY_POSITIVE]
+    target_correlation: Annotated[np.ndarray | float | str, within(0, 1, "[)")]
     beta_mean: float = 1.0
-    beta_std: float = 0.0
+    beta_std: Annotated[float, at_least(0)] = 0.0
     student_nu: float = 5.0
-    residual_vol_coupling: float = 0.0
-    jump_day_rate: float = 0.0
-    jump_scale: float = 1.0
-    overnight_vol_multiplier: float = 0.0
+    residual_vol_coupling: Annotated[float, within(0, 1)] = 0.0
+    jump_day_rate: Annotated[float, within(0, 1)] = 0.0
+    jump_scale: Annotated[float, POSITIVE] = 1.0
+    overnight_vol_multiplier: Annotated[float, at_least(0)] = 0.0
     residual_tail: Literal["gaussian", "student"] = "gaussian"
-    seed: int = 0
+    seed: Annotated[int, at_least(0)] = 0
     implied_correlation: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -125,48 +129,18 @@ class GeneratorManifest:
             object.__setattr__(self, name, value)
 
     def validate(self) -> None:
-        check_choices(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
-                raise ValueError(f"{f.name} must be finite")
-        if self.n_stocks < 2:
-            raise ValueError("n_stocks must be >= 2")
-        if self.n_days < 2:
-            raise ValueError("n_days must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if np.any(self.factor_vol <= 0):
-            raise ValueError("factor_vol must be strictly positive")
-        rho = self.target_correlation
-        if np.any(rho < 0) or np.any(rho >= 1):
-            raise ValueError("target_correlation must lie in [0, 1)")
-        if self.beta_std < 0:
-            raise ValueError("beta_std must be >= 0")
+        check_fields(self)
         if self.residual_tail == "student" and self.student_nu <= 2:
             raise ValueError("student_nu must exceed 2 for finite variance")
-        if not 0.0 <= self.residual_vol_coupling <= 1.0:
-            raise ValueError("residual_vol_coupling must lie in [0, 1]")
-        if not 0.0 <= self.jump_day_rate <= 1.0:
-            raise ValueError("jump_day_rate must lie in [0, 1]")
-        if self.jump_scale <= 0:
-            raise ValueError("jump_scale must be positive")
-        if self.overnight_vol_multiplier < 0:
-            raise ValueError("overnight_vol_multiplier must be >= 0")
-        if self.beta_mean == 0.0:
-            bad = np.nonzero(rho > 0)[0]
-            if bad.size:
-                raise FeasibilityError(
-                    f"bin {bad[0] + 1}: target correlation "
-                    f"{rho[bad[0]]:g} unreachable with beta_mean = 0"
-                )
-        else:
-            bad = np.nonzero(rho == 0)[0]
-            if bad.size:
-                raise FeasibilityError(
-                    f"bin {bad[0] + 1}: target correlation 0 unreachable with "
-                    f"beta_mean != 0 (factor always couples stocks)"
-                )
+        # beta_mean = 0 leaves stocks uncorrelated, and any other value correlates them
+        rho, uncoupled = self.target_correlation, self.beta_mean == 0.0
+        bad = np.nonzero(rho > 0 if uncoupled else rho == 0)[0]
+        if bad.size:
+            beta = "= 0" if uncoupled else "!= 0 (factor always couples stocks)"
+            raise FeasibilityError(
+                f"bin {bad[0] + 1}: target correlation {rho[bad[0]]:g} "
+                f"unreachable with beta_mean {beta}"
+            )
 
 
 def _abs_moment(two_gamma: float) -> float:

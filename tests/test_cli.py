@@ -386,6 +386,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: input-error: factor_vol must be finite\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_a_nan_sanity_bound_is_named_and_leaves_the_earlier_files(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["run", "-c", str(cfg), "--sanity-bound", "nan"]) == 2
+        assert capsys.readouterr().err == "error: input-error: sanity_bound must be finite\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_upstream_stage_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["moments", "-c", str(cfg)]) == 2

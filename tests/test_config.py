@@ -109,6 +109,11 @@ class TestRunConfig:
             (dict(null_trials=10), "null_trials"),
             (dict(null_quantile=1.0), "null_quantile"),
             (dict(sanity_bound=0.0), "sanity_bound"),
+            (dict(sanity_bound=math.nan), "^sanity_bound must be finite$"),
+            (dict(sanity_bound=math.inf), "^sanity_bound must be finite$"),
+            (dict(null_quantile=math.nan), "^null_quantile must be finite$"),
+            (dict(bucket_lo=-math.inf), "^bucket_lo must be finite$"),
+            (dict(eigen_lo=0), "^eigen_lo must be >= 1$"),
         ],
     )
     def test_validation_failures(self, overrides, message):

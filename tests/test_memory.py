@@ -9,7 +9,8 @@ bytes per row.  A stage's read of the canonical table holds its returns
 twice at most, as parts and as the panel, and ``normalize_panel`` one panel
 beside its input; the moment kernels hold a sorted and a centred copy of
 one slab per kernel thread.  The canonical write holds the returns it reads
-back and one block of rows.
+back and one block of rows.  Validation holds boolean masks, an eighth
+of the panel each.
 """
 
 import datetime as dt
@@ -23,9 +24,11 @@ from intraday import cli
 from intraday.config import RunConfig
 from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.panel import (
+    ReturnPanel,
     load_panel,
     read_return_records,
     returns_from_prices,
+    validate_panel,
     write_return_records,
 )
 from intraday.robust_moments import stock_bin_moments
@@ -130,3 +133,23 @@ def test_return_write_holds_its_read_back_and_a_block(tmp_path):
     _, peak = _traced(lambda: write_return_records(panel, tmp_path / "returns.csv"))
     # 2.1 with key codes per block; 7.0 with full-length key columns
     assert peak <= 3 * panel.returns.nbytes
+
+
+def test_validation_holds_masks_not_a_float_copy():
+    drawn = gaussian_iid_panel(100, 120, 78, 0.01, seed=0)
+    returns = drawn.returns.copy()
+    planted = {(3, 5, 10): 0.9, (40, 0, 77): -0.8, (99, 119, 0): 0.6,
+               (3, 5, 11): np.nan, (50, 60, 20): np.inf, (7, 8, 9): -np.inf}
+    for cell, value in planted.items():
+        returns[cell] = value
+    panel = ReturnPanel(returns, drawn.stock_ids, drawn.dates, 78, overnight_present=False)
+    report, peak = _traced(lambda: validate_panel(panel))
+    # 0.375: the non-finite and extreme masks and one comparison; 1.25 with |returns|
+    assert peak < 0.5 * panel.returns.nbytes
+    assert report.lines() == [
+        "ok = false",
+        "violation: 3 non-finite cell(s): (S0003, 2000-01-08, bin 12), "
+        "(S0007, 2000-01-11, bin 10), (S0050, 2000-03-03, bin 21)",
+        "warning: 3 cell(s) with |return| > 0.5: (S0003, 2000-01-08, bin 11), "
+        "(S0040, 2000-01-03, bin 78), (S0099, 2000-05-01, bin 1)",
+    ]

@@ -426,18 +426,26 @@ class TestTrimmedSpectra:
     @pytest.mark.parametrize("eigen_hi", [1, 2, 7, 19, 45])
     @pytest.mark.parametrize("path", SHAPES)
     def test_kept_columns_are_the_full_set_bit_for_bit(self, path, eigen_hi):
-        # eigen_hi = 1 keeps two columns, so that market_mode_stats reads
-        # rank 1 with the stride, and so the bits, of the full set; past
-        # T - 1 = 19 or 39 a dual-path bin keeps T - 1
+        # past T - 1 = 19 or 39 a dual-path bin keeps T - 1
         view = shaped_view(path)
         n = view.returns.shape[0]
         full = quietly(bin_spectra, view, eigen_hi=n)
         for kept, whole in zip(quietly(bin_spectra, view, eigen_hi=eigen_hi), full):
-            keep = min(max(eigen_hi, 2), whole.eigenvectors.shape[1])
+            keep = min(eigen_hi, whole.eigenvectors.shape[1])
             assert kept.eigenvectors.shape == (n, keep)
             np.testing.assert_array_equal(kept.eigenvalues, whole.eigenvalues)
             np.testing.assert_array_equal(kept.eigenvectors, whole.eigenvectors[:, :keep])
             assert market_mode_stats(kept) == market_mode_stats(whole)
+
+    @pytest.mark.parametrize("path", SHAPES)
+    def test_market_mode_bits_do_not_depend_on_the_layout(self, path):
+        # rank 1 is a strided column of the C-ordered full set, and a
+        # contiguous one of an N x 1 or Fortran-ordered array
+        for whole in quietly(bin_spectra, shaped_view(path), eigen_hi=SHAPES[path][0]):
+            vectors = whole.eigenvectors
+            for layout in (vectors[:, :1].copy(), np.asfortranarray(vectors)):
+                spectrum = BinSpectrum(whole.eigenvalues, layout, whole.bin)
+                assert market_mode_stats(spectrum) == market_mode_stats(whole)
 
     def test_eigen_hi_below_one_rejected(self):
         with pytest.raises(ValueError, match="^eigen_hi must be >= 1, got 0$"):
