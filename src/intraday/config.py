@@ -114,7 +114,7 @@ def within(lo: int, hi: int, ends: str = "[]", verb: str = "lie in") -> tuple:
 
 POSITIVE = ("be positive", partial(operator.lt, 0))
 STRICTLY_POSITIVE = ("be strictly positive", POSITIVE[1])
-FINITE = ("be finite", np.isfinite)  # every float field's, undeclared
+FINITE = ("be finite", np.isfinite)  # checked on every float and float array, declared or not
 
 
 @dataclass
