@@ -29,6 +29,7 @@ from .errors import InsufficientDataError
 from .seasonality import _least_squares
 
 DISPERSION_KINDS = ("std", "mad")
+MAX_BUCKETS = 10**6  # the most buckets of a fixed-width grid
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,10 @@ class BucketSpec:
             raise ValueError("bucket width must be positive")
         if hi <= lo:
             raise ValueError("bucket range must have hi > lo")
-        n = int(round((hi - lo) / width))
+        span = (hi - lo) / width  # inf when hi - lo overflows; "not" rejects NaN too
+        if not span <= MAX_BUCKETS + 0.5:
+            raise ValueError(f"bucket range must span at most {MAX_BUCKETS} widths")
+        n = int(round(span))
         if not np.isclose(lo + n * width, hi, rtol=0, atol=1e-12 * max(1.0, abs(hi))):
             raise ValueError("bucket range is not a whole number of widths")
         return cls(edges=lo + width * np.arange(n + 1))

@@ -41,9 +41,17 @@ from .seasonality import first_half_range, first_two_hours_range
 
 #: The named fit windows, each a function of the bins per day
 FIT_WINDOWS = {"first_half": first_half_range, "first_two_hours": first_two_hours_range}
-SLABS_PER_THREAD = 4  # contiguous slabs per kernel thread in slab_map
-# Each helper thread's malloc arena keeps its freed slabs mapped: the
-# kernels_wide peak RSS rose 2-3% at 2 kernel threads, 5% at 4 and 9% at 8.
+SLABS_PER_THREAD = 4  # the fewest contiguous slabs per kernel thread in slab_map
+# About the most of its input that a slab_map slab holds.  A slab's freed
+# copies stay in the malloc heap and add to a later peak, so the slab size,
+# not the thread count, sets it: the kernels_wide peak RSS read 159 MB with
+# 512 KiB slabs, 161.5 with 1 MiB, 168.5 with 4 MiB, and 171-179 with 4
+# slabs a thread, whose size doubles at one thread (178.4 MB there).
+SLAB_BYTES = 1 << 19
+# A helper thread's malloc arena keeps what it frees mapped: with slabs of
+# SLAB_BYTES the kernels_wide peak RSS read 157.0-157.3 MB at 1 kernel thread
+# and 159.1-159.4 at 2, on 2 vCPUs, which cannot measure more threads (with
+# slabs of a count per thread it rose 5% at 4 threads and 9% at 8).
 MAX_KERNEL_THREADS = 2
 
 
@@ -140,7 +148,7 @@ class RunConfig:
     eigen_lo: Annotated[int, at_least(1)] = 2
     eigen_hi: int = 7
     reference_bin: Annotated[int, at_least(0)] = 1
-    null_trials: Annotated[int, at_least(1000)] = 10000
+    null_trials: Annotated[int, within(1000, 10**6)] = 10000
     null_quantile: Annotated[float, within(0, 1, "()", "be inside")] = 0.99
     null_seed: Annotated[int, at_least(0)] = 0
     sanity_bound: Annotated[float, POSITIVE] = 0.5
@@ -164,9 +172,9 @@ class RunConfig:
                     f"fit_window {self.fit_window!r} must be one of {tuple(FIT_WINDOWS)} "
                     "or 'lo:hi' with 1 <= lo < hi"
                 )
-        try:  # OverflowError: an infinite span; MemoryError: too many edges to allocate
+        try:
             self.bucket_specs()
-        except (ValueError, OverflowError, MemoryError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bucket_width/bucket_lo/bucket_hi: {exc}") from None
         if self.eigen_hi < self.eigen_lo:
             raise ValueError("eigen index range must satisfy 1 <= lo <= hi")
@@ -416,8 +424,12 @@ def thread_map(fn, items: list) -> list:
     return results
 
 
-def slab_map(fn, n: int) -> list:
-    """:func:`thread_map` over contiguous slices of ``range(n)``,
-    :data:`SLABS_PER_THREAD` per kernel thread (at most ``n``)."""
-    parts = max(1, min(n, SLABS_PER_THREAD * kernel_threads()))
+def slab_map(fn, n: int, nbytes: int = 0) -> list:
+    """:func:`thread_map` over contiguous slices of ``range(n)``, an axis
+    of an input of ``nbytes``: :data:`SLABS_PER_THREAD` per kernel thread,
+    or ``ceil(nbytes / SLAB_BYTES)`` where that is more, at most ``n``.  A
+    large input's slabs then hold about :data:`SLAB_BYTES` of it each,
+    whatever the thread count."""
+    parts = max(SLABS_PER_THREAD * kernel_threads(), -(-nbytes // SLAB_BYTES))
+    parts = max(1, min(n, parts))
     return thread_map(fn, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])

@@ -92,7 +92,9 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
     :class:`~intraday.errors.InsufficientDataError` from
     :func:`~intraday.robust_moments.grid_moments`."""
     returns = panel.returns
-    slabs = slab_map(lambda days: grid_moments(returns[:, days], axis=0), returns.shape[1])
+    slabs = slab_map(
+        lambda days: grid_moments(returns[:, days], axis=0), returns.shape[1], returns.nbytes
+    )
     # each slab's axes arrive as (day, bin); present them bin-major.
     return DispersionGrid(
         *(np.concatenate([m.T for m in moment], axis=1) for moment in zip(*slabs)),
@@ -113,14 +115,16 @@ def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
     returns = panel.returns
-    n_days = returns.shape[1]
+    n_days, nbytes = returns.shape[1], returns.nbytes
     # (day, bin), each slab's centred copy freed before the quotient exists
-    scale = np.concatenate(slab_map(lambda days: returns[:, days].std(axis=0), n_days))
+    scale = np.concatenate(slab_map(lambda days: returns[:, days].std(axis=0), n_days, nbytes))
     degenerate = (scale == 0.0).T
     if degenerate.any():
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
     out = np.empty_like(returns)
-    slab_map(lambda days: np.divide(returns[:, days], scale[days], out=out[:, days]), n_days)
+    slab_map(
+        lambda days: np.divide(returns[:, days], scale[days], out=out[:, days]), n_days, nbytes
+    )
     return replace(panel, returns=out, _fresh=True)

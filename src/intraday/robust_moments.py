@@ -157,7 +157,9 @@ def stock_bin_moments(panel: ReturnPanel) -> MomentGrid:
     threads (:func:`~intraday.config.slab_map`).
     """
     returns = panel.returns
-    slabs = slab_map(lambda stocks: grid_moments(returns[stocks], axis=1), returns.shape[0])
+    slabs = slab_map(
+        lambda stocks: grid_moments(returns[stocks], axis=1), returns.shape[0], returns.nbytes
+    )
     return MomentGrid(
         *(np.concatenate(moment) for moment in zip(*slabs)),
         bin_numbers=panel.bin_numbers,

@@ -396,6 +396,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: input-error: sanity_bound must be finite\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--null-trials", str(10**12)], "null_trials must lie in [1000, 1000000]"),
+            (["--bucket-lo=-1e308", "--bucket-hi", "1e308"],
+             "bucket_width/bucket_lo/bucket_hi: bucket range must span at most 1000000 widths"),
+        ],
+        ids=["null_trials", "bucket span"],
+    )
+    def test_an_unbounded_size_exits_2_before_any_write(self, tmp_path, capsys, flags, message):
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "-c", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"error: input-error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_upstream_stage_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["moments", "-c", str(cfg)]) == 2

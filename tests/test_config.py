@@ -101,12 +101,19 @@ class TestRunConfig:
             (dict(fit_window="5:2"), "fit_window"),
             (dict(bucket_width=0.0), "bucket_width"),
             (dict(bucket_width=1e-18), "bucket_width"),
+            # a too-fine width, and a span whose hi - lo overflows to inf
+            (dict(bucket_width=1e-9), r"^bucket_width/bucket_lo/bucket_hi: bucket range "
+             r"must span at most 1000000 widths$"),
+            (dict(bucket_lo=-1e308, bucket_hi=1e308), r"^bucket_width/bucket_lo/bucket_hi: "
+             r"bucket range must span at most 1000000 widths$"),
             (dict(bucket_lo=0.01, bucket_hi=0.01), "hi > lo"),
             (dict(min_count=0), "min_count"),
             (dict(eigen_lo=0), "eigen"),
             (dict(eigen_lo=5, eigen_hi=4), "eigen"),
             (dict(reference_bin=-1), "reference_bin"),
             (dict(null_trials=10), "null_trials"),
+            (dict(null_trials=10**12), r"^null_trials must lie in \[1000, 1000000\]$"),
+            (dict(null_trials=10**6 + 1), r"^null_trials must lie in \[1000, 1000000\]$"),
             (dict(null_quantile=1.0), "null_quantile"),
             (dict(sanity_bound=0.0), "sanity_bound"),
             (dict(sanity_bound=math.nan), "^sanity_bound must be finite$"),
@@ -120,6 +127,13 @@ class TestRunConfig:
         config = RunConfig(synth_manifest="m.cfg", input="r.csv", **overrides)
         with pytest.raises(ValueError, match=message):
             config.validate()
+
+    def test_the_widest_null_and_the_finest_grid_are_accepted(self):
+        # validated only: a null of 10**6 trials is never run here
+        RunConfig(synth_manifest="m.cfg", null_trials=10**6).validate()
+        config = RunConfig(synth_manifest="m.cfg", bucket_width=0.06 / 10**6)
+        config.validate()
+        assert [spec.n_buckets for spec in config.bucket_specs()] == [10**6, 10**6 // 2]
 
     def test_explicit_fit_range_accepted(self):
         RunConfig(synth_manifest="m.cfg", fit_window="2:9").validate()

@@ -7,8 +7,11 @@ price conversion and the panel load about half a copy more, so on a table
 many chunks long the tracemalloc peak of each stays within a bound in
 bytes per row.  A stage's read of the canonical table holds its returns
 twice at most, as parts and as the panel, and ``normalize_panel`` one panel
-beside its input; the moment kernels hold a sorted and a centred copy of
-one slab per kernel thread.  The canonical write holds the returns it reads
+beside its input; the moment kernels hold their outputs twice, as slab
+parts and joined, and a sorted and a centred copy of one slab per kernel
+thread, a slab being at most about ``SLAB_BYTES`` of a panel over
+``SLABS_PER_THREAD`` such slabs a thread, so their peak on a large panel
+does not grow with it.  The canonical write holds the returns it reads
 back and one block of rows.  Validation holds boolean masks, an eighth
 of the panel each.
 """
@@ -20,8 +23,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from intraday import cli
-from intraday.config import RunConfig
+from intraday import cli, config
+from intraday.config import SLAB_BYTES, RunConfig
 from intraday.cross_section import dispersion_grid, normalize_panel
 from intraday.panel import (
     ReturnPanel,
@@ -124,8 +127,34 @@ def test_normalize_panel_holds_one_panel_beside_its_input():
 def test_moment_kernels_hold_slabs_not_panels(kernel):
     panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
     _, peak = _traced(lambda: kernel(panel))
-    # 0.4-0.6: two copies of a slab on each of W threads, 4 W slabs; 2.0 unslabbed
+    # 0.4-0.6: two copies of a slab on each of W threads, the 3.2 MB panel cut
+    # into 7 slabs at W = 1 and 8 at W = 2 (4 W slabs, or one a SLAB_BYTES
+    # where that is more); 2.0 unslabbed
     assert peak < panel.returns.nbytes
+
+
+@pytest.fixture
+def blas():
+    """numpy's bundled OpenBLAS, its thread count restored after the test."""
+    lib = config._bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kernel", [stock_bin_moments, dispersion_grid])
+def test_moment_kernels_hold_a_few_slab_bytes_per_thread(blas, kernel, threads):
+    blas.scipy_openblas_set_num_threads64_(threads)
+    assert config.kernel_threads() == threads
+    panel = gaussian_iid_panel(100, 200, 78, 0.01, seed=0)  # 12.5 MB, 23.8 SLAB_BYTES
+    grid, peak = _traced(lambda: kernel(panel))
+    outputs = sum(a.nbytes for a in vars(grid).values() if isinstance(a, np.ndarray))
+    # the outputs, as slab parts and joined, and 0.7-1.7 SLAB_BYTES a thread;
+    # 4.8-11.9 a thread with 4 slabs a thread, whose size doubles at W = 1
+    assert peak <= 2 * outputs + 3 * threads * SLAB_BYTES
 
 
 def test_return_write_holds_its_read_back_and_a_block(tmp_path):

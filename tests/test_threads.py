@@ -3,7 +3,9 @@ one thread: outputs that do not depend on the thread count.
 
 ``config.thread_map`` runs item i on the calling thread when i % W == 0 and
 on helper thread i % W otherwise, W being numpy's bundled OpenBLAS thread
-count, at most ``config.MAX_KERNEL_THREADS``; ``config.slab_map`` cuts an axis into contiguous slabs for it.
+count, at most ``config.MAX_KERNEL_THREADS``; ``config.slab_map`` cuts an
+axis into contiguous slabs for it, ``config.SLABS_PER_THREAD`` per thread, or
+more where a slab would hold over ``config.SLAB_BYTES`` of its input.
 """
 
 import dataclasses
@@ -207,6 +209,31 @@ class TestThreadMap:
             assert [a for a, _ in slabs] == [0] + [b for _, b in slabs[:-1]]
             assert slabs[-1][1] == n
 
+    @pytest.mark.parametrize(
+        "n, nbytes, parts",
+        [
+            (500, 500 * 120 * 78 * 8, 72),  # kernels_wide's panel: 37.4 MB
+            (100, 13 * config.SLAB_BYTES + 1, 14),
+            (100, 13 * config.SLAB_BYTES, 13),
+            (10, 20 * config.SLAB_BYTES, 10),  # at most one slab per item
+        ],
+    )
+    def test_slabs_above_slab_bytes_do_not_depend_on_the_thread_count(
+        self, blas, monkeypatch, n, nbytes, parts
+    ):
+        monkeypatch.setattr(config, "MAX_KERNEL_THREADS", 3)
+        cuts = []
+        for threads in (1, 2, 3):
+            blas.scipy_openblas_set_num_threads64_(threads)
+            cuts.append(config.slab_map(lambda s: (s.start, s.stop), n, nbytes))
+        assert cuts[0] == cuts[1] == cuts[2]
+        slabs = cuts[0]
+        assert len(slabs) == parts
+        assert [a for a, _ in slabs] == [0] + [b for _, b in slabs[:-1]]
+        assert slabs[-1][1] == n
+        # each slab holds at most SLAB_BYTES of the input and one item more
+        assert max(b - a for a, b in slabs) * nbytes / n <= config.SLAB_BYTES + nbytes / n
+
 
 def kernel_outputs(panel):
     moments = stock_bin_moments(panel)
@@ -230,13 +257,19 @@ class TestSameBytesAtAnyThreadCount:
         assert digests[0] == digests[1]
 
     def test_every_kernel(self, blas, monkeypatch):
+        """At any thread count and slab size: the 120 KB panel takes 4 W slabs
+        at the default SLAB_BYTES, 30 stock and 30 day slabs at 4000 bytes
+        a slab, and one slab per stock or day at 1 byte."""
         monkeypatch.setattr(config, "MAX_KERNEL_THREADS", 3)
         panel = gaussian_iid_panel(60, 50, 5, 0.01, seed=4)
+        assert panel.returns.nbytes < config.SLABS_PER_THREAD * config.SLAB_BYTES
         outputs = []
-        for threads in (1, 2, 3):
-            blas.scipy_openblas_set_num_threads64_(threads)
-            outputs.append(kernel_outputs(panel))
-        assert outputs[0] == outputs[1] == outputs[2]
+        for slab_bytes in (config.SLAB_BYTES, 4000, 1):
+            monkeypatch.setattr(config, "SLAB_BYTES", slab_bytes)
+            for threads in (1, 2, 3):
+                blas.scipy_openblas_set_num_threads64_(threads)
+                outputs.append(kernel_outputs(panel))
+        assert all(output == outputs[0] for output in outputs)
 
     def test_blas_count_restored_after_a_kernel_raises(self, blas):
         blas.scipy_openblas_set_num_threads64_(2)
