@@ -41,17 +41,14 @@ from .seasonality import first_half_range, first_two_hours_range
 
 #: The named fit windows, each a function of the bins per day
 FIT_WINDOWS = {"first_half": first_half_range, "first_two_hours": first_two_hours_range}
-SLABS_PER_THREAD = 4  # the fewest contiguous slabs per kernel thread in slab_map
 # About the most of its input that a slab_map slab holds.  A slab's freed
-# copies stay in the malloc heap and add to a later peak, so the slab size,
-# not the thread count, sets it: the kernels_wide peak RSS read 159 MB with
-# 512 KiB slabs, 161.5 with 1 MiB, 168.5 with 4 MiB, and 171-179 with 4
-# slabs a thread, whose size doubles at one thread (178.4 MB there).
+# copies stay in the malloc heap and add to a later peak, so the slab size
+# sets it: the kernels_wide peak RSS read 159 MB with 512 KiB slabs, 161.5
+# with 1 MiB and 168.5 with 4 MiB.
 SLAB_BYTES = 1 << 19
-# A helper thread's malloc arena keeps what it frees mapped: with slabs of
-# SLAB_BYTES the kernels_wide peak RSS read 157.0-157.3 MB at 1 kernel thread
-# and 159.1-159.4 at 2, on 2 vCPUs, which cannot measure more threads (with
-# slabs of a count per thread it rose 5% at 4 threads and 9% at 8).
+# A helper thread's malloc arena keeps what it frees mapped: the kernels_wide
+# peak RSS read 157.0-157.3 MB at 1 kernel thread and 159.1-159.4 at 2, on
+# 2 vCPUs, which cannot measure more threads.
 MAX_KERNEL_THREADS = 2
 
 
@@ -424,12 +421,10 @@ def thread_map(fn, items: list) -> list:
     return results
 
 
-def slab_map(fn, n: int, nbytes: int = 0) -> list:
+def slab_map(fn, n: int, nbytes: int) -> list:
     """:func:`thread_map` over contiguous slices of ``range(n)``, an axis
-    of an input of ``nbytes``: :data:`SLABS_PER_THREAD` per kernel thread,
-    or ``ceil(nbytes / SLAB_BYTES)`` where that is more, at most ``n``.  A
-    large input's slabs then hold about :data:`SLAB_BYTES` of it each,
-    whatever the thread count."""
-    parts = max(SLABS_PER_THREAD * kernel_threads(), -(-nbytes // SLAB_BYTES))
-    parts = max(1, min(n, parts))
+    of an input of ``nbytes``: ``ceil(nbytes / SLAB_BYTES)`` of them, at
+    least 1 and at most ``n``, so each holds about :data:`SLAB_BYTES` of the
+    input and the cut depends on the input alone, not on the thread count."""
+    parts = max(1, min(n, -(-nbytes // SLAB_BYTES)))
     return thread_map(fn, [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)])

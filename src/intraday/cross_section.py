@@ -107,7 +107,8 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
 def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
     """The panel with each (bin, day) cell divided by its cross-sectional
     dispersion.  Every (bin, day) cross-section of the result has
-    population variance one.  Slabs of days run on the kernel threads.
+    population variance one.  Slabs of days run on the kernel threads for
+    the dispersion; the divide, which holds no temporary, is one call.
 
     Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair, bin-major; nothing is silently passed through.
@@ -115,16 +116,13 @@ def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
     returns = panel.returns
-    n_days, nbytes = returns.shape[1], returns.nbytes
     # (day, bin), each slab's centred copy freed before the quotient exists
-    scale = np.concatenate(slab_map(lambda days: returns[:, days].std(axis=0), n_days, nbytes))
+    scale = np.concatenate(
+        slab_map(lambda days: returns[:, days].std(axis=0), returns.shape[1], returns.nbytes)
+    )
     degenerate = (scale == 0.0).T
     if degenerate.any():
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
-    out = np.empty_like(returns)
-    slab_map(
-        lambda days: np.divide(returns[:, days], scale[days], out=out[:, days]), n_days, nbytes
-    )
-    return replace(panel, returns=out, _fresh=True)
+    return replace(panel, returns=returns / scale, _fresh=True)

@@ -301,13 +301,14 @@ def random_overlap_baseline(
         raise ValueError(f"need at least 1000 trials, got {trials}")
     if not 0.0 < quantile < 1.0:
         raise ValueError("quantile must be inside (0, 1)")
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     largest = np.empty(trials)
     frames = np.empty((NULL_BLOCK, 2, dim, subspace_dim))
     with single_threaded_blas():
         for start in range(0, trials, NULL_BLOCK):
             block = frames[: trials - start]
-            for pair, ss in zip(block, streams[start : start + NULL_BLOCK]):
+            # successive spawns give the children of one spawn(trials)
+            for pair, ss in zip(block, root.spawn(len(block))):
                 rng = np.random.default_rng(ss)
                 for frame in pair:
                     rng.standard_normal(out=frame)

@@ -9,11 +9,11 @@ bytes per row.  A stage's read of the canonical table holds its returns
 twice at most, as parts and as the panel, and ``normalize_panel`` one panel
 beside its input; the moment kernels hold their outputs twice, as slab
 parts and joined, and a sorted and a centred copy of one slab per kernel
-thread, a slab being at most about ``SLAB_BYTES`` of a panel over
-``SLABS_PER_THREAD`` such slabs a thread, so their peak on a large panel
-does not grow with it.  The canonical write holds the returns it reads
-back and one block of rows.  Validation holds boolean masks, an eighth
-of the panel each.
+thread, a slab being about ``SLAB_BYTES`` of a panel at any thread count,
+so their peak on a large panel does not grow with it.  The canonical write
+holds the returns it reads back and one block of rows.  Validation holds
+boolean masks, an eighth of the panel each.  The null baseline holds its
+trials' values and one block of draws and seeds.
 """
 
 import datetime as dt
@@ -35,6 +35,7 @@ from intraday.panel import (
     write_return_records,
 )
 from intraday.robust_moments import stock_bin_moments
+from intraday.spectral import random_overlap_baseline
 from intraday.synth import gaussian_iid_panel
 from intraday.tableio import CHUNK_BYTES, VERSION_LINE
 
@@ -128,8 +129,7 @@ def test_moment_kernels_hold_slabs_not_panels(kernel):
     panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
     _, peak = _traced(lambda: kernel(panel))
     # 0.4-0.6: two copies of a slab on each of W threads, the 3.2 MB panel cut
-    # into 7 slabs at W = 1 and 8 at W = 2 (4 W slabs, or one a SLAB_BYTES
-    # where that is more); 2.0 unslabbed
+    # into 7 slabs of at most SLAB_BYTES at any W; 2.0 unslabbed
     assert peak < panel.returns.nbytes
 
 
@@ -152,9 +152,17 @@ def test_moment_kernels_hold_a_few_slab_bytes_per_thread(blas, kernel, threads):
     panel = gaussian_iid_panel(100, 200, 78, 0.01, seed=0)  # 12.5 MB, 23.8 SLAB_BYTES
     grid, peak = _traced(lambda: kernel(panel))
     outputs = sum(a.nbytes for a in vars(grid).values() if isinstance(a, np.ndarray))
-    # the outputs, as slab parts and joined, and 0.7-1.7 SLAB_BYTES a thread;
-    # 4.8-11.9 a thread with 4 slabs a thread, whose size doubles at W = 1
+    # the outputs, as slab parts and joined, and 0.7-1.7 SLAB_BYTES a thread
     assert peak <= 2 * outputs + 3 * threads * SLAB_BYTES
+
+
+def test_null_holds_its_trials_not_a_seed_per_trial():
+    random_overlap_baseline(20, 3, trials=1000, seed=1)  # numpy's first-call state
+    trials = 20_000
+    _, peak = _traced(lambda: random_overlap_baseline(20, 3, trials=trials, seed=0))
+    # 0.36 MB: the trials' values, their sorted copy and one block's frames
+    # and seeds; 7.67 MB with a seed spawned for every trial up front
+    assert peak <= 16 * trials + (1 << 20)
 
 
 def test_return_write_holds_its_read_back_and_a_block(tmp_path):

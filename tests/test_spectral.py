@@ -256,7 +256,8 @@ class TestRandomBaseline:
 
     @pytest.mark.parametrize(
         "dim, p, trials",
-        [(5, 4, 1000), (60, 10, 1001), (97, 1, 1017), (126, 6, 10000), (500, 6, 2000)],
+        [(5, 4, 1000), (60, 10, 1001), (97, 1, 1017), (126, 6, 10000), (500, 6, 2000),
+         (20, 3, 20_003)],
     )
     def test_blocks_give_the_bytes_of_one_trial_at_a_time(self, monkeypatch, dim, p, trials):
         largest = np.empty(trials)

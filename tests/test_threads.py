@@ -4,8 +4,9 @@ one thread: outputs that do not depend on the thread count.
 ``config.thread_map`` runs item i on the calling thread when i % W == 0 and
 on helper thread i % W otherwise, W being numpy's bundled OpenBLAS thread
 count, at most ``config.MAX_KERNEL_THREADS``; ``config.slab_map`` cuts an
-axis into contiguous slabs for it, ``config.SLABS_PER_THREAD`` per thread, or
-more where a slab would hold over ``config.SLAB_BYTES`` of its input.
+axis into contiguous slabs for it, one per ``config.SLAB_BYTES`` of its
+input, so an input smaller than that is one slab on the calling thread and
+the cut does not depend on the thread count.
 """
 
 import dataclasses
@@ -196,43 +197,48 @@ class TestThreadMap:
     def test_one_thread_starts_no_helper(self, blas, started):
         blas.scipy_openblas_set_num_threads64_(1)
         assert config.thread_map(lambda i: i + 1, range(5)) == [1, 2, 3, 4, 5]
-        assert config.slab_map(lambda s: (s.start, s.stop), 10) == [
+        assert config.slab_map(lambda s: (s.start, s.stop), 10, 4 * config.SLAB_BYTES) == [
             (0, 2), (2, 5), (5, 7), (7, 10)
         ]
         assert started == []
 
     def test_slabs_cover_the_axis(self, blas):
         blas.scipy_openblas_set_num_threads64_(2)
-        for n in (0, 1, 7, 8, 9, 500):
-            slabs = config.slab_map(lambda s: (s.start, s.stop), n)
-            assert len(slabs) == max(1, min(n, config.SLABS_PER_THREAD * 2))
+        for n, nbytes, parts in [
+            (500, 500 * 120 * 78 * 8, 72),  # kernels_wide's panel without bin 0: 37.4 MB
+            (500, 500 * 120 * 79 * 8, 73),  # and with it, as that workload runs it
+            (100, 13 * config.SLAB_BYTES + 1, 14),
+            (100, 13 * config.SLAB_BYTES, 13),
+            (100, config.SLAB_BYTES - 1, 1),  # a smaller input is one slab
+            (100, 0, 1),
+            (10, 20 * config.SLAB_BYTES, 10),  # at most one slab per item
+            (0, 20 * config.SLAB_BYTES, 1),  # an empty axis is one empty slab
+        ]:
+            slabs = config.slab_map(lambda s: (s.start, s.stop), n, nbytes)
+            assert len(slabs) == parts
             assert [a for a, _ in slabs] == [0] + [b for _, b in slabs[:-1]]
             assert slabs[-1][1] == n
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 500])
     @pytest.mark.parametrize(
-        "n, nbytes, parts",
-        [
-            (500, 500 * 120 * 78 * 8, 72),  # kernels_wide's panel: 37.4 MB
-            (100, 13 * config.SLAB_BYTES + 1, 14),
-            (100, 13 * config.SLAB_BYTES, 13),
-            (10, 20 * config.SLAB_BYTES, 10),  # at most one slab per item
-        ],
+        "nbytes",
+        [0, 1, config.SLAB_BYTES - 1, config.SLAB_BYTES, config.SLAB_BYTES + 1,
+         2 * config.SLAB_BYTES, 13 * config.SLAB_BYTES, 13 * config.SLAB_BYTES + 1,
+         20 * config.SLAB_BYTES],
     )
-    def test_slabs_above_slab_bytes_do_not_depend_on_the_thread_count(
-        self, blas, monkeypatch, n, nbytes, parts
-    ):
+    def test_slabs_do_not_depend_on_the_thread_count(self, blas, monkeypatch, n, nbytes):
         monkeypatch.setattr(config, "MAX_KERNEL_THREADS", 3)
         cuts = []
         for threads in (1, 2, 3):
             blas.scipy_openblas_set_num_threads64_(threads)
+            assert config.kernel_threads() == threads
             cuts.append(config.slab_map(lambda s: (s.start, s.stop), n, nbytes))
         assert cuts[0] == cuts[1] == cuts[2]
         slabs = cuts[0]
-        assert len(slabs) == parts
         assert [a for a, _ in slabs] == [0] + [b for _, b in slabs[:-1]]
         assert slabs[-1][1] == n
         # each slab holds at most SLAB_BYTES of the input and one item more
-        assert max(b - a for a, b in slabs) * nbytes / n <= config.SLAB_BYTES + nbytes / n
+        assert max(b - a for a, b in slabs) * nbytes <= config.SLAB_BYTES * n + nbytes
 
 
 def kernel_outputs(panel):
@@ -257,12 +263,12 @@ class TestSameBytesAtAnyThreadCount:
         assert digests[0] == digests[1]
 
     def test_every_kernel(self, blas, monkeypatch):
-        """At any thread count and slab size: the 120 KB panel takes 4 W slabs
+        """At any thread count and slab size: the 120 KB panel is one slab
         at the default SLAB_BYTES, 30 stock and 30 day slabs at 4000 bytes
         a slab, and one slab per stock or day at 1 byte."""
         monkeypatch.setattr(config, "MAX_KERNEL_THREADS", 3)
         panel = gaussian_iid_panel(60, 50, 5, 0.01, seed=4)
-        assert panel.returns.nbytes < config.SLABS_PER_THREAD * config.SLAB_BYTES
+        assert panel.returns.nbytes < config.SLAB_BYTES
         outputs = []
         for slab_bytes in (config.SLAB_BYTES, 4000, 1):
             monkeypatch.setattr(config, "SLAB_BYTES", slab_bytes)
@@ -270,6 +276,17 @@ class TestSameBytesAtAnyThreadCount:
                 blas.scipy_openblas_set_num_threads64_(threads)
                 outputs.append(kernel_outputs(panel))
         assert all(output == outputs[0] for output in outputs)
+
+    def test_normalize_panel(self, blas, monkeypatch):
+        """The 640 KB panel is 2 day slabs at the default SLAB_BYTES, 160 at
+        4000 bytes a slab and one a day at 1 byte, and each gives the bytes
+        of numpy's unslabbed quotient."""
+        blas.scipy_openblas_set_num_threads64_(2)
+        panel = gaussian_iid_panel(20, 200, 20, 0.01, seed=6)
+        want = (panel.returns / panel.returns.std(axis=0)).tobytes()
+        for slab_bytes in (config.SLAB_BYTES, 4000, 1):
+            monkeypatch.setattr(config, "SLAB_BYTES", slab_bytes)
+            assert normalize_panel(panel).returns.tobytes() == want
 
     def test_blas_count_restored_after_a_kernel_raises(self, blas):
         blas.scipy_openblas_set_num_threads64_(2)
@@ -281,7 +298,8 @@ class TestSameBytesAtAnyThreadCount:
         assert blas_threads(blas) == 2
 
 
-def test_one_blas_thread_starts_no_helper_in_any_kernel(blas, started):
+def test_one_blas_thread_starts_no_helper_in_any_kernel(blas, started, monkeypatch):
+    monkeypatch.setattr(config, "SLAB_BYTES", 4000)  # several slabs in each slab kernel
     panel = gaussian_iid_panel(60, 50, 5, 0.01, seed=4)
     blas.scipy_openblas_set_num_threads64_(2)
     kernel_outputs(panel)
@@ -294,25 +312,34 @@ def test_one_blas_thread_starts_no_helper_in_any_kernel(blas, started):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_kernel_raises_under_the_callers_errstate_on_any_thread(blas, threads):
-    # a return of 1e160 on day 1 overflows normalize_panel's dispersion; at
-    # W = 2 day 1's slab runs on the helper, which once only warned
+def test_a_kernel_raises_under_the_callers_errstate_on_any_thread(
+    blas, started, monkeypatch, threads
+):
+    # a return of 1e160 on day 1 overflows normalize_panel's dispersion; with
+    # a slab per day, at W = 2 day 1's slab runs on the helper, which once
+    # only warned
     blas.scipy_openblas_set_num_threads64_(threads)
     assert config.kernel_threads() == threads
+    monkeypatch.setattr(config, "SLAB_BYTES", 1)
     panel = gaussian_iid_panel(16, 10, 4, 0.01, seed=0)
     returns = panel.returns.copy()
     returns[2, 1, 0] = 1e160
     panel = dataclasses.replace(panel, returns=returns)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         normalize_panel(panel)
+    assert len(started) == threads - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_an_overflowing_moment_prints_one_stderr_line(tmp_path, capsys, blas, threads):
-    # one return of 1e160 overflows the variance of stock S2, whose slab runs
-    # on the helper at W = 2: a RuntimeWarning once came before the error line
+def test_an_overflowing_moment_prints_one_stderr_line(
+    tmp_path, capsys, blas, started, monkeypatch, threads
+):
+    # one return of 1e160 overflows the variance of stock S2; with a slab per
+    # stock, its slab runs on the helper at W = 2: a RuntimeWarning once came
+    # before the error line
     blas.scipy_openblas_set_num_threads64_(threads)
     assert config.kernel_threads() == threads
+    monkeypatch.setattr(config, "SLAB_BYTES", 1)
     rng = np.random.default_rng(5)
     rows = ["date,bin,symbol,return"]
     for day in range(1, 13):
@@ -333,6 +360,7 @@ def test_an_overflowing_moment_prints_one_stderr_line(tmp_path, capsys, blas, th
         f"error: numeric-error: {out / 'stock_moments.csv'}: volatility is infinite "
         "in data row 8\n"
     )
+    assert len(started) == threads - 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
