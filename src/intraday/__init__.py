@@ -25,6 +25,7 @@ from .conditioning import (
 from .cross_section import (
     DispersionGrid,
     dispersion_grid,
+    dispersion_scale,
     normalize_panel,
 )
 from .errors import (

@@ -61,7 +61,7 @@ from .config import (
     run_config_from,
     write_kv_lines,
 )
-from .cross_section import DispersionGrid, dispersion_grid, normalize_panel
+from .cross_section import DispersionGrid, dispersion_grid, dispersion_scale
 from .errors import (
     DegenerateSampleError,
     FeasibilityError,
@@ -150,7 +150,7 @@ def stage_synth(config: RunConfig) -> ReturnPanel:
     _clear(config, "synth")
     os.makedirs(config.output_dir, exist_ok=True)
     returns_path, echo_path = _paths(config, "synth")
-    panel = replace(panel, returns=write_return_records(panel, returns_path))
+    panel = replace(panel, returns=write_return_records(panel, returns_path), _fresh=True)
     write_manifest(echoed, echo_path)
     return panel
 
@@ -182,7 +182,7 @@ def stage_ingest(
             with open_output(canonical_path) as handle:
                 shutil.copyfileobj(table, handle)
     else:
-        panel = replace(panel, returns=write_return_records(panel, canonical_path))
+        panel = replace(panel, returns=write_return_records(panel, canonical_path), _fresh=True)
     for path, summary in zip(report_paths, (report, validation)):
         with open_output(path) as handle:
             handle.write("\n".join(summary.lines()) + "\n")
@@ -321,12 +321,12 @@ def stage_fit(
 
 
 def stage_spectra(config: RunConfig, panel: ReturnPanel | None = None) -> None:
-    # Neither a panel read here nor the normalized one outlives its use, so the
-    # stage holds only the spectra through the overlaps and the null.
-    spectra = bin_spectra(
-        normalize_panel(_read_canonical(config, check=True) if panel is None else panel),
-        eigen_hi=config.eigen_hi,
-    )
+    # Each bin is divided by its dispersion as bin_spectra copies it, so no
+    # normalized panel exists, and a panel read here does not outlive the
+    # spectra: the stage holds only them through the overlaps and the null.
+    panel = _read_canonical(config, check=True) if panel is None else panel
+    spectra = bin_spectra(panel, eigen_hi=config.eigen_hi, dispersion=dispersion_scale(panel))
+    del panel
 
     modes = [market_mode_stats(spectrum) for spectrum in spectra]
     bins = np.array([spectrum.bin for spectrum in spectra])

@@ -15,11 +15,13 @@ cell at once, its first seven fields the kernel's outputs in order.
 its selection rule, which the run config's ``condition_bins`` follows,
 is written once, in ``_pooled_rows``.
 
-:func:`normalize_panel` divides each cell by its own sigma_d and returns
-another :class:`~intraday.panel.ReturnPanel`, whose cross-sectional
-variance is exactly one at every (bin, day): the input the
-correlation-spectrum machinery expects.  It computes sigma_d alone, as
-``np.std`` across stocks, the bytes ``grid_moments`` gives.
+:func:`dispersion_scale` computes sigma_d alone, as ``np.std`` across
+stocks, the bytes ``grid_moments`` gives.  :func:`normalize_panel` divides
+each cell by it and returns another :class:`~intraday.panel.ReturnPanel`,
+whose cross-sectional variance is exactly one at every (bin, day): the
+input the correlation-spectrum machinery expects.  Given sigma_d,
+:func:`~intraday.spectral.bin_spectra` divides each bin of the raw panel
+as it copies it instead, with the same bytes.
 """
 
 from __future__ import annotations
@@ -104,19 +106,19 @@ def dispersion_grid(panel: ReturnPanel) -> DispersionGrid:
     )
 
 
-def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
-    """The panel with each (bin, day) cell divided by its cross-sectional
-    dispersion.  Every (bin, day) cross-section of the result has
-    population variance one.  Slabs of days run on the kernel threads for
-    the dispersion; the divide, which holds no temporary, is one call.
+def dispersion_scale(panel: ReturnPanel) -> np.ndarray:
+    """The cross-sectional dispersion sigma_d of every (bin, day), as a
+    (day, bin) array aligned with a stock's ``panel.returns[i]``; slabs of
+    days run on the kernel threads.
 
-    Raises :class:`DegenerateCrossSectionError` listing every zero-dispersion
+    Raises :class:`InsufficientDataError` below 2 stocks and
+    :class:`DegenerateCrossSectionError` listing every zero-dispersion
     (bin, day) pair, bin-major; nothing is silently passed through.
     """
     if panel.n_stocks < 2:
         raise InsufficientDataError("cross-sections need at least 2 stocks")
     returns = panel.returns
-    # (day, bin), each slab's centred copy freed before the quotient exists
+    # std's centred copy is one slab's, never the panel's
     scale = np.concatenate(
         slab_map(lambda days: returns[:, days].std(axis=0), returns.shape[1], returns.nbytes)
     )
@@ -125,4 +127,11 @@ def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
         rows, cols = np.nonzero(degenerate)
         pairs = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, cols)]
         raise DegenerateCrossSectionError(pairs)
-    return replace(panel, returns=returns / scale, _fresh=True)
+    return scale
+
+
+def normalize_panel(panel: ReturnPanel) -> ReturnPanel:
+    """The panel with each (bin, day) cell divided by its
+    :func:`dispersion_scale`, in one call that holds no temporary.  Every
+    (bin, day) cross-section of the result has population variance one."""
+    return replace(panel, returns=panel.returns / dispersion_scale(panel), _fresh=True)

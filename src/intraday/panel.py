@@ -649,7 +649,8 @@ def write_return_records(
 ) -> np.ndarray:
     """Write a canonical panel (as :func:`load_panel` builds it) as a return
     table in (date, bin, symbol) order; return its returns as the table reads
-    them back, shaped like ``panel.returns``.  A non-finite return raises."""
+    them back, shaped like ``panel.returns`` and C-contiguous, held by nothing
+    else.  A non-finite return raises."""
     if not np.isfinite(panel.returns).all():  # the table's reader would reject it
         raise PanelFormatError(f"{destination}: a return is not finite")
     n_stocks, n_days, n_cols = panel.returns.shape
@@ -664,4 +665,5 @@ def write_return_records(
         },
         labels={"date": panel.dates, "bin": panel.bin_numbers, "symbol": panel.stock_ids},
     )["return"]
-    return read_back.reshape(n_days, n_cols, n_stocks).transpose(2, 0, 1)
+    # read back in the order of the transposed returns: a C-contiguous view
+    return read_back.T.reshape(n_stocks, n_days, n_cols)

@@ -1,10 +1,11 @@
 """Per-bin correlation spectra and eigen-subspace overlaps.
 
-For a normalized panel, each bin k gets an equal-time correlation matrix
-across stocks, estimated over days with per-stock centering (connected
-moments) and population normalization.  Its eigen-decomposition is reported
-with eigenvalues descending and a deterministic eigenvector sign convention
-so repeated runs agree bit for bit.
+For a normalized panel (or a raw one that :func:`bin_spectra` divides by
+its dispersion bin by bin), each bin k gets an equal-time correlation
+matrix across stocks, estimated over days with per-stock centering
+(connected moments) and population normalization.  Its eigen-decomposition
+is reported with eigenvalues descending and a deterministic eigenvector
+sign convention so repeated runs agree bit for bit.
 
 With fewer days T than stocks N the matrix has rank at most T - 1, and
 :func:`bin_spectra` decomposes the T x T dual Gram matrix Z'Z/T of the
@@ -107,11 +108,15 @@ def _check_days(npanel: ReturnPanel, k: int) -> None:
         )
 
 
-def _standardized(npanel: ReturnPanel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin ``k``'s stocks x days data centered per stock, and each stock's
-    population std; a stock flat over the days is an error naming it."""
-    # one contiguous copy of the bin's strided column, read three times below
-    data = np.ascontiguousarray(npanel.returns[:, :, npanel.column_of(k)])
+def _standardized(npanel: ReturnPanel, k: int, dispersion) -> tuple[np.ndarray, np.ndarray]:
+    """Bin ``k``'s stocks x days data, divided by ``dispersion`` unless None,
+    centered per stock, and each stock's population std; a stock flat over
+    the days is an error naming it."""
+    col = npanel.column_of(k)
+    column = npanel.returns[:, :, col]
+    # one contiguous copy of the bin's strided column, read three times below;
+    # the quotient is normalize_panel's, element for element
+    data = np.ascontiguousarray(column) if dispersion is None else column / dispersion[:, col]
     centered = data - data.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=1))
     # constant rows must be caught exactly; mean subtraction can leave an
@@ -144,7 +149,7 @@ def correlation_matrix(npanel: ReturnPanel, k: int) -> CorrelationMatrix:
     stocks only warns (the matrix is then rank-deficient but well defined).
     """
     _check_days(npanel, k)
-    return _correlation(*_standardized(npanel, k), k)
+    return _correlation(*_standardized(npanel, k, None), k)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -185,8 +190,8 @@ def market_mode_stats(spectrum: BinSpectrum) -> MarketMode:
     )
 
 
-def _bin_spectrum(npanel: ReturnPanel, k: int, keep: int) -> BinSpectrum:
-    centered, scale = _standardized(npanel, k)
+def _bin_spectrum(npanel: ReturnPanel, k: int, keep: int, dispersion) -> BinSpectrum:
+    centered, scale = _standardized(npanel, k, dispersion)
     n_stocks, n_days = centered.shape
     if n_days < n_stocks:
         # Centering leaves at most T - 1 nonzero eigenvalues; a bin with
@@ -207,8 +212,10 @@ def _bin_spectrum(npanel: ReturnPanel, k: int, keep: int) -> BinSpectrum:
     return BinSpectrum(full.eigenvalues, full.eigenvectors[:, :keep].copy(), full.bin)
 
 
-def bin_spectra(npanel: ReturnPanel, eigen_hi: int = RunConfig.eigen_hi) -> list[BinSpectrum]:
-    """Eigen-decompose every bin of the panel:
+def bin_spectra(
+    npanel: ReturnPanel, eigen_hi: int = RunConfig.eigen_hi, dispersion: np.ndarray | None = None
+) -> list[BinSpectrum]:
+    """Eigen-decompose every bin of the normalized panel:
     ``eigen_decompose(correlation_matrix(npanel, k))`` run under
     :func:`~intraday.config.single_threaded_blas` (outside it they use the
     multi-threaded BLAS, whose last bits can differ), or the dual Gram matrix
@@ -219,13 +226,22 @@ def bin_spectra(npanel: ReturnPanel, eigen_hi: int = RunConfig.eigen_hi) -> list
     Each spectrum holds all N eigenvalues but only the eigenvectors of ranks
     1..``eigen_hi``, as many of them as the path holds (N, or T - 1 on the
     dual path); pass ``eigen_hi=n_stocks`` for every one.  The kept columns
-    are the leading columns of the full set bit for bit."""
+    are the leading columns of the full set bit for bit.
+
+    Given ``dispersion``, the (day, bin) array of
+    :func:`~intraday.cross_section.dispersion_scale`, ``npanel`` is the raw
+    panel and each bin is divided by its dispersion as it is copied:
+    ``bin_spectra(panel, dispersion=dispersion_scale(panel))`` is
+    ``bin_spectra(normalize_panel(panel))`` bit for bit, with no normalized
+    copy of the panel."""
     if eigen_hi < 1:
         raise ValueError(f"eigen_hi must be >= 1, got {eigen_hi}")
+    if dispersion is not None and dispersion.shape != npanel.returns.shape[1:]:
+        raise ValueError(f"dispersion {dispersion.shape} is not (day, bin) of the panel")
     bins = [int(k) for k in npanel.bin_numbers]
     for k in bins:
         _check_days(npanel, k)
-    return thread_map(lambda k: _bin_spectrum(npanel, k, eigen_hi), bins)
+    return thread_map(lambda k: _bin_spectrum(npanel, k, eigen_hi, dispersion), bins)
 
 
 def overlap_singular_values(

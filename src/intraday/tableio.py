@@ -24,6 +24,9 @@ with a per-value fallback) with a ``.`` decimal mark regardless of locale, so
 identical inputs produce byte-identical files; ints and bools print as
 integers, and text is quoted CSV-style only when it would otherwise be split
 or read as a comment.  A table written to a path appears there only once complete.
+It returns each float column as the text reads back, in the memory order of
+the column given, so a transposed column's read-back transposes back to a
+C-contiguous array without a copy.
 """
 
 from __future__ import annotations
@@ -193,9 +196,10 @@ def write_table(
     A column's dtype decides its format: floats at :data:`FLOAT_FORMAT`,
     ints and bools as integers, anything else as text by :func:`format_cell`;
     a column named in ``labels`` holds codes into that name's labels.  Returns
-    every column as written: a float column as a reader parses it back, any
-    other as given, bools as ints.  A finite value whose text reads back as
-    non-finite raises :class:`PanelFormatError` before a path destination is replaced.
+    every column as written: a float column as a reader parses it back, in
+    the column's memory order, any other as given, bools as ints.  A finite
+    value whose text reads back as non-finite raises
+    :class:`PanelFormatError` before a path destination is replaced.
     """
     arrays = {name: np.asarray(values) for name, values in columns.items()}
     arrays |= {name: a.astype(np.int64) for name, a in arrays.items() if a.dtype == bool}
@@ -203,7 +207,7 @@ def write_table(
     if len(shapes) > 1:
         raise ValueError(f"column lengths differ: {sorted(shapes)}")
     (shape,) = shapes
-    written = {name: np.empty(shape) for name, a in arrays.items() if a.dtype.kind == "f"}
+    written = {name: np.empty_like(a, float) for name, a in arrays.items() if a.dtype.kind == "f"}
     step = max(1, WRITE_BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
     label_texts = {name: _text_rows(map(format_cell, v)) for name, v in (labels or {}).items()}
     with open_output(destination) as handle:

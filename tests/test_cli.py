@@ -238,15 +238,15 @@ def test_readme_table_lists_what_each_subcommand_writes(tmp_path):
     assert {p.name for p in (tmp_path / "ran").iterdir()} == seen | set(table["run"])
 
 
-def write_bars(path, bin3):
+def write_bars(path, bin3, days=range(1, 13)):
     """12 stocks x 12 days x bins 1-8 of Gaussian returns, bin 3's return
-    ``bin3(stock)`` if given."""
+    ``bin3(stock)`` on ``days`` if given."""
     rng = np.random.default_rng(5)
     rows = ["date,bin,symbol,return"]
     for day in range(1, 13):
         for k in range(1, 9):
             for s in range(12):
-                value = bin3(s) if bin3 and k == 3 else rng.normal(0, 0.01)
+                value = bin3(s) if bin3 and k == 3 and day in days else rng.normal(0, 0.01)
                 rows.append(f"2024-01-{day:02d},{k},S{s:02d},{value:.6f}")
     path.write_text("\n".join(rows) + "\n")
     return path
@@ -318,6 +318,9 @@ def test_readme_library_example_runs():
     top = namespace["top"]
     assert len(top) == len(namespace["panel"].bin_numbers)
     assert all(0.0 < value <= 1.0 for value in top)
+    for spectrum, same in zip(namespace["spectra"], namespace["same"], strict=True):
+        assert spectrum.eigenvalues.tobytes() == same.eigenvalues.tobytes()
+        assert spectrum.eigenvectors.tobytes() == same.eigenvectors.tobytes()
 
 
 # Damage to a stage table's rows (its lines after the version line and the
@@ -687,6 +690,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert [name for name in written if not (out / name).exists()] == []
         assert [name for name in absent if (out / name).exists()] == []
+
+    def test_one_flat_cross_section_stops_spectra_in_run_and_staged(self, tmp_path, capsys):
+        # every stock returns 0 at bin 3 on the fifth day alone: cross-section
+        # marks that cell degenerate and goes on, and spectra names it before
+        # it writes a table, whether run hands it the panel or it reads one
+        returns = write_bars(tmp_path / "returns.csv", lambda s: 0.0, days=[5])
+        cfg = write_config(tmp_path, mode="returns", input=str(returns), min_count=1)
+        out = tmp_path / "out"
+        for stage in ("run", "spectra"):
+            assert cli.main([stage, "-c", str(cfg)]) == 4
+            assert capsys.readouterr().err == (
+                "error: numeric-error: zero cross-sectional dispersion at (bin 3, day 4)\n"
+            )
+            written = ["dispersion.csv", "fig1.csv", "fig2.csv"]
+            assert [name for name in written if not (out / name).exists()] == []
+            absent = ["fig6.csv", "fig7.csv", "fig7_null.csv"]
+            assert [name for name in absent if (out / name).exists()] == []
 
     def test_a_halted_stock_is_warned_of_before_its_nan_kurtosis(self, tmp_path, capsys):
         # S07's return is 0 on every day of every bin: its kurtosis is NaN in

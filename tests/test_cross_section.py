@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from intraday.cross_section import dispersion_grid, normalize_panel
+from intraday.cross_section import dispersion_grid, dispersion_scale, normalize_panel
 from intraday.errors import DegenerateCrossSectionError, InsufficientDataError
 from intraday.panel import ReturnPanel
 from intraday.robust_moments import (
@@ -188,19 +188,22 @@ class TestNormalization:
         # N > T, with zero-dispersion cells set in no particular order
         arr = np.random.default_rng(26).standard_normal((40, 6, 4)) * 0.01
         panel = panel_from_array(arr, overnight=True)
-        assert normalize_panel(panel).returns.tobytes() == (
-            (panel.returns / dispersion_grid(panel).dispersion.T).tobytes()
-        )
+        sigma = dispersion_grid(panel).dispersion.T
+        assert dispersion_scale(panel).tobytes() == sigma.tobytes()
+        assert normalize_panel(panel).returns.tobytes() == (panel.returns / sigma).tobytes()
         for day, col in ((5, 0), (1, 3), (1, 0), (4, 2), (0, 3)):
             arr[:, day, col] = 2.0**-9  # exact mean, so exactly zero dispersion
         panel = panel_from_array(arr, overnight=True)
-        with pytest.raises(DegenerateCrossSectionError) as exc:
-            normalize_panel(panel)
         rows, days = np.nonzero(dispersion_grid(panel).degenerate)
         from_grid = [(int(panel.bin_numbers[r]), int(t)) for r, t in zip(rows, days)]
-        assert exc.value.bin_days == from_grid == [(0, 1), (0, 5), (2, 4), (3, 0), (3, 1)]
+        assert from_grid == [(0, 1), (0, 5), (2, 4), (3, 0), (3, 1)]
+        for kernel in (dispersion_scale, normalize_panel):
+            with pytest.raises(DegenerateCrossSectionError) as exc:
+                kernel(panel)
+            assert exc.value.bin_days == from_grid
 
     def test_one_stock_panel_is_insufficient(self):
         panel = panel_from_array(np.full((1, 3, 2), 0.01))
-        with pytest.raises(InsufficientDataError):
-            normalize_panel(panel)
+        for kernel in (dispersion_scale, normalize_panel):
+            with pytest.raises(InsufficientDataError):
+                kernel(panel)

@@ -7,15 +7,20 @@ price conversion and the panel load about half a copy more, so on a table
 many chunks long the tracemalloc peak of each stays within a bound in
 bytes per row.  A stage's read of the canonical table holds its returns
 twice at most, as parts and as the panel, and ``normalize_panel`` one panel
-beside its input; the moment kernels hold their outputs twice, as slab
-parts and joined, and a sorted and a centred copy of one slab per kernel
-thread, a slab being about ``SLAB_BYTES`` of a panel at any thread count,
-so their peak on a large panel does not grow with it.  The canonical write
-holds the returns it reads back and one block of rows.  Validation holds
-boolean masks, an eighth of the panel each.  The null baseline holds its
-trials' values and one block of draws and seeds.
+beside its input.  The spectra divide each bin by its dispersion as they
+copy it, so given the raw panel and its dispersion they hold under half a
+panel beside it, and ``run``'s spectra stage holds no normalized copy.  The
+moment kernels hold their outputs twice, as slab parts and joined, and a
+sorted and a centred copy of one slab per kernel thread, a slab being about
+``SLAB_BYTES`` of a panel at any thread count, so their peak on a large
+panel does not grow with it.  The canonical write holds the returns it
+reads back and one block of rows, and the synth and ingest stages keep that
+read-back as their panel without a copy.  Validation holds boolean masks,
+an eighth of the panel each.  The null baseline holds its trials' values
+and one block of draws and seeds.
 """
 
+import dataclasses
 import datetime as dt
 import os
 import tracemalloc
@@ -25,7 +30,7 @@ import pytest
 
 from intraday import cli, config
 from intraday.config import SLAB_BYTES, RunConfig
-from intraday.cross_section import dispersion_grid, normalize_panel
+from intraday.cross_section import dispersion_grid, dispersion_scale, normalize_panel
 from intraday.panel import (
     ReturnPanel,
     load_panel,
@@ -35,7 +40,7 @@ from intraday.panel import (
     write_return_records,
 )
 from intraday.robust_moments import stock_bin_moments
-from intraday.spectral import random_overlap_baseline
+from intraday.spectral import bin_spectra, random_overlap_baseline
 from intraday.synth import gaussian_iid_panel
 from intraday.tableio import CHUNK_BYTES, VERSION_LINE
 
@@ -124,6 +129,23 @@ def test_normalize_panel_holds_one_panel_beside_its_input():
     assert peak < 1.25 * panel.returns.nbytes
 
 
+@pytest.mark.filterwarnings("ignore:bin .* rank-deficient")
+@pytest.mark.parametrize("given", ["dispersion", "normalized panel"])
+def test_spectra_hold_under_half_a_panel_beside_their_input(given):
+    panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
+    if given == "dispersion":
+        spectra = lambda: bin_spectra(panel, dispersion=dispersion_scale(panel))  # noqa: E731
+    else:
+        npanel = normalize_panel(panel)
+        spectra = lambda: bin_spectra(npanel)  # noqa: E731
+    _, peak = _traced(spectra)
+    # 0.26 given the dispersion: each bin divided as it is copied, beside
+    # sigma's slabs and the spectra; 1.26 through bin_spectra(normalize_panel(
+    # panel)), which holds a normalized copy.  0.25 given a normalized panel,
+    # as before the dispersion keyword.
+    assert peak < 0.5 * panel.returns.nbytes
+
+
 @pytest.mark.parametrize("kernel", [stock_bin_moments, dispersion_grid])
 def test_moment_kernels_hold_slabs_not_panels(kernel):
     panel = gaussian_iid_panel(len(SYMBOLS), len(DATES), len(STAMPS), 0.01, seed=0)
@@ -170,6 +192,58 @@ def test_return_write_holds_its_read_back_and_a_block(tmp_path):
     _, peak = _traced(lambda: write_return_records(panel, tmp_path / "returns.csv"))
     # 2.1 with key codes per block; 7.0 with full-length key columns
     assert peak <= 3 * panel.returns.nbytes
+
+
+def _synth_config(tmp_path, n_stocks, n_days, bins_per_day):
+    manifest = tmp_path / "synth.cfg"
+    manifest.write_text(
+        f"n_stocks = {n_stocks}\nn_days = {n_days}\nbins_per_day = {bins_per_day}\n"
+        "factor_vol = ushape(0.003, 0.001)\ntarget_correlation = 0.3\n"
+        "overnight_vol_multiplier = 2.5\nseed = 20240101\n"
+    )
+    return RunConfig(
+        mode="synth", synth_manifest=str(manifest), output_dir=str(tmp_path / "out"),
+        min_count=30, null_trials=1000,
+    )
+
+
+def test_synth_and_ingest_keep_the_table_read_back_as_their_panel(tmp_path, monkeypatch):
+    read_backs = []
+
+    def recording(panel, destination, write=cli.write_return_records):
+        read_backs.append(write(panel, destination))
+        return read_backs[-1]
+
+    monkeypatch.setattr(cli, "write_return_records", recording)
+    config = _synth_config(tmp_path, 12, 20, 8)
+    synth = cli.stage_synth(config)
+    returns = os.path.join(config.output_dir, "returns.csv")
+    ingest = cli.stage_ingest(dataclasses.replace(config, mode="returns", input=returns))
+    # a C-contiguous view of the read-back, which the panel takes without a
+    # copy; a strided transpose before, which ReturnPanel copied
+    for read_back, panel in zip(read_backs, (synth, ingest), strict=True):
+        assert read_back.flags.c_contiguous
+        assert np.shares_memory(panel.returns, read_back)
+
+
+def test_run_holds_no_normalized_panel(tmp_path, monkeypatch):
+    peaks = []
+
+    def spectra(*args, stage=cli.stage_spectra):
+        peaks.append(tracemalloc.get_traced_memory()[1])  # the run's peak so far
+        tracemalloc.reset_peak()
+        stage(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(cli, "stage_spectra", spectra)
+    _, last = _traced(lambda: cli.run_pipeline(_synth_config(tmp_path, 100, 120, 78)))
+    before, during = peaks
+    panel_bytes = 100 * 120 * 79 * 8
+    # 3.16 panels, in synth's draw, with or without a normalized panel
+    assert max(before, last) < 3.5 * panel_bytes
+    # 1.46-1.47: the run's panel, sigma's slabs and the spectra; 2.26-2.37
+    # with a normalized copy of the panel beside it
+    assert during < 1.75 * panel_bytes
 
 
 def test_validation_holds_masks_not_a_float_copy():

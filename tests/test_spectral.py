@@ -452,6 +452,11 @@ class TestTrimmedSpectra:
         with pytest.raises(ValueError, match="^eigen_hi must be >= 1, got 0$"):
             bin_spectra(factor_view(10, 30), eigen_hi=0)
 
+    def test_a_dispersion_of_another_shape_is_rejected(self):
+        view = factor_view(10, 30)  # (day, bin) is (30, 2); the grid's rows are bins
+        with pytest.raises(ValueError, match=r"^dispersion \(2, 30\) is not \(day, bin\)"):
+            bin_spectra(view, dispersion=np.ones((2, 30)))
+
     def test_index_range_past_eigen_hi_names_both_limits(self):
         spectra = quietly(bin_spectra, factor_view(60, 20))
         with pytest.raises(ValueError) as caught:

@@ -25,7 +25,7 @@ from hypothesis.extra import numpy as hnp
 
 import intraday
 from intraday import cli, config
-from intraday.cross_section import dispersion_grid, normalize_panel
+from intraday.cross_section import dispersion_grid, dispersion_scale, normalize_panel
 from intraday.errors import DegenerateSampleError
 from intraday.robust_moments import grid_moments, stock_bin_moments
 from intraday.spectral import bin_spectra, random_overlap_baseline
@@ -61,10 +61,10 @@ def started(monkeypatch):
     return threads
 
 
-def spectra_bytes(view):
+def spectra_bytes(view, dispersion=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        spectra = bin_spectra(view, eigen_hi=view.returns.shape[0])
+        spectra = bin_spectra(view, eigen_hi=view.returns.shape[0], dispersion=dispersion)
     digest = hashlib.sha256()
     for s in spectra:
         digest.update(s.eigenvalues.tobytes() + s.eigenvectors.tobytes())
@@ -245,9 +245,12 @@ def kernel_outputs(panel):
     moments = stock_bin_moments(panel)
     grid = dispersion_grid(panel)
     npanel = normalize_panel(panel)
+    spectra = spectra_bytes(npanel)
+    # the spectra divide each bin as they copy it, with normalize_panel's bytes
+    assert spectra_bytes(panel, dispersion=dispersion_scale(panel)) == spectra
     null = random_overlap_baseline(40, 3, trials=1000, seed=2)
     arrays = [*vars(moments).values(), *vars(grid).values(), npanel.returns]
-    return [a.tobytes() for a in arrays if isinstance(a, np.ndarray)] + [spectra_bytes(npanel), null]
+    return [a.tobytes() for a in arrays if isinstance(a, np.ndarray)] + [spectra, null]
 
 
 class TestSameBytesAtAnyThreadCount:
@@ -261,6 +264,20 @@ class TestSameBytesAtAnyThreadCount:
             blas.scipy_openblas_set_num_threads64_(threads)
             digests.append(spectra_bytes(view))
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "n, t", [(300, 40), (100, 120)], ids=["dual path", "n x n path"]
+    )
+    def test_bin_spectra_given_the_dispersion(self, blas, monkeypatch, n, t):
+        """The spectra of a panel and its dispersion are those of the
+        normalized panel, bit for bit, at 1, 2 and 3 kernel threads."""
+        monkeypatch.setattr(config, "MAX_KERNEL_THREADS", 3)
+        panel = gaussian_iid_panel(n, t, 3, 0.01, seed=5)
+        want = spectra_bytes(normalize_panel(panel))
+        for threads in (1, 2, 3):
+            blas.scipy_openblas_set_num_threads64_(threads)
+            assert config.kernel_threads() == threads
+            assert spectra_bytes(panel, dispersion=dispersion_scale(panel)) == want
 
     def test_every_kernel(self, blas, monkeypatch):
         """At any thread count and slab size: the 120 KB panel is one slab
