@@ -243,7 +243,8 @@ def gaussian_iid_panel(
     if n_stocks < 2 or n_days < 2:
         raise ValueError("need at least 2 stocks and 2 days")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cells = rng.standard_normal((n_stocks, n_days, bins_per_day)) * vols[None, None, :]
+    cells = rng.standard_normal((n_stocks, n_days, bins_per_day))
+    cells *= vols
     stock_ids, dates = _labels(n_stocks, n_days)
     return ReturnPanel(
         returns=cells,
@@ -251,6 +252,7 @@ def gaussian_iid_panel(
         dates=dates,
         bins_per_day=bins_per_day,
         overnight_present=False,
+        _fresh=True,
     )
 
 

@@ -7,9 +7,10 @@ price conversion and the panel load about half a copy more, so on a table
 many chunks long the tracemalloc peak of each stays within a bound in
 bytes per row.  A stage's read of the canonical table holds its returns
 twice at most, as parts and as the panel, and ``normalize_panel`` one panel
-beside its input.  The spectra divide each bin by its dispersion as they
-copy it, so given the raw panel and its dispersion they hold under half a
-panel beside it, and ``run``'s spectra stage holds no normalized copy.  The
+beside its input.  A Gaussian null panel is its draw, scaled in place.  The
+spectra divide each bin by its dispersion as they copy it, so given the raw
+panel and its dispersion they hold under half a panel beside it, and
+``run``'s spectra stage holds no normalized copy.  The
 moment kernels hold their outputs twice, as slab parts and joined, and a
 sorted and a centred copy of one slab per kernel thread, a slab being about
 ``SLAB_BYTES`` of a panel at any thread count, so their peak on a large
@@ -119,6 +120,13 @@ def test_canonical_read_holds_at_most_twice_its_panel_and_a_chunk(tmp_path):
     assert panel.returns.shape == (len(SYMBOLS), len(DATES), len(STAMPS))
     # 2.6 through the canonical layout check; 6.4 through the general reader
     assert peak <= 4 * panel.returns.nbytes
+
+
+def test_gaussian_null_panel_holds_its_draw_once():
+    panel, peak = _traced(lambda: gaussian_iid_panel(100, 120, 78, 0.01, seed=0))
+    # 1.0-1.1: the draw, scaled in place, becomes the panel's returns; 2.0-2.1
+    # with a scaled copy of the draw, which the panel copied again
+    assert peak < 1.5 * panel.returns.nbytes
 
 
 def test_normalize_panel_holds_one_panel_beside_its_input():
